@@ -14,6 +14,7 @@ from .graph import (
     SparseMatrix,
     build_adjacency,
     build_normalized_adjacency,
+    propagation_matrices,
     spmm,
     transpose,
 )
@@ -47,7 +48,6 @@ from .training import (
     backward,
     init_optimizer_state,
     optimizer_step,
-    sample_batch,
     separated_bpr_loss,
     train,
 )

@@ -11,16 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .data import DatasetFormatError, load_dataset, split_validation
-from .graph import (
-    GraphConfigError,
-    PopularityConfig,
-    build_adjacency,
-    build_normalized_adjacency,
-    set_parallel_workers,
-)
+from .graph import GraphConfigError, PopularityConfig, propagation_matrices
 from .layers import (
     LayerSelectionConfig,
     LayerSelectionError,
@@ -47,37 +42,38 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    data_dir: str = "."
+    """Every run setting.  Each field is both a ``--dashed-name`` flag and
+    a ``snake_name=`` config-file key, parsed from its annotated type."""
+
+    data_dir: str = field(default=".", metadata={"help": "directory with train.txt/test.txt"})
     output_dir: str = "."
     embed_dim: int = 64
     batch_size: int = 2048
     learning_rate: float = 1e-3
     l2_coeff: float = 1e-4
-    c: float = 0.1
-    k: int = 2
-    alpha: float = 0.5
+    c: float = field(default=0.1, metadata={"help": "granularity exponent unit"})
+    k: int = field(default=2, metadata={"help": "maximum popularity granularity"})
+    alpha: float = field(default=0.5, metadata={"help": "coverage threshold"})
     epochs_per_phase: int = 300
     topk: int = 20
     seed: int = 0
-    optimizer: str = "adam"
+    optimizer: str = field(default="adam", metadata={"choices": ("adam", "sgd")})
     shared_base: bool = False
-    lambda_weights: tuple = None
+    lambda_weights: tuple = field(
+        default=None, metadata={"help": "comma-separated per-granularity weights"}
+    )
     l_odd: int = None
     l_even: int = None
     sample_size: int = 100
     max_hops: int = 20
-    workers: int = 0  # 0 = use every core; results are worker-count invariant
+    workers: int = 0  # evaluation threads; 0 = every core; results are worker-count invariant
     eval_every: int = 0
-    validation_fraction: float = 0.0
+    validation_fraction: float = field(
+        default=0.0,
+        metadata={"help": "per-user fraction of training items held out for periodic metrics"},
+    )
     full_matrix_reg: bool = False
     remap: bool = False
-
-
-def _parse_weights(text):
-    try:
-        return tuple(float(tok) for tok in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"lambda_weights must be comma-separated reals, got {text!r}")
 
 
 def _parse_bool(text):
@@ -86,34 +82,33 @@ def _parse_bool(text):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_PARSERS = {
-    "data_dir": str,
-    "output_dir": str,
-    "embed_dim": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "l2_coeff": float,
-    "c": float,
-    "k": int,
-    "alpha": float,
-    "epochs_per_phase": int,
-    "topk": int,
-    "seed": int,
-    "optimizer": str,
-    "shared_base": _parse_bool,
-    "lambda_weights": _parse_weights,
-    "l_odd": int,
-    "l_even": int,
-    "sample_size": int,
-    "max_hops": int,
-    "workers": int,
-    "eval_every": int,
-    "validation_fraction": float,
-    "full_matrix_reg": _parse_bool,
-    "remap": _parse_bool,
+def _parse_reals(text):
+    return tuple(float(tok) for tok in text.split(","))
+
+
+def _value_parser(name, kind, choices):
+    """Text-to-value parser of one RunConfig field, shared by its flag and
+    its config-file key.  It raises ValueError, which argparse turns into
+    exit 2 and the file reader into a ConfigError."""
+    convert = {bool: _parse_bool, tuple: _parse_reals}.get(kind, kind)
+
+    def parse(text):
+        value = convert(text)
+        if choices and value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+
+    parse.__name__ = name  # argparse names it in "invalid <name> value"
+    return parse
+
+
+_TYPES = get_type_hints(RunConfig)
+_PARSE = {
+    spec.name: _value_parser(spec.name, _TYPES[spec.name], spec.metadata.get("choices"))
+    for spec in fields(RunConfig)
 }
 
 
@@ -130,14 +125,12 @@ def _parse_config_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in _PARSERS:
+            if key not in _PARSE:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _PARSERS[key](raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}")
+                values[key] = _PARSE[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r} ({exc})")
     return values
 
 
@@ -145,14 +138,10 @@ def _resolve_config(args) -> RunConfig:
     merged = {}
     if getattr(args, "config", None):
         merged.update(_parse_config_file(args.config))
-    for field in fields(RunConfig):
-        flag_value = getattr(args, field.name, None)
+    for name in _PARSE:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            merged[field.name] = (
-                _parse_weights(flag_value)
-                if field.name == "lambda_weights"
-                else flag_value
-            )
+            merged[name] = flag_value
     cfg = RunConfig(**merged)
     if cfg.lambda_weights is not None and len(cfg.lambda_weights) != cfg.k + 1:
         raise ConfigError(
@@ -166,39 +155,18 @@ def _resolve_config(args) -> RunConfig:
 
 def _add_common_flags(parser):
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--data-dir", dest="data_dir", help="directory with train.txt/test.txt")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--embed-dim", dest="embed_dim", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--l2-coeff", dest="l2_coeff", type=float)
-    parser.add_argument("--c", dest="c", type=float, help="granularity exponent unit")
-    parser.add_argument("--k", dest="k", type=int, help="maximum popularity granularity")
-    parser.add_argument("--alpha", dest="alpha", type=float, help="coverage threshold")
-    parser.add_argument("--epochs-per-phase", dest="epochs_per_phase", type=int)
-    parser.add_argument("--topk", dest="topk", type=int)
-    parser.add_argument("--seed", dest="seed", type=int)
-    parser.add_argument("--optimizer", dest="optimizer", choices=("adam", "sgd"))
-    parser.add_argument(
-        "--shared-base", dest="shared_base", action=argparse.BooleanOptionalAction
-    )
-    parser.add_argument(
-        "--lambda-weights", dest="lambda_weights", help="comma-separated per-granularity weights"
-    )
-    parser.add_argument("--l-odd", dest="l_odd", type=int)
-    parser.add_argument("--l-even", dest="l_even", type=int)
-    parser.add_argument("--sample-size", dest="sample_size", type=int)
-    parser.add_argument("--max-hops", dest="max_hops", type=int)
-    parser.add_argument("--workers", dest="workers", type=int)
-    parser.add_argument("--eval-every", dest="eval_every", type=int)
-    parser.add_argument(
-        "--validation-fraction", dest="validation_fraction", type=float,
-        help="per-user fraction of training items held out for periodic metrics",
-    )
-    parser.add_argument(
-        "--full-matrix-reg", dest="full_matrix_reg", action=argparse.BooleanOptionalAction
-    )
-    parser.add_argument("--remap", dest="remap", action=argparse.BooleanOptionalAction)
+    for spec in fields(RunConfig):
+        flag = "--" + spec.name.replace("_", "-")
+        if _TYPES[spec.name] is bool:
+            parser.add_argument(flag, dest=spec.name, action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(
+                flag,
+                dest=spec.name,
+                type=_PARSE[spec.name],
+                choices=spec.metadata.get("choices"),
+                help=spec.metadata.get("help"),
+            )
 
 
 def _build_parser():
@@ -315,7 +283,6 @@ def cmd_train(cfg, args) -> int:
         learning_rate=cfg.learning_rate,
         l2_coeff=cfg.l2_coeff,
         batch_size=cfg.batch_size,
-        epochs_per_phase=cfg.epochs_per_phase,
         optimizer=cfg.optimizer,
         seed=cfg.seed,
         full_matrix_reg=cfg.full_matrix_reg,
@@ -356,12 +323,9 @@ def _load_checkpoint_for(cfg, ds, checkpoint_path):
 
 
 def _propagated(params, ds, layers):
-    adjacency = build_adjacency(ds)
-    matrices = [
-        build_normalized_adjacency(adjacency, k, params.popularity)
-        for k in range(params.popularity.num_granularities)
-    ]
-    return propagate(params, matrices, layers, retain_chain=False)
+    return propagate(
+        params, propagation_matrices(ds, params.popularity), layers, retain_chain=False
+    )
 
 
 def _eval_workers(cfg) -> int:
@@ -414,7 +378,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        set_parallel_workers(cfg.workers)
         return args.func(cfg, args)
     except (ConfigError, GraphConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionDataset
-from .model import PropagationOutput
+from .model import PropagationOutput, score_users
 
 __all__ = [
     "MetricsReport",
@@ -90,17 +90,6 @@ def ndcg_at_k(topk, relevant, k) -> float:
     return dcg / idcg
 
 
-def _score_users(out, users, weights, granularities):
-    m = out.num_users
-    scores = None
-    for k in granularities:
-        for l in (out.layers.l_odd, out.layers.l_even):
-            emb = out.layer(k, l)
-            part = weights[k] * (emb[users] @ emb[m:].T)
-            scores = part if scores is None else scores + part
-    return scores
-
-
 def evaluate(
     params,
     out: PropagationOutput,
@@ -115,7 +104,6 @@ def evaluate(
         weights = (
             params.popularity.granularity_weights if params is not None else out.default_weights
         )
-    granularities = list(range(out.num_granularities))
     evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
     if not evaluable:
         raise ValueError("no user has held-out items to evaluate")
@@ -124,7 +112,7 @@ def evaluate(
 
     def run_chunk(start):
         users = evaluable[start:start + chunk_size]
-        scores = _score_users(out, users, weights, granularities)
+        scores = score_users(out, users, weights=weights)
         for row, u in enumerate(users):
             topk = rank_user(scores[row], ds.train[u], k)
             relevant = ds.test[u]

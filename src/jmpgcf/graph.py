@@ -8,8 +8,7 @@ rescales the right-hand degree normalization so that high-degree
     norm_adj_k[i][j] = (d_i+1)^{-1/2} * (A+I)[i][j] * (d_j+1)^{-1/2 + k*unit}
 
 Granularity 0 is the standard symmetric normalization.  All matrices are
-row-sorted CSR; multiplies go through scipy.sparse, with a row-parallel
-JIT kernel for large operands that reproduces the same bits.
+row-sorted CSR; multiplies go through scipy.sparse.
 """
 
 from __future__ import annotations
@@ -21,13 +20,6 @@ import scipy.sparse as sp
 
 from .data import InteractionDataset
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAVE_NUMBA = False
-
 __all__ = [
     "GraphConfigError",
     "PopularityConfig",
@@ -35,39 +27,10 @@ __all__ = [
     "build_adjacency",
     "build_normalized_adjacency",
     "degrees",
-    "set_parallel_workers",
+    "propagation_matrices",
     "spmm",
     "transpose",
-    "write_coordinate_text",
 ]
-
-# below this many multiply-adds the JIT kernel is not worth dispatching
-_KERNEL_MIN_WORK = 1 << 20
-
-if _HAVE_NUMBA:
-
-    @numba.njit(parallel=True, cache=True)
-    def _csr_matmul(row_offsets, col_indices, values, dense, out):
-        # each output row is written by exactly one worker; accumulation
-        # order within a row matches the scipy fallback bit for bit
-        width = dense.shape[1]
-        for i in numba.prange(row_offsets.shape[0] - 1):
-            acc = out[i]
-            for jj in range(row_offsets[i], row_offsets[i + 1]):
-                value = values[jj]
-                source = dense[col_indices[jj]]
-                for d in range(width):
-                    acc[d] += value * source[d]
-
-
-def set_parallel_workers(workers: int):
-    """Cap the row-parallelism of the multiply kernel (0 = all cores).
-
-    The kernel partitions output rows, so results are bit-identical for
-    every worker count.
-    """
-    if _HAVE_NUMBA and workers > 0:
-        numba.set_num_threads(min(workers, numba.config.NUMBA_NUM_THREADS))
 
 
 class GraphConfigError(ValueError):
@@ -151,21 +114,6 @@ class SparseMatrix:
     def shape(self):
         return (self.num_rows, self.num_cols)
 
-    def validate(self):
-        """Check the CSR invariants; raises ValueError on violation."""
-        if len(self.row_offsets) != self.num_rows + 1:
-            raise ValueError("row_offsets length must be num_rows + 1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        for r in range(self.num_rows):
-            cols = self.col_indices[self.row_offsets[r]:self.row_offsets[r + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.num_cols):
-                raise ValueError(f"row {r}: column indices not strictly increasing in range")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-
     def to_scipy(self) -> sp.csr_matrix:
         """Zero-copy scipy view (cached)."""
         if self._csr is None:
@@ -239,6 +187,12 @@ def build_normalized_adjacency(
     return SparseMatrix.from_scipy(out)
 
 
+def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[SparseMatrix]:
+    """Normalized adjacency of ``ds`` at every granularity 0..K of ``cfg``."""
+    adjacency = build_adjacency(ds)
+    return [build_normalized_adjacency(adjacency, k, cfg) for k in range(cfg.num_granularities)]
+
+
 def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
     """Sparse @ dense product; row i of the result is sum_j M[i,j] * X[j]."""
     dense = np.asarray(dense, dtype=np.float64)
@@ -246,30 +200,8 @@ def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: matrix is {matrix.shape}, dense has {dense.shape[0]} rows"
         )
-    if (
-        _HAVE_NUMBA
-        and dense.ndim == 2
-        and matrix.nnz * dense.shape[1] >= _KERNEL_MIN_WORK
-    ):
-        out = np.zeros((matrix.num_rows, dense.shape[1]))
-        _csr_matmul(
-            matrix.row_offsets,
-            matrix.col_indices,
-            matrix.values,
-            np.ascontiguousarray(dense),
-            out,
-        )
-        return out
     return np.asarray(matrix.to_scipy() @ dense)
 
 
 def transpose(matrix: SparseMatrix) -> SparseMatrix:
     return SparseMatrix.from_scipy(matrix.to_scipy().transpose())
-
-
-def write_coordinate_text(matrix: SparseMatrix, path):
-    """Debug dump, one ``row col value`` line per stored entry."""
-    coo = matrix.to_scipy().tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

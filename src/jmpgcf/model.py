@@ -28,6 +28,7 @@ __all__ = [
     "save_checkpoint",
     "score_all_items",
     "score_pair",
+    "score_users",
 ]
 
 CHECKPOINT_MAGIC = "JMPGCF1"
@@ -177,12 +178,27 @@ def propagate(
     )
 
 
-def _resolve(out, weights, granularities):
+def score_users(out: PropagationOutput, users, items=None, weights=None, granularities=None):
+    """Preference scores of ``users`` against ``items`` (default: every item).
+
+    Per granularity k and selected layer, the term is
+    w_k * (e_users @ e_items.T), accumulated in granularity then layer
+    order; the result's shape follows numpy indexing of ``users`` and
+    ``items`` (a scalar for one user and one item).
+    """
     if weights is None:
         weights = out.default_weights
     if granularities is None:
         granularities = range(out.num_granularities)
-    return weights, list(granularities)
+    m = out.num_users
+    scores = None
+    for k in granularities:
+        for l in (out.layers.l_odd, out.layers.l_even):
+            emb = out.layer(k, l)
+            item_rows = emb[m:] if items is None else emb[m + np.asarray(items)]
+            part = weights[k] * (emb[users] @ item_rows.T)
+            scores = part if scores is None else scores + part
+    return scores
 
 
 def score_pair(out: PropagationOutput, u, i, weights=None, granularities=None) -> float:
@@ -192,28 +208,14 @@ def score_pair(out: PropagationOutput, u, i, weights=None, granularities=None) -
         raise IndexError(f"user index {u} out of range")
     if not 0 <= i < out.num_items:
         raise IndexError(f"item index {i} out of range")
-    weights, granularities = _resolve(out, weights, granularities)
-    row_i = out.num_users + i
-    score = 0.0
-    for k in granularities:
-        for l in (out.layers.l_odd, out.layers.l_even):
-            emb = out.layer(k, l)
-            score += weights[k] * float(emb[u] @ emb[row_i])
-    return score
+    return float(score_users(out, u, i, weights, granularities))
 
 
 def score_all_items(out: PropagationOutput, u, weights=None, granularities=None) -> np.ndarray:
     """Vector of scores for user ``u`` against every item."""
     if not 0 <= u < out.num_users:
         raise IndexError(f"user index {u} out of range")
-    weights, granularities = _resolve(out, weights, granularities)
-    m = out.num_users
-    scores = np.zeros(out.num_items)
-    for k in granularities:
-        for l in (out.layers.l_odd, out.layers.l_even):
-            emb = out.layer(k, l)
-            scores += weights[k] * (emb[m:] @ emb[u])
-    return scores
+    return score_users(out, u, None, weights, granularities)
 
 
 @dataclass(eq=False)
@@ -269,6 +271,13 @@ def load_checkpoint(path, shared_base=False, granularity_weights=None) -> Checkp
             tables.append(np.frombuffer(raw, dtype="<f8").reshape(rows, embed_dim).copy())
         if fh.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after last table")
+    if shared_base and any(
+        not np.array_equal(table.view(np.int64), tables[0].view(np.int64)) for table in tables[1:]
+    ):
+        raise CheckpointFormatError(
+            f"{path}: shared_base requested, but the stored tables differ "
+            "(the checkpoint holds one table per granularity)"
+        )
     params = ModelParameters(
         num_users=m,
         num_items=n,

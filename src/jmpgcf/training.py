@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import InteractionDataset
-from .graph import build_adjacency, build_normalized_adjacency, transpose, spmm
+from .graph import propagation_matrices, spmm, transpose
 from .layers import SelectedLayers
 from .model import ModelParameters, PropagationOutput, propagate, save_checkpoint
 
@@ -44,7 +44,6 @@ __all__ = [
     "backward",
     "init_optimizer_state",
     "optimizer_step",
-    "sample_batch",
     "separated_bpr_loss",
     "train",
 ]
@@ -72,7 +71,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     l2_coeff: float = 1e-4
     batch_size: int = 2048
-    epochs_per_phase: int = 300
     optimizer: str = "adam"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -182,11 +180,6 @@ class TripleSampler:
             neg[bad] = rng.integers(0, self.num_items, size=int(bad.sum()))
             bad[bad] = self._interacted(users[bad], neg[bad])
         return TripleBatch(users=users, pos_items=pos, neg_items=neg)
-
-
-def sample_batch(ds: InteractionDataset, batch_size, rng) -> TripleBatch:
-    """One-off convenience wrapper around :class:`TripleSampler`."""
-    return TripleSampler(ds).sample(batch_size, rng)
 
 
 def _check_active(out, active_granularities):
@@ -334,14 +327,6 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
         table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
 
 
-def _propagation_matrices(ds, params):
-    adjacency = build_adjacency(ds)
-    return [
-        build_normalized_adjacency(adjacency, k, params.popularity)
-        for k in range(params.popularity.num_granularities)
-    ]
-
-
 def train(
     ds: InteractionDataset,
     params: ModelParameters,
@@ -370,7 +355,7 @@ def train(
     if schedule.max_granularity != params.popularity.max_granularity:
         raise ValueError("schedule and parameters disagree on max granularity")
     if matrices is None:
-        matrices = _propagation_matrices(ds, params)
+        matrices = propagation_matrices(ds, params.popularity)
     transposed = {k: transpose(mat) for k, mat in enumerate(matrices)}
     sampler = TripleSampler(ds)
     rng = np.random.default_rng(cfg.seed)

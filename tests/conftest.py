@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from jmpgcf import (
-    InteractionDataset,
-    PopularityConfig,
-    SelectedLayers,
-    build_adjacency,
-    build_normalized_adjacency,
-)
+from jmpgcf import InteractionDataset, SelectedLayers, build_adjacency
 from jmpgcf.model import PropagationOutput
 
 
@@ -58,14 +52,6 @@ def dense_normalized(ds, k, unit):
     left = np.diag((deg + 1.0) ** -0.5)
     right = np.diag((deg + 1.0) ** (-0.5 + k * unit))
     return left @ (adj + np.eye(len(adj))) @ right
-
-
-def propagation_matrices(ds, cfg: PopularityConfig):
-    adjacency = build_adjacency(ds)
-    return [
-        build_normalized_adjacency(adjacency, k, cfg)
-        for k in range(cfg.num_granularities)
-    ]
 
 
 def manual_output(chains, l_odd=1, l_even=2, num_users=None, weights=None, matrices=None):

@@ -25,6 +25,7 @@ from jmpgcf import (
     PopularityConfig,
     SelectedLayers,
     TrainConfig,
+    TripleSampler,
     backward,
     build_adjacency,
     build_normalized_adjacency,
@@ -33,9 +34,9 @@ from jmpgcf import (
     load_dataset,
     ndcg_at_k,
     propagate,
+    propagation_matrices,
     rank_user,
     recall_at_k,
-    sample_batch,
     score_pair,
     select_layers,
     separated_bpr_loss,
@@ -43,7 +44,7 @@ from jmpgcf import (
 )
 from jmpgcf.graph import degrees
 
-from conftest import make_blocked_dataset, make_random_dataset, propagation_matrices
+from conftest import make_blocked_dataset, make_random_dataset
 
 
 @contextmanager
@@ -96,7 +97,7 @@ def test_criterion_1_gradient_correctness():
             mats = propagation_matrices(ds, cfg)
             params = init_parameters(m, n, dim, cfg, seed=instance)
             layers = SelectedLayers(*layer_choices[instance])
-            batch = sample_batch(ds, 6, np.random.default_rng(1000 + instance))
+            batch = TripleSampler(ds).sample(6, np.random.default_rng(1000 + instance))
             active = {0, 1, 2}
             lam = 1e-2
             out = propagate(params, mats, layers)
@@ -226,7 +227,7 @@ def test_criterion_4_loss_and_prediction_equivalence():
         params = init_parameters(8, 9, 4, cfg, seed=104)
         layers = SelectedLayers(3, 2)
         out = propagate(params, mats, layers)
-        batch = sample_batch(ds, 16, np.random.default_rng(105))
+        batch = TripleSampler(ds).sample(16, np.random.default_rng(105))
         lam = 1e-3
         schedule = PhaseSchedule.uniform(2, 1)
         cumulative_loss = 0.0

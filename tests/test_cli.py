@@ -1,5 +1,7 @@
 import json
 import os
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -73,6 +75,43 @@ class TestConfigResolution:
     def test_half_specified_layers_rejected(self):
         with pytest.raises(ConfigError, match="together"):
             _resolve_config(self.parse("train", "--l-odd", "1"))
+
+    @pytest.mark.parametrize("name", [spec.name for spec in fields(RunConfig)])
+    def test_every_field_is_a_flag_and_a_config_key(self, name, tmp_path):
+        types = get_type_hints(RunConfig)
+        sample = {str: "somewhere", int: "3", float: "0.25", bool: "true", tuple: "1,2,3"}
+        names = ["l_odd", "l_even"] if name in ("l_odd", "l_even") else [name]
+        argv, lines = [], []
+        for key in names:
+            text = "sgd" if key == "optimizer" else sample[types[key]]
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if types[key] is bool else [flag, text]
+            lines.append(f"{key}={text}")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\n".join(lines) + "\n")
+        by_flag = _resolve_config(self.parse("train", *argv))
+        by_file = _resolve_config(self.parse("train", "--config", cfg_file))
+        assert by_flag == by_file
+        assert getattr(by_flag, name) != getattr(RunConfig(), name)
+
+    @pytest.mark.parametrize(
+        "command, extra", [("select-layers", 28), ("train", 28), ("evaluate", 30), ("predict", 30)]
+    )
+    def test_option_count_per_subcommand(self, command, extra):
+        subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+        actions = subparsers.choices[command]._actions
+        options = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+        assert len(options) == extra
+        assert {"--config", "--lambda-weights", "--no-shared-base", "--l-odd"} <= options
+
+    @pytest.mark.parametrize("command", ["select-layers", "train"])
+    def test_bad_choice_in_file_exits_2_like_the_flag(self, command, toy_dir, capsys):
+        cfg_file = toy_dir / "run.cfg"
+        cfg_file.write_text("optimizer=foo\n")
+        common = ["--data-dir", toy_dir, "--output-dir", toy_dir, "--l-odd", "1", "--l-even", "2"]
+        assert run(command, *common, "--optimizer", "foo") == 2
+        assert run(command, *common, "--config", cfg_file) == 2
+        assert "optimizer" in capsys.readouterr().err
 
 
 class TestSelectLayersCommand:
@@ -221,6 +260,20 @@ class TestEvaluateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "m=" in err and "n=" in err and "embed_dim=" in err
+
+    def test_shared_base_on_separate_tables_exits_1(self, toy_dir, capsys):
+        rc = run(
+            "train", "--data-dir", toy_dir, "--output-dir", toy_dir,
+            "--k", "1", "--epochs-per-phase", "1", "--embed-dim", "4",
+            "--batch-size", "8", "--l-odd", "1", "--l-even", "2",
+        )
+        assert rc == 0
+        rc = run(
+            "evaluate", "--data-dir", toy_dir, "--output-dir", toy_dir,
+            "--checkpoint", toy_dir / "checkpoint_final.ckpt", "--shared-base",
+        )
+        assert rc == 1
+        assert "shared_base" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, toy_dir, capsys):
         rc = run(

@@ -12,7 +12,7 @@ from jmpgcf import (
     spmm,
     transpose,
 )
-from jmpgcf.graph import degrees, write_coordinate_text
+from jmpgcf.graph import degrees
 
 from conftest import dense_normalized, make_random_dataset
 
@@ -169,17 +169,6 @@ class TestSpmm:
         with pytest.raises(ValueError, match="mismatch"):
             spmm(mat, np.ones((5, 2)))
 
-    def test_parallel_kernel_is_bitwise_equal_to_fallback(self):
-        """Above the work threshold spmm dispatches to the JIT kernel;
-        its per-row accumulation order must match scipy exactly."""
-        rng = np.random.default_rng(10)
-        n = 1500
-        dense = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.05)
-        mat = SparseMatrix.from_scipy(sp.csr_matrix(dense))
-        x = rng.normal(size=(n, 16))
-        assert mat.nnz * 16 >= 1 << 20  # forces the kernel path
-        np.testing.assert_array_equal(spmm(mat, x), np.asarray(mat.to_scipy() @ x))
-
 
 class TestTranspose:
     def test_symmetric_base_matrix_is_fixed_point(self):
@@ -201,40 +190,3 @@ class TestTranspose:
         np.testing.assert_array_equal(back.toarray(), norm.toarray())
         np.testing.assert_array_equal(back.row_offsets, norm.row_offsets)
         np.testing.assert_array_equal(back.col_indices, norm.col_indices)
-
-
-class TestSparseMatrixValidate:
-    def test_accepts_well_formed(self):
-        rng = np.random.default_rng(9)
-        ds = make_random_dataset(rng, 6, 6)
-        build_adjacency(ds).validate()
-
-    def test_rejects_bad_offsets(self):
-        mat = SparseMatrix(2, 2, np.array([0, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            mat.validate()
-
-    def test_rejects_unsorted_columns(self):
-        mat = SparseMatrix(1, 3, np.array([0, 2]), np.array([2, 0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            mat.validate()
-
-    def test_rejects_nonfinite_values(self):
-        mat = SparseMatrix(1, 2, np.array([0, 1]), np.array([0]), np.array([np.inf]))
-        with pytest.raises(ValueError):
-            mat.validate()
-
-
-def test_coordinate_dump_round_trips_entries(tmp_path):
-    ds = InteractionDataset.from_lists(1, 2, [[0, 1]])
-    norm = build_normalized_adjacency(build_adjacency(ds), 1, PopularityConfig())
-    path = tmp_path / "matrix.txt"
-    write_coordinate_text(norm, path)
-    entries = {}
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        entries[(int(r), int(c))] = float(v)
-    dense = norm.toarray()
-    for (r, c), v in entries.items():
-        assert dense[r, c] == v
-    assert len(entries) == norm.nnz

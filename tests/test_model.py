@@ -14,13 +14,14 @@ from jmpgcf import (
     init_parameters,
     load_checkpoint,
     propagate,
+    propagation_matrices,
     save_checkpoint,
     score_all_items,
     score_pair,
     spmm,
 )
 
-from conftest import make_random_dataset, manual_output, propagation_matrices
+from conftest import make_random_dataset, manual_output
 
 
 def identity_matrices(nv, count=3):
@@ -266,6 +267,11 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             params.base_embeddings[0], ckpt.params.base_embeddings[0]
         )
+
+    def test_shared_base_load_rejects_separate_tables(self, tmp_path):
+        self.roundtrip(tmp_path)
+        with pytest.raises(CheckpointFormatError, match="shared_base"):
+            load_checkpoint(tmp_path / "model.ckpt", shared_base=True)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -19,20 +19,20 @@ from jmpgcf import (
     init_parameters,
     optimizer_step,
     propagate,
-    sample_batch,
+    propagation_matrices,
     separated_bpr_loss,
     train,
 )
 from jmpgcf.training import TripleBatch
 
-from conftest import make_random_dataset, manual_output, propagation_matrices
+from conftest import make_random_dataset, manual_output
 
 
 class TestTripleSampler:
     def test_forced_negative(self):
         # the only possible negative for user 0 is item 7
         ds = InteractionDataset.from_lists(1, 9, [[0, 1, 2, 3, 4, 5, 6, 8]])
-        batch = sample_batch(ds, 64, np.random.default_rng(0))
+        batch = TripleSampler(ds).sample(64, np.random.default_rng(0))
         assert np.all(batch.neg_items == 7)
         assert np.all(batch.users == 0)
         assert np.all(np.isin(batch.pos_items, ds.train[0]))
@@ -49,7 +49,7 @@ class TestTripleSampler:
 
     def test_triple_invariants(self):
         ds = make_random_dataset(np.random.default_rng(2), 25, 12)
-        batch = sample_batch(ds, 256, np.random.default_rng(4))
+        batch = TripleSampler(ds).sample(256, np.random.default_rng(4))
         for u, i, j in zip(batch.users, batch.pos_items, batch.neg_items):
             assert i in ds.train[u]
             assert j not in ds.train[u]
@@ -58,7 +58,7 @@ class TestTripleSampler:
         """Rejection resampling leaves the negatives uniform over the
         user's non-interacted items."""
         ds = InteractionDataset.from_lists(1, 5, [[1, 3]])
-        batch = sample_batch(ds, 100_000, np.random.default_rng(5))
+        batch = TripleSampler(ds).sample(100_000, np.random.default_rng(5))
         values, counts = np.unique(batch.neg_items, return_counts=True)
         np.testing.assert_array_equal(values, [0, 2, 4])
         assert chisquare(counts).pvalue > 0.01
@@ -108,7 +108,7 @@ class TestSeparatedLoss:
         params = init_parameters(5, 5, 2, cfg, seed=7)
         layers = SelectedLayers(1, 2)
         out = propagate(params, propagation_matrices(ds, cfg), layers)
-        batch = sample_batch(ds, 6, np.random.default_rng(8))
+        batch = TripleSampler(ds).sample(6, np.random.default_rng(8))
         lam = 0.37
         expected = 0.0
         reg = 0.0
@@ -209,7 +209,7 @@ class TestBackward:
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(6, 6, 3, cfg, seed=10)
         layers = SelectedLayers(3, 2)
-        batch = sample_batch(ds, 5, np.random.default_rng(11))
+        batch = TripleSampler(ds).sample(5, np.random.default_rng(11))
         out = propagate(params, mats, layers)
         analytic = backward(out, batch, {0, 1, 2}, l2_coeff=1e-2)
         numeric = finite_difference_grads(params, mats, layers, batch, {0, 1, 2}, 1e-2)
@@ -222,7 +222,7 @@ class TestBackward:
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(4, 4, 2, cfg, seed=12)
         layers = SelectedLayers(1, 2)
-        batch = sample_batch(ds, 3, np.random.default_rng(13))
+        batch = TripleSampler(ds).sample(3, np.random.default_rng(13))
         out = propagate(params, mats, layers)
         analytic = backward(out, batch, {0, 1, 2}, l2_coeff=0.05, full_matrix_reg=True)
         numeric = finite_difference_grads(
@@ -237,7 +237,7 @@ class TestBackward:
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(4, 5, 2, cfg, seed=14, shared_base=True)
         layers = SelectedLayers(1, 2)
-        batch = sample_batch(ds, 4, np.random.default_rng(15))
+        batch = TripleSampler(ds).sample(4, np.random.default_rng(15))
         out = propagate(params, mats, layers)
         analytic = backward(out, batch, {0, 1, 2}, l2_coeff=1e-3)
         assert len(analytic) == 1
@@ -251,7 +251,7 @@ class TestBackward:
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(5, 5, 2, cfg, seed=16)
         out = propagate(params, mats, SelectedLayers(1, 2))
-        batch = sample_batch(ds, 4, np.random.default_rng(17))
+        batch = TripleSampler(ds).sample(4, np.random.default_rng(17))
         grads = backward(out, batch, {2}, l2_coeff=1e-2)
         assert np.all(grads[2] != 0) or np.any(grads[2] != 0)
         np.testing.assert_array_equal(grads[0], np.zeros_like(grads[0]))
@@ -332,7 +332,7 @@ class TestLossEquivalence:
         cfg = PopularityConfig()
         params = init_parameters(6, 7, 3, cfg, seed=18)
         out = propagate(params, propagation_matrices(ds, cfg), SelectedLayers(3, 2))
-        batch = sample_batch(ds, 8, np.random.default_rng(19))
+        batch = TripleSampler(ds).sample(8, np.random.default_rng(19))
         lam = 1e-3
         schedule = PhaseSchedule.uniform(2, 1)
         cumulative = 0.0
