@@ -5,7 +5,8 @@ a sample of users the mean fraction of the opposite-type (odd) or
 same-type (even) node space reachable at exactly each hop is measured,
 and the first odd and first even hop whose mean coverage reaches the
 threshold are selected.  Hops advance by +2 within each parity so every
-odd/even depth is considered.
+odd/even depth is considered.  The sampled users are traversed together
+as bitsets, 64 per breadth-first pass.
 """
 
 from __future__ import annotations
@@ -68,34 +69,40 @@ class LayerSelectionError(RuntimeError):
         self.even_coverage = dict(even_coverage)
 
 
-def _bfs_level_sizes(indptr, indices, source, max_depth):
-    """Sizes of the breadth-first frontiers at depths 1..max_depth.
+_BLOCK = 64  # sources per pass: one bit each in a uint64 word per node
 
-    Level-synchronous BFS with vectorized neighbor gathering; the size
-    of the depth-h frontier is the number of nodes at shortest-path
-    distance exactly h from the source.
+
+def _exact_hop_counts(indptr, indices, sources, max_depth):
+    """Nodes at shortest-path distance exactly h, summed over ``sources``.
+
+    Entry ``h - 1`` of the result is the count for h = 1..max_depth.
+    Multi-source BFS over bitsets: the distinct ``sources`` are traversed
+    64 per pass, each node holding one uint64 frontier word and one seen
+    word in which bit s stands for source s.  A level ORs the frontier
+    words of each row's neighbours, and the bits not yet seen are the
+    nodes first reached at that depth.
     """
     num_nodes = len(indptr) - 1
-    seen = np.zeros(num_nodes, dtype=bool)
-    seen[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    sizes = np.zeros(max_depth, dtype=np.int64)
-    for depth in range(max_depth):
-        if frontier.size == 0:
-            break
-        starts = indptr[frontier]
-        lengths = indptr[frontier + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            break
-        # gather indices[starts[i] : starts[i]+lengths[i]] for all i at once
-        local = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        neighbors = indices[np.repeat(starts, lengths) + local]
-        fresh = np.unique(neighbors[~seen[neighbors]])
-        seen[fresh] = True
-        sizes[depth] = fresh.size
-        frontier = fresh
-    return sizes
+    totals = np.zeros(max_depth, dtype=np.int64)
+    # reduceat yields indices[start] for an empty segment, so only rows
+    # with at least one stored entry are reduced
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    for first in range(0, len(sources), _BLOCK):
+        block = sources[first:first + _BLOCK]
+        seen = np.zeros(num_nodes, dtype=np.uint64)
+        seen[block] = np.left_shift(np.uint64(1), np.arange(len(block), dtype=np.uint64))
+        frontier = seen.copy()
+        for depth in range(max_depth):
+            reached = np.zeros(num_nodes, dtype=np.uint64)
+            reached[rows] = np.bitwise_or.reduceat(frontier[indices], starts)
+            frontier = reached & ~seen
+            count = int(np.bitwise_count(frontier).sum())
+            if count == 0:
+                break
+            totals[depth] += count
+            seen |= frontier
+    return totals
 
 
 def _joined_csr(ds: InteractionDataset):
@@ -114,7 +121,7 @@ def count_k_hop_neighbors(ds: InteractionDataset, u: int, hop: int) -> int:
     if not 0 <= u < ds.num_users:
         raise IndexError(f"user index {u} out of range")
     indptr, indices = _joined_csr(ds)
-    return int(_bfs_level_sizes(indptr, indices, u, hop)[hop - 1])
+    return int(_exact_hop_counts(indptr, indices, np.array([u]), hop)[hop - 1])
 
 
 def _sample_users(ds, cfg):
@@ -129,15 +136,14 @@ def hop_coverages(ds: InteractionDataset, cfg: LayerSelectionConfig):
 
     Returns ``(odd, even)`` dicts mapping hop to the mean fraction of
     the item space (odd hops) or user space (even hops) at exactly that
-    distance.
+    distance.  The sampled users are traversed together as bitsets, 64
+    per breadth-first pass.
     """
     if ds.num_users == 0 or ds.num_items == 0:
         raise ValueError("dataset must contain at least one user and one item")
     indptr, indices = _joined_csr(ds)
     sampled = _sample_users(ds, cfg)
-    totals = np.zeros(cfg.max_hops, dtype=np.int64)
-    for u in sampled:
-        totals += _bfs_level_sizes(indptr, indices, int(u), cfg.max_hops)
+    totals = _exact_hop_counts(indptr, indices, sampled, cfg.max_hops)
     odd, even = {}, {}
     for hop in range(1, cfg.max_hops + 1):
         space = ds.num_items if hop % 2 == 1 else ds.num_users

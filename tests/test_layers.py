@@ -11,6 +11,7 @@ from jmpgcf import (
     hop_coverages,
     select_layers,
 )
+from jmpgcf.layers import _sample_users
 
 
 def complete_bipartite(num_users, num_items):
@@ -70,13 +71,53 @@ class TestCountKHopNeighbors:
             ds = InteractionDataset.from_lists(m, n, train)
             dist = shortest_path_matrix(ds)
             for u in range(m):
-                cumulative = 0
                 for hop in range(1, 8):
                     exact = int(np.sum(dist[u] == hop))
                     assert count_k_hop_neighbors(ds, u, hop) == exact
-                    # cumulative reachability never decreases
-                    assert exact >= 0
-                    cumulative += exact
+                # the exact-hop shells, one past the farthest, partition u's component
+                component = np.isfinite(dist[u])
+                farthest = int(dist[u][component].max())
+                shells = sum(count_k_hop_neighbors(ds, u, hop) for hop in range(1, farthest + 2))
+                assert 1 + shells == int(component.sum())
+
+
+class TestHopCoverages:
+    @staticmethod
+    def oracle_coverages(ds, cfg):
+        dist = shortest_path_matrix(ds)
+        sampled = _sample_users(ds, cfg)
+        totals = np.array(
+            [int(np.sum(dist[sampled] == hop)) for hop in range(1, cfg.max_hops + 1)],
+            dtype=np.int64,
+        )
+        odd, even = {}, {}
+        for hop in range(1, cfg.max_hops + 1):
+            space = ds.num_items if hop % 2 == 1 else ds.num_users
+            (odd if hop % 2 == 1 else even)[hop] = float(totals[hop - 1] / space / len(sampled))
+        return odd, even
+
+    @pytest.mark.parametrize("sample_size", [150, 70])
+    def test_matches_shortest_path_oracle_across_blocks(self, sample_size):
+        # 150 users span three 64-source blocks; users 0, 75 and 149 have
+        # no items, and items 0 and 59 (the last node) have no users
+        rng = np.random.default_rng(13)
+        m, n = 150, 60
+        train = [
+            sorted(rng.choice(np.arange(1, n - 1), size=int(rng.integers(1, 4)), replace=False).tolist())
+            for _ in range(m)
+        ]
+        for u in (0, 75, 149):
+            train[u] = []
+        ds = InteractionDataset.from_lists(m, n, train)
+        row_degrees = np.diff(build_adjacency(ds).row_offsets)
+        assert row_degrees[[0, 75, 149, m, m + n - 1]].tolist() == [0] * 5
+        cfg = LayerSelectionConfig(sample_size=sample_size, max_hops=12, seed=3)
+        assert hop_coverages(ds, cfg) == self.oracle_coverages(ds, cfg)
+
+    def test_no_interactions_gives_zero_coverage(self):
+        ds = InteractionDataset.from_lists(3, 2, [[], [], []])
+        odd, even = hop_coverages(ds, LayerSelectionConfig(max_hops=4))
+        assert set(odd.values()) == set(even.values()) == {0.0}
 
 
 class TestSelectLayers:
