@@ -51,6 +51,6 @@ from .training import (
     separated_bpr_loss,
     train,
 )
-from .evaluation import MetricsReport, evaluate, ndcg_at_k, rank_user, recall_at_k
+from .evaluation import MetricsReport, evaluate, evaluate_cutoffs, ndcg_at_k, rank_user, recall_at_k
 
 __version__ = "0.1.0"

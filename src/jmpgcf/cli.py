@@ -30,7 +30,7 @@ from .model import (
     propagate,
     score_all_items,
 )
-from .evaluation import evaluate, format_report, rank_user, report_as_dict
+from .evaluation import evaluate_cutoffs, format_report, rank_user, report_as_dict
 from .training import PhaseSchedule, TrainConfig, TrainingDivergedError, train
 
 __all__ = ["RunConfig", "main", "entrypoint"]
@@ -87,6 +87,16 @@ def _parse_bool(text):
 
 def _parse_reals(text):
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _parse_cutoffs(text):
+    try:
+        cutoffs = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        cutoffs = ()
+    if not cutoffs or min(cutoffs) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
+    return cutoffs
 
 
 def _value_parser(name, kind, choices):
@@ -150,6 +160,8 @@ def _resolve_config(args) -> RunConfig:
         )
     if (cfg.l_odd is None) != (cfg.l_even is None):
         raise ConfigError("l_odd and l_even must be given together")
+    if cfg.topk < 1:
+        raise ConfigError(f"topk must be >= 1, got {cfg.topk}")
     return cfg
 
 
@@ -183,7 +195,9 @@ def _build_parser():
 
     p = sub.add_parser("evaluate", parents=[common], help="rank and score a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--topk-sweep", dest="topk_sweep", help="comma-separated cutoffs for CSV output")
+    p.add_argument(
+        "--topk-sweep", type=_parse_cutoffs, help="comma-separated cutoffs for CSV output"
+    )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", parents=[common], help="top-K items for one user")
@@ -336,20 +350,18 @@ def cmd_evaluate(cfg, args) -> int:
     ds = _load_data(cfg)
     ckpt = _load_checkpoint_for(cfg, ds, args.checkpoint)
     out = _propagated(ckpt.params, ds, ckpt.layers)
-    report = evaluate(ckpt.params, out, ds, cfg.topk, workers=_eval_workers(cfg))
+    cutoffs = (cfg.topk, *(args.topk_sweep or ()))
+    report, *swept = evaluate_cutoffs(ckpt.params, out, ds, cutoffs, workers=_eval_workers(cfg))
     print(format_report(report))
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "report.json"), "w", encoding="ascii") as fh:
         json.dump(report_as_dict(report), fh, indent=2)
         fh.write("\n")
     if args.topk_sweep:
-        cutoffs = [int(tok) for tok in args.topk_sweep.split(",")]
         sweep_path = os.path.join(cfg.output_dir, "report_sweep.csv")
         with open(sweep_path, "w", encoding="ascii") as fh:
             fh.write("k,recall,ndcg\n")
-            for cutoff in cutoffs:
-                swept = evaluate(ckpt.params, out, ds, cutoff, workers=_eval_workers(cfg))
-                fh.write(f"{cutoff},{swept.recall:.6f},{swept.ndcg:.6f}\n")
+            fh.writelines(f"{row.k},{row.recall:.6f},{row.ndcg:.6f}\n" for row in swept)
         print(f"wrote {sweep_path}")
     return 0
 

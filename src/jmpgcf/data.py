@@ -4,6 +4,12 @@ The on-disk format is the adjacency-list text format used by the public
 check-in / review benchmark datasets: one user per line, whitespace
 separated ASCII decimals ``uid iid1 iid2 ...``.  A line holding only a
 uid declares a user with an empty list.
+
+Every dataset is built by one constructor from flat (user, item) pairs:
+it sorts and deduplicates each split as a user x item CSR, rejects a
+train/test overlap, and slices the per-user arrays out of one buffer.
+:func:`train_matrix` gives the interaction matrix R that the graph and
+the sampler build on, so only this module knows the list layout.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "DatasetFormatError",
@@ -20,9 +27,11 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "split_validation",
+    "train_matrix",
 ]
 
 _ITEM_DTYPE = np.int64
+_ITEM_MAX = int(np.iinfo(_ITEM_DTYPE).max)
 
 
 class DatasetFormatError(ValueError):
@@ -56,43 +65,63 @@ class InteractionDataset:
             raise ValueError("num_train_interactions does not match train lists")
 
     @staticmethod
-    def from_lists(num_users, num_items, train, test=None):
+    def from_lists(num_users, num_items, train, test=()):
         """Build a dataset from per-user item iterables, validating invariants."""
-        train_arrays = [_as_item_array(items, num_items, u) for u, items in enumerate(train)]
-        if test is None:
-            test_arrays = [_empty_items() for _ in range(num_users)]
-        else:
-            test_arrays = [_as_item_array(items, num_items, u) for u, items in enumerate(test)]
-        while len(train_arrays) < num_users:
-            train_arrays.append(_empty_items())
-        while len(test_arrays) < num_users:
-            test_arrays.append(_empty_items())
-        for u in range(num_users):
-            overlap = np.intersect1d(train_arrays[u], test_arrays[u])
-            if overlap.size:
-                raise DatasetFormatError(
-                    f"user {u}: items {overlap.tolist()} appear in both train and test"
-                )
-        return InteractionDataset(
-            num_users=num_users,
-            num_items=num_items,
-            train=tuple(train_arrays),
-            test=tuple(test_arrays),
-            num_train_interactions=sum(len(a) for a in train_arrays),
-        )
+        splits = [_flatten(lists, num_users, num_items) for lists in (train, test)]
+        return _build(num_users, num_items, *splits)
 
 
-def _as_item_array(items, num_items, user) -> np.ndarray:
-    arr = np.unique(np.asarray(list(items), dtype=_ITEM_DTYPE))
-    if arr.size and (arr[0] < 0 or arr[-1] >= num_items):
-        raise DatasetFormatError(f"user {user}: item index out of range [0, {num_items})")
-    return arr
+def _flatten(lists, num_users, num_items):
+    """Flat ``(users, items)`` arrays of at most ``num_users`` per-user item
+    iterables, every item in ``[0, num_items)``."""
+    arrays = [np.asarray(list(items), dtype=_ITEM_DTYPE) for items in lists]
+    if len(arrays) > num_users:
+        raise DatasetFormatError(f"{len(arrays)} item lists for {num_users} users")
+    users = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+    items = np.concatenate(arrays) if arrays else _empty_items()
+    bad = np.flatnonzero((items < 0) | (items >= num_items))
+    if bad.size:
+        raise DatasetFormatError(f"user {users[bad[0]]}: item index out of range [0, {num_items})")
+    return users, items
+
+
+def _rows(matrix) -> tuple[np.ndarray, ...]:
+    """Per-row item arrays of a CSR, as slices of one int64 buffer."""
+    buffer = matrix.indices.astype(_ITEM_DTYPE)
+    bounds = matrix.indptr.tolist()
+    return tuple(buffer[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _build(num_users, num_items, train_pairs, test_pairs) -> InteractionDataset:
+    """The one constructor of a dataset from flat ``(users, items)`` pairs.
+    Each split becomes a CSR with sorted, duplicate-free rows; its int64
+    values count repeats, so none wraps to zero."""
+    train, test = (
+        sp.csr_matrix((np.ones(items.size, np.int64), (users, items)), (num_users, num_items))
+        for users, items in (train_pairs, test_pairs)
+    )
+    overlap = train.multiply(test).tocsr()
+    if overlap.nnz:
+        u = int(np.flatnonzero(np.diff(overlap.indptr))[0])
+        items = np.sort(overlap.indices[overlap.indptr[u]:overlap.indptr[u + 1]])
+        raise DatasetFormatError(f"user {u}: items {items.tolist()} appear in both train and test")
+    return InteractionDataset(num_users, num_items, _rows(train), _rows(test), int(train.nnz))
+
+
+def train_matrix(ds: InteractionDataset) -> sp.csr_matrix:
+    """The m x n 0/1 interaction matrix R of ``ds.train``, row u = ``train[u]``."""
+    lengths = np.fromiter(map(len, ds.train), dtype=np.int64, count=ds.num_users)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = np.concatenate(ds.train) if ds.num_users else _empty_items()
+    return sp.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(ds.num_users, ds.num_items)
+    )
 
 
 def _parse_interaction_file(path):
-    """Parse one adjacency-list file into {uid: sorted unique item array}."""
-    lists: dict[int, np.ndarray] = {}
-    max_item = -1
+    """Parse one adjacency-list file into ``(uids, users, items)``: the uid
+    of every line, and flat per-interaction user and item arrays."""
+    counts, flat = {}, []  # items per uid, in line order; all items
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -102,21 +131,22 @@ def _parse_interaction_file(path):
                 values = [int(tok) for tok in tokens]
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
-            if any(v < 0 for v in values):
+            if min(values) < 0:
                 raise DatasetFormatError(f"{path}:{lineno}: negative index")
-            uid, items = values[0], values[1:]
-            if uid in lists:
+            if max(values) > _ITEM_MAX:
+                raise DatasetFormatError(f"{path}:{lineno}: index too large for int64")
+            uid = values[0]
+            if uid in counts:
                 raise DatasetFormatError(f"{path}:{lineno}: user {uid} appears on multiple lines")
-            lists[uid] = np.unique(np.asarray(items, dtype=_ITEM_DTYPE))
-            if items:
-                max_item = max(max_item, max(items))
-    return lists, max_item
+            counts[uid] = len(values) - 1
+            flat.extend(values[1:])
+    uids = np.array(list(counts), dtype=_ITEM_DTYPE)
+    return uids, np.repeat(uids, list(counts.values())), np.array(flat, dtype=_ITEM_DTYPE)
 
 
-def _write_mapping(path, mapping):
+def _write_mapping(path, originals):
     with open(path, "w", encoding="ascii") as fh:
-        for original, new in mapping:
-            fh.write(f"{original} {new}\n")
+        fh.writelines(f"{original} {new}\n" for new, original in enumerate(originals.tolist()))
 
 
 def load_dataset(train_path, test_path, remap=False, mapping_dir=None) -> InteractionDataset:
@@ -125,7 +155,7 @@ def load_dataset(train_path, test_path, remap=False, mapping_dir=None) -> Intera
     ``num_users``/``num_items`` are one past the largest index seen in
     either file.  Users that occur only in the test file are rejected:
     cold-start users have no training signal and are outside the
-    evaluation protocol.
+    evaluation protocol.  Repeated items on one line are kept once.
 
     With ``remap=True`` non-contiguous IDs are densely renumbered (in
     sorted order of the original IDs) and ``user_id_map.txt`` /
@@ -135,55 +165,28 @@ def load_dataset(train_path, test_path, remap=False, mapping_dir=None) -> Intera
     for path in (train_path, test_path):
         if not os.path.exists(path):
             raise DatasetFormatError(f"interaction file not found: {path}")
-    train_lists, train_max_item = _parse_interaction_file(train_path)
-    test_lists, test_max_item = _parse_interaction_file(test_path)
+    train_uids, train_users, train_items = _parse_interaction_file(train_path)
+    test_uids, test_users, test_items = _parse_interaction_file(test_path)
 
-    only_test = sorted(set(test_lists) - set(train_lists))
-    if only_test:
+    only_test = np.setdiff1d(test_uids, train_uids)
+    if only_test.size:
         raise DatasetFormatError(
-            f"{test_path}: users {only_test[:10]} appear only in the test file"
+            f"{test_path}: users {only_test[:10].tolist()} appear only in the test file"
         )
 
+    all_items = np.concatenate([train_items, test_items])
     if remap:
-        user_ids = sorted(train_lists)
-        item_ids = sorted(
-            set().union(*[set(v.tolist()) for v in train_lists.values()] or [set()])
-            | set().union(*[set(v.tolist()) for v in test_lists.values()] or [set()])
-        )
-        user_map = {orig: new for new, orig in enumerate(user_ids)}
-        item_map = {orig: new for new, orig in enumerate(item_ids)}
-        train_lists = {
-            user_map[u]: np.sort(np.array([item_map[i] for i in v], dtype=_ITEM_DTYPE))
-            for u, v in train_lists.items()
-        }
-        test_lists = {
-            user_map[u]: np.sort(np.array([item_map[i] for i in v], dtype=_ITEM_DTYPE))
-            for u, v in test_lists.items()
-        }
+        user_ids, item_ids = np.sort(train_uids), np.unique(all_items)
+        train_users, test_users = (np.searchsorted(user_ids, u) for u in (train_users, test_users))
+        train_items, test_items = (np.searchsorted(item_ids, i) for i in (train_items, test_items))
         out_dir = mapping_dir or os.path.dirname(os.path.abspath(train_path))
-        _write_mapping(os.path.join(out_dir, "user_id_map.txt"), user_map.items())
-        _write_mapping(os.path.join(out_dir, "item_id_map.txt"), item_map.items())
-        num_users = len(user_ids)
-        num_items = len(item_ids)
+        _write_mapping(os.path.join(out_dir, "user_id_map.txt"), user_ids)
+        _write_mapping(os.path.join(out_dir, "item_id_map.txt"), item_ids)
+        num_users, num_items = len(user_ids), len(item_ids)
     else:
-        num_users = 1 + max(train_lists, default=-1)
-        num_items = 1 + max(train_max_item, test_max_item)
-
-    train = [train_lists.get(u, _empty_items()) for u in range(num_users)]
-    test = [test_lists.get(u, _empty_items()) for u in range(num_users)]
-    for u in range(num_users):
-        overlap = np.intersect1d(train[u], test[u])
-        if overlap.size:
-            raise DatasetFormatError(
-                f"user {u}: items {overlap.tolist()} appear in both train and test"
-            )
-    return InteractionDataset(
-        num_users=num_users,
-        num_items=num_items,
-        train=tuple(train),
-        test=tuple(test),
-        num_train_interactions=sum(len(a) for a in train),
-    )
+        num_users = 1 + int(train_uids.max(initial=-1))
+        num_items = 1 + int(all_items.max(initial=-1))
+    return _build(num_users, num_items, (train_users, train_items), (test_users, test_items))
 
 
 def save_dataset(ds: InteractionDataset, train_path, test_path):
@@ -211,7 +214,7 @@ def split_validation(ds: InteractionDataset, fraction, seed):
     (uniformly at random, deterministic for a fixed seed) into the
     holdout, except that a user with a single training item keeps it.
 
-    Returns ``(main, holdout)``.  Both share the reduced train lists;
+    Returns ``(main, holdout)``.  Both have the reduced train lists;
     ``main.test`` keeps the original test split while ``holdout.test``
     holds the moved items, so the holdout can be evaluated exactly like
     a test split.
@@ -219,32 +222,11 @@ def split_validation(ds: InteractionDataset, fraction, seed):
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    remaining = []
     moved = []
-    for u in range(ds.num_users):
-        items = ds.train[u]
-        if len(items) <= 1:
-            remaining.append(items)
-            moved.append(_empty_items())
-            continue
+    for items in ds.train:
         n_move = min(math.ceil(fraction * len(items)), len(items) - 1)
-        picked = rng.choice(items, size=n_move, replace=False)
-        picked = np.sort(picked)
-        remaining.append(np.setdiff1d(items, picked))
-        moved.append(picked)
-    total = sum(len(a) for a in remaining)
-    main = InteractionDataset(
-        num_users=ds.num_users,
-        num_items=ds.num_items,
-        train=tuple(remaining),
-        test=ds.test,
-        num_train_interactions=total,
-    )
-    holdout = InteractionDataset(
-        num_users=ds.num_users,
-        num_items=ds.num_items,
-        train=tuple(remaining),
-        test=tuple(moved),
-        num_train_interactions=total,
-    )
+        moved.append(rng.choice(items, size=n_move, replace=False) if n_move > 0 else ())
+    remaining = [np.setdiff1d(items, picked) for items, picked in zip(ds.train, moved)]
+    main = InteractionDataset.from_lists(ds.num_users, ds.num_items, remaining, ds.test)
+    holdout = InteractionDataset.from_lists(ds.num_users, ds.num_items, main.train, moved)
     return main, holdout

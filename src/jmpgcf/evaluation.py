@@ -19,6 +19,7 @@ from .model import PropagationOutput, score_users
 __all__ = [
     "MetricsReport",
     "evaluate",
+    "evaluate_cutoffs",
     "format_report",
     "ndcg_at_k",
     "rank_user",
@@ -100,6 +101,26 @@ def evaluate(
     chunk_size: int = 256,
 ) -> MetricsReport:
     """Mean Recall@k / NDCG@k over all users with held-out items."""
+    return evaluate_cutoffs(params, out, ds, (k,), weights, workers, chunk_size)[0]
+
+
+def evaluate_cutoffs(
+    params,
+    out: PropagationOutput,
+    ds: InteractionDataset,
+    cutoffs,
+    weights=None,
+    workers: int = 1,
+    chunk_size: int = 256,
+) -> list[MetricsReport]:
+    """:func:`evaluate` at each of ``cutoffs`` from one scoring pass.
+
+    Each user is ranked once, at the largest cutoff; a smaller cutoff's
+    list is a prefix of that ranking, because :func:`rank_user` orders by
+    descending score and then ascending item index.
+    """
+    if not cutoffs or min(cutoffs) < 1:
+        raise ValueError(f"cutoffs must be >= 1, got {cutoffs}")
     if weights is None:
         weights = (
             params.popularity.granularity_weights if params is not None else out.default_weights
@@ -107,17 +128,18 @@ def evaluate(
     evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
     if not evaluable:
         raise ValueError("no user has held-out items to evaluate")
-    recalls = np.zeros(len(evaluable))
-    ndcgs = np.zeros(len(evaluable))
+    recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
+    deepest = max(cutoffs)
 
     def run_chunk(start):
         users = evaluable[start:start + chunk_size]
         scores = score_users(out, users, weights=weights)
         for row, u in enumerate(users):
-            topk = rank_user(scores[row], ds.train[u], k)
+            ranked = rank_user(scores[row], ds.train[u], deepest)
             relevant = ds.test[u]
-            recalls[start + row] = recall_at_k(topk, relevant)
-            ndcgs[start + row] = ndcg_at_k(topk, relevant, k)
+            for c, k in enumerate(cutoffs):
+                recalls[c, start + row] = recall_at_k(ranked[:k], relevant)
+                ndcgs[c, start + row] = ndcg_at_k(ranked[:k], relevant, k)
 
     starts = range(0, len(evaluable), chunk_size)
     if workers > 1:
@@ -126,12 +148,10 @@ def evaluate(
     else:
         for start in starts:
             run_chunk(start)
-    return MetricsReport(
-        k=k,
-        recall=float(recalls.mean()),
-        ndcg=float(ndcgs.mean()),
-        num_users_evaluated=len(evaluable),
-    )
+    return [
+        MetricsReport(k, float(recalls[c].mean()), float(ndcgs[c].mean()), len(evaluable))
+        for c, k in enumerate(cutoffs)
+    ]
 
 
 def report_as_dict(report: MetricsReport) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionDataset
+from .data import InteractionDataset, train_matrix
 
 __all__ = [
     "GraphConfigError",
@@ -140,19 +140,13 @@ class SparseMatrix:
 
 
 def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
-    """Symmetric (m+n)-square 0/1 adjacency of the interaction graph.
+    """Symmetric (m+n)-square 0/1 adjacency ``[[0, R], [R^T, 0]]`` of the
+    interaction matrix R.
 
     No self-loops are stored; those are added during normalization.
     """
-    m, n = ds.num_users, ds.num_items
-    nv = m + n
-    lengths = np.array([len(items) for items in ds.train], dtype=np.int64)
-    users = np.repeat(np.arange(m, dtype=np.int64), lengths)
-    items = (np.concatenate(ds.train) if ds.num_train_interactions else np.empty(0, np.int64)) + m
-    rows = np.concatenate([users, items])
-    cols = np.concatenate([items, users])
-    coo = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv))
-    return SparseMatrix.from_scipy(coo)
+    r = train_matrix(ds)
+    return SparseMatrix.from_scipy(sp.bmat([[None, r], [r.T, None]]))
 
 
 def degrees(adjacency: SparseMatrix) -> np.ndarray:

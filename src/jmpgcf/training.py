@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
-from .data import InteractionDataset
+from .data import InteractionDataset, train_matrix
 from .graph import propagation_matrices, spmm, transpose
 from .layers import SelectedLayers
 from .model import ModelParameters, PropagationOutput, propagate, save_checkpoint
@@ -140,26 +139,17 @@ class TripleSampler:
     """
 
     def __init__(self, ds: InteractionDataset):
-        lengths = np.array([len(items) for items in ds.train], dtype=np.int64)
-        nonempty = lengths > 0
-        full = lengths >= ds.num_items
+        self._members = train_matrix(ds)
+        self.offsets = self._members.indptr.astype(np.int64)
+        self.lengths = np.diff(self.offsets)
+        self.flat_items = self._members.indices.astype(np.int64)
+        nonempty = self.lengths > 0
+        full = self.lengths >= ds.num_items
         self._skipped_full = int(np.count_nonzero(nonempty & full))
         self.pool = np.flatnonzero(nonempty & ~full)
         if self.pool.size == 0:
             raise ValueError("no user has a training item and a possible negative")
         self.num_items = ds.num_items
-        self.lengths = lengths
-        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
-        self.flat_items = (
-            np.concatenate(ds.train)
-            if ds.num_train_interactions
-            else np.empty(0, np.int64)
-        )
-        rows = np.repeat(np.arange(ds.num_users), lengths)
-        self._members = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, self.flat_items)),
-            shape=(ds.num_users, ds.num_items),
-        )
         self._warned = False
 
     def _interacted(self, users, items) -> np.ndarray:

@@ -6,7 +6,15 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from jmpgcf import save_dataset
+import jmpgcf.evaluation
+from jmpgcf import (
+    evaluate,
+    load_checkpoint,
+    load_dataset,
+    propagate,
+    propagation_matrices,
+    save_dataset,
+)
 from jmpgcf.cli import ConfigError, RunConfig, _build_parser, _resolve_config, main
 
 from conftest import make_blocked_dataset, make_random_dataset
@@ -129,6 +137,14 @@ class TestSelectLayersCommand:
         assert rc == 2
         assert "/no/such/dir" in capsys.readouterr().err
 
+    def test_id_beyond_int64_exits_1_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "train.txt").write_text("0 1\n1 0 99999999999999999999\n")
+        (tmp_path / "test.txt").write_text("")
+        rc = run("select-layers", "--data-dir", tmp_path, "--output-dir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "train.txt:2" in err
+
     def test_unreachable_alpha_exits_1(self, tmp_path, capsys):
         (tmp_path / "train.txt").write_text("0 0\n1 1\n")
         (tmp_path / "test.txt").write_text("")
@@ -228,7 +244,15 @@ class TestEvaluateCommand:
         report = json.loads((trained_dir / "report.json").read_text())
         assert "recall@4" in report and "ndcg@4" in report
 
-    def test_topk_sweep_csv(self, trained_dir):
+    def test_topk_sweep_csv(self, trained_dir, monkeypatch):
+        scored = []
+        score_users = jmpgcf.evaluation.score_users
+
+        def counting_score_users(out, users, **kwargs):
+            scored.append(list(users))
+            return score_users(out, users, **kwargs)
+
+        monkeypatch.setattr(jmpgcf.evaluation, "score_users", counting_score_users)
         ckpt = trained_dir / "checkpoint_final.ckpt"
         rc = run(
             "evaluate", "--data-dir", trained_dir, "--output-dir", trained_dir,
@@ -238,6 +262,58 @@ class TestEvaluateCommand:
         lines = (trained_dir / "report_sweep.csv").read_text().splitlines()
         assert lines[0] == "k,recall,ndcg"
         assert [row.split(",")[0] for row in lines[1:]] == ["2", "4", "6"]
+
+        # one scoring pass: each evaluable user is scored once, in one chunk
+        ds = load_dataset(str(trained_dir / "train.txt"), str(trained_dir / "test.txt"))
+        evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
+        assert scored == [evaluable]
+        monkeypatch.undo()
+        checkpoint = load_checkpoint(str(ckpt))
+        params = checkpoint.params
+        matrices = propagation_matrices(ds, params.popularity)
+        out = propagate(params, matrices, checkpoint.layers, retain_chain=False)
+        for row, k in zip(lines[1:], (2, 4, 6)):
+            report = evaluate(params, out, ds, k)
+            assert row == f"{k},{report.recall:.6f},{report.ndcg:.6f}"
+        report = evaluate(params, out, ds, 20)
+        assert json.loads((trained_dir / "report.json").read_text()) == {
+            "recall@20": report.recall,
+            "ndcg@20": report.ndcg,
+            "num_users_evaluated": report.num_users_evaluated,
+        }
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--topk", "0", "topk must be >= 1"),
+            ("--topk", "-3", "topk must be >= 1"),
+            ("--topk-sweep", "0,2", "argument --topk-sweep"),
+            ("--topk-sweep", "2,x", "argument --topk-sweep"),
+            ("--topk-sweep", "", "argument --topk-sweep"),
+        ],
+    )
+    def test_bad_cutoff_exits_2_before_reading_data(
+        self, trained_dir, capsys, flag, value, message
+    ):
+        (trained_dir / "train.txt").write_text("0 x\n")  # reading it would exit 1
+        rc = run(
+            "evaluate", "--data-dir", trained_dir, "--output-dir", trained_dir,
+            "--checkpoint", trained_dir / "checkpoint_final.ckpt", flag, value,
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (trained_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["select-layers", "train", "evaluate", "predict"])
+    def test_topk_below_one_in_file_exits_2(self, toy_dir, capsys, command):
+        cfg_file = toy_dir / "run.cfg"
+        cfg_file.write_text("topk=0\n")
+        extra = ["--checkpoint", toy_dir / "x.ckpt"] if command in ("evaluate", "predict") else []
+        if command == "predict":
+            extra += ["--user", "0"]
+        rc = run(command, "--data-dir", toy_dir, "--config", cfg_file, *extra)
+        assert rc == 2
+        assert "topk must be >= 1" in capsys.readouterr().err
 
     def test_corrupted_magic_exits_1(self, trained_dir, capsys):
         ckpt = trained_dir / "checkpoint_final.ckpt"

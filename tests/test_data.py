@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from jmpgcf import DatasetFormatError, load_dataset, save_dataset, split_validation
+from jmpgcf import DatasetFormatError, build_adjacency, load_dataset, save_dataset, split_validation
 from jmpgcf.data import InteractionDataset
 
 from conftest import assert_datasets_equal, make_random_dataset
@@ -84,6 +85,34 @@ class TestLoadDataset:
         ds = load_dataset(train, test)
         np.testing.assert_array_equal(ds.train[0], [1, 2])
 
+    @pytest.mark.parametrize("repeats", [256, 300])
+    def test_item_repeated_many_times_is_kept_once(self, tmp_path, repeats):
+        train = write(tmp_path / "train.txt", "0 " + "7 " * repeats + "2\n1 3\n")
+        test = write(tmp_path / "test.txt", "1 " + "5 " * repeats + "\n")
+        ds = load_dataset(train, test)
+        np.testing.assert_array_equal(ds.train[0], [2, 7])
+        np.testing.assert_array_equal(ds.test[1], [5])
+        assert ds.num_train_interactions == 3
+        test = write(tmp_path / "test.txt", "0 " + "7 " * repeats + "\n")
+        with pytest.raises(DatasetFormatError, match=r"user 0: items \[7\] appear in both"):
+            load_dataset(train, test)
+
+    @pytest.mark.parametrize("huge", ["9223372036854775808", "99999999999999999999"])
+    def test_id_beyond_int64_names_file_and_line(self, tmp_path, huge):
+        for line in (f"1 {huge}\n", f"{huge} 1\n"):
+            train = write(tmp_path / "train.txt", "0 1\n" + line)
+            test = write(tmp_path / "test.txt", "")
+            with pytest.raises(DatasetFormatError, match=r"train\.txt:2: .*int64"):
+                load_dataset(train, test)
+
+    def test_largest_int64_id_loads_with_remap(self, tmp_path):
+        train = write(tmp_path / "train.txt", "0 9223372036854775807 4\n")
+        test = write(tmp_path / "test.txt", "")
+        ds = load_dataset(train, test, remap=True, mapping_dir=str(tmp_path))
+        np.testing.assert_array_equal(ds.train[0], [0, 1])
+        item_map = (tmp_path / "item_id_map.txt").read_text().splitlines()
+        assert item_map == ["4 0", "9223372036854775807 1"]
+
 
 class TestRemap:
     def test_dense_renumbering_and_mapping_files(self, tmp_path):
@@ -125,6 +154,76 @@ def test_interaction_count_matches_lists():
 def test_from_lists_rejects_overlap():
     with pytest.raises(DatasetFormatError):
         InteractionDataset.from_lists(1, 3, [[0, 1]], [[1]])
+
+
+def reference_adjacency(ds):
+    """The joined adjacency built by flattening ``ds.train`` into COO pairs."""
+    m, n = ds.num_users, ds.num_items
+    lengths = np.array([len(items) for items in ds.train], dtype=np.int64)
+    users = np.repeat(np.arange(m, dtype=np.int64), lengths)
+    items = (np.concatenate(ds.train) if ds.num_train_interactions else np.empty(0, np.int64)) + m
+    rows = np.concatenate([users, items])
+    cols = np.concatenate([items, users])
+    csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(m + n, m + n)).tocsr()
+    csr.sort_indices()
+    return csr
+
+
+class TestOneConstructor:
+    def test_overlap_names_lowest_user_and_its_sorted_items(self, tmp_path):
+        train_lists = [[1], [5, 3, 2], [4, 0, 6]]
+        test_lists = [[], [5, 3], [6, 0]]
+        message = r"^user 1: items \[3, 5\] appear in both train and test$"
+        with pytest.raises(DatasetFormatError, match=message):
+            InteractionDataset.from_lists(3, 7, train_lists, test_lists)
+        train = write(tmp_path / "train.txt", "0 1\n1 5 3 2\n2 4 0 6\n")
+        test = write(tmp_path / "test.txt", "2 6 0\n1 5 3\n")
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(train, test)
+
+    def test_from_lists_repeated_item_kept_once(self):
+        ds = InteractionDataset.from_lists(2, 9, [[8] * 300 + [1], [4]], [[], [0] * 300])
+        np.testing.assert_array_equal(ds.train[0], [1, 8])
+        np.testing.assert_array_equal(ds.test[1], [0])
+        assert ds.num_train_interactions == 3
+
+    def test_from_lists_more_lists_than_users(self):
+        with pytest.raises(DatasetFormatError, match="3 item lists for 2 users"):
+            InteractionDataset.from_lists(2, 4, [[0], [1], [2]])
+        with pytest.raises(DatasetFormatError, match="3 item lists for 2 users"):
+            InteractionDataset.from_lists(2, 4, [[0], [1]], [[], [], [3]])
+
+    def test_from_lists_item_out_of_range_names_user(self):
+        with pytest.raises(DatasetFormatError, match=r"user 1: item index out of range \[0, 4\)"):
+            InteractionDataset.from_lists(3, 4, [[0], [4], [-1]])
+
+    def test_from_lists_zero_users(self):
+        ds = InteractionDataset.from_lists(0, 0, [])
+        assert (ds.num_users, ds.num_items, ds.num_train_interactions) == (0, 0, 0)
+        assert ds.train == () and ds.test == ()
+
+    def test_per_user_arrays_are_int64_slices_of_one_buffer(self, tmp_path):
+        from_lists = InteractionDataset.from_lists(3, 5, [[4, 1], [], [2]], [[0], [3], []])
+        save_dataset(from_lists, tmp_path / "train.txt", tmp_path / "test.txt")
+        loaded = load_dataset(str(tmp_path / "train.txt"), str(tmp_path / "test.txt"))
+        for ds in (from_lists, loaded):
+            for split in (ds.train, ds.test):
+                assert all(items.dtype == np.int64 for items in split)
+                assert len({id(items.base) for items in split}) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_build_adjacency_matches_coo_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        train = [rng.choice(30, size=rng.integers(0, 6), replace=False) for _ in range(25)]
+        ds = InteractionDataset.from_lists(25, 31, train)
+        got = build_adjacency(ds)
+        want = reference_adjacency(ds)
+        for name, expected in (
+            ("row_offsets", want.indptr), ("col_indices", want.indices), ("values", want.data)
+        ):
+            actual = getattr(got, name)
+            assert actual.dtype == expected.dtype, name
+            np.testing.assert_array_equal(actual, expected, err_msg=name)
 
 
 class TestSplitValidation:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from jmpgcf import InteractionDataset, evaluate, ndcg_at_k, rank_user, recall_at_k
+from jmpgcf import (
+    InteractionDataset,
+    evaluate,
+    evaluate_cutoffs,
+    ndcg_at_k,
+    rank_user,
+    recall_at_k,
+)
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
 
 from conftest import manual_output
@@ -141,6 +148,32 @@ class TestEvaluate:
         b = evaluate(None, out, ds, k=5)
         c = evaluate(None, out, ds, k=5, workers=4, chunk_size=7)
         assert a == b == c
+
+    def test_cutoffs_equal_separate_evaluations(self):
+        rng = np.random.default_rng(4)
+        num_users, num_items = 20, 30
+        train, test = [], []
+        for _ in range(num_users):
+            picked = rng.choice(num_items, size=6, replace=False).tolist()
+            train.append(picked[:2])
+            test.append(picked[2:])
+        ds = InteractionDataset.from_lists(num_users, num_items, train, test)
+        # a coarse score grid, so the rankings have many ties
+        chains = [[np.round(rng.normal(size=(50, 3))) for _ in range(3)]]
+        out = manual_output(chains, num_users=num_users)
+        cutoffs = (5, 1, 28, 3, 5, 40)
+        reports = evaluate_cutoffs(None, out, ds, cutoffs, workers=3, chunk_size=6)
+        assert reports == [evaluate(None, out, ds, k=k) for k in cutoffs]
+
+    @pytest.mark.parametrize("cutoffs", [(0,), (-3,), (2, 0), ()])
+    def test_cutoff_below_one_is_an_error(self, cutoffs):
+        ds = InteractionDataset.from_lists(1, 4, [[0]], [[1, 2]])
+        out = single_user_output([50.0, 10.0, 9.0, 0.1])
+        with pytest.raises(ValueError, match="cutoffs must be >= 1"):
+            evaluate_cutoffs(None, out, ds, cutoffs)
+        if len(cutoffs) == 1:
+            with pytest.raises(ValueError, match="cutoffs must be >= 1"):
+                evaluate(None, out, ds, k=cutoffs[0])
 
     def test_rank_metrics_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(3)
