@@ -10,7 +10,8 @@ no nonlinearities anywhere in the forward path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,6 +101,13 @@ class PropagationOutput:
     ``chains[k][l]`` is the (m+n, embed_dim) matrix after l propagation
     steps at granularity k (index 0 is the base table); entries may be
     None for non-selected layers when the chain was not retained.
+
+    A retained chain defers its deepest layer: for each granularity in
+    ``deferred``, ``chains[k][depth]`` stays None until :meth:`layer`
+    computes and caches it.  :meth:`rows` reads rows of that layer
+    without it, as ``A_k[idx] @ chains[k][depth - 1]``; a training step
+    reads only its batch's rows, and its loss and backward pass share one
+    extraction of ``A_k[idx]`` (:meth:`operator_rows`).
     """
 
     num_users: int
@@ -109,6 +117,10 @@ class PropagationOutput:
     matrices: list[SparseMatrix]
     default_weights: tuple[float, ...]
     shared_base: bool
+    deferred: frozenset[int] = frozenset()
+    # k -> [idx, A_k[idx], deferred-layer rows at idx or None]; the last idx only
+    _row_cache: dict = field(default_factory=dict, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def num_granularities(self) -> int:
@@ -118,11 +130,46 @@ class PropagationOutput:
     def depth(self) -> int:
         return len(self.chains[0]) - 1
 
+    def _is_pending(self, k: int, l: int) -> bool:
+        return l == self.depth and k in self.deferred and self.chains[k][l] is None
+
     def layer(self, k: int, l: int) -> np.ndarray:
+        """Layer ``l`` of granularity ``k``; a deferred layer is computed
+        in full on the first read and kept."""
+        if self._is_pending(k, l):
+            with self._lock:  # evaluation threads may read it concurrently
+                if self.chains[k][l] is None:
+                    self.chains[k][l] = spmm(self.matrices[k], self.chains[k][l - 1])
         mat = self.chains[k][l]
         if mat is None:
             raise RuntimeError(f"layer {l} of granularity {k} was not retained")
         return mat
+
+    def operator_rows(self, k: int, idx: np.ndarray):
+        """Rows ``idx`` of granularity ``k``'s propagation matrix (scipy
+        CSR), kept until a call with a different ``idx``."""
+        return self._row_entry(k, idx)[1]
+
+    def rows(self, k: int, l: int, idx: np.ndarray) -> np.ndarray:
+        """``layer(k, l)[idx]``, bit for bit, without computing a deferred
+        layer in full (its rows are kept like :meth:`operator_rows`).  The
+        result may be shared: do not modify it."""
+        if not self._is_pending(k, l):
+            return self.layer(k, l)[idx]
+        entry = self._row_entry(k, idx)
+        with self._lock:
+            if entry[2] is None:
+                entry[2] = np.asarray(entry[1] @ self.chains[k][l - 1])
+        return entry[2]
+
+    def _row_entry(self, k, idx):
+        idx = np.asarray(idx)
+        with self._lock:
+            entry = self._row_cache.get(k)
+            if entry is None or not np.array_equal(entry[0], idx):
+                entry = [idx.copy(), self.matrices[k].to_scipy()[idx], None]
+                self._row_cache[k] = entry
+            return entry
 
 
 def propagate(
@@ -137,10 +184,14 @@ def propagate(
 
     Each step multiplies the previous layer by the granularity's
     normalized adjacency.  ``depth`` defaults to the deeper selected
-    layer.  With ``retain_chain=False`` only the selected layers are
-    kept (enough for scoring, not for gradients).  ``granularities``
-    restricts the work to a subset (phases early in the schedule never
-    read the finer chains); other chains are present but empty.
+    layer.  With ``retain_chain=True`` (training) every layer is kept,
+    but the last one is deferred: it is computed on first read, or only
+    at the rows asked for (see :class:`PropagationOutput`).  With
+    ``retain_chain=False`` only the selected layers are kept, all
+    computed here (enough for scoring, not for gradients).
+    ``granularities`` restricts the work to a subset (phases early in the
+    schedule never read the finer chains); other chains are present but
+    empty.
     """
     if depth is None:
         depth = layers.depth
@@ -156,17 +207,21 @@ def propagate(
         else set(granularities)
     )
     keep = {0, layers.l_odd, layers.l_even}
+    computed = depth - 1 if retain_chain else depth
     chains = []
+    deferred = set()
     for k in range(params.popularity.num_granularities):
         if k not in wanted:
             chains.append([None] * (depth + 1))
             continue
+        if retain_chain:
+            deferred.add(k)
         current = params.base_for(k)
         chain = [current]
-        for l in range(1, depth + 1):
+        for l in range(1, computed + 1):
             current = spmm(matrices[k], current)
             chain.append(current if retain_chain or l in keep else None)
-        chains.append(chain)
+        chains.append(chain + [None] * (depth - computed))
     return PropagationOutput(
         num_users=params.num_users,
         num_items=params.num_items,
@@ -175,6 +230,7 @@ def propagate(
         matrices=list(matrices),
         default_weights=params.popularity.granularity_weights,
         shared_base=params.shared_base,
+        deferred=frozenset(deferred),
     )
 
 

@@ -12,8 +12,11 @@ granularities.
 Gradients are analytic: per-row contributions at the selected layers
 are pulled back to the base tables by repeated multiplication with the
 transposed propagation matrix (required: the matrix is asymmetric for
-granularity > 0).  Propagation is full-graph and recomputed every step
-from the current parameters; the loss itself is mini-batch.
+granularity > 0).  Propagation is recomputed every step from the
+current parameters, full-graph up to the layer below the deepest; the
+loss is mini-batch and reads the deepest layer only at the batch's rows,
+and the pull-back starts from those rows.  Every sum keeps the order of
+the full-size computation, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -183,6 +186,18 @@ def _check_active(out, active_granularities):
     return active
 
 
+def _batch_rows(out, batch):
+    """The batch's distinct joined-space rows (ascending), and the
+    positions of each triple's user, positive and negative among them."""
+    b = len(batch)
+    rows, at = np.unique(
+        np.concatenate([batch.users, out.num_users + batch.pos_items,
+                        out.num_users + batch.neg_items]),
+        return_inverse=True,
+    )
+    return rows, at[:b], at[b:2 * b], at[2 * b:]
+
+
 def separated_bpr_loss(
     out: PropagationOutput,
     batch: TripleBatch,
@@ -197,23 +212,24 @@ def separated_bpr_loss(
     By default L2 covers the propagated rows of the batch's users and
     items at the selected layers, scaled by 1/batch; with
     ``full_matrix_reg`` it is the squared Frobenius norm of the whole
-    selected-layer matrices.
+    selected-layer matrices.  Only the batch's rows of each layer are
+    read (:meth:`PropagationOutput.rows`), unless ``full_matrix_reg``
+    needs the whole of it.
     """
     active = _check_active(out, active_granularities)
-    users = batch.users
-    pos_rows = out.num_users + batch.pos_items
-    neg_rows = out.num_users + batch.neg_items
+    rows, at_u, at_i, at_j = _batch_rows(out, batch)
     total = 0.0
     reg = 0.0
     for k in active:
         for l in (out.layers.l_odd, out.layers.l_even):
-            emb = out.layer(k, l)
-            e_u, e_i, e_j = emb[users], emb[pos_rows], emb[neg_rows]
+            if full_matrix_reg:  # before rows(), which then reads this layer
+                emb = out.layer(k, l)
+                reg += float((emb * emb).sum())
+            sub = out.rows(k, l, rows)
+            e_u, e_i, e_j = sub[at_u], sub[at_i], sub[at_j]
             margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
             total += float(np.logaddexp(0.0, -margin).sum())
-            if full_matrix_reg:
-                reg += float((emb * emb).sum())
-            else:
+            if not full_matrix_reg:
                 reg += float((e_u * e_u).sum() + (e_i * e_i).sum() + (e_j * e_j).sum())
     if not full_matrix_reg:
         reg /= len(batch)
@@ -235,44 +251,68 @@ def backward(
     gradients are pulled back to layer 0 with the transposed propagation
     matrix.  Returns one gradient per base table; tables of inactive
     granularities get exact zeros.
+
+    Without ``full_matrix_reg`` a layer's gradient is nonzero only at the
+    batch's rows, so it is kept compact, one row per distinct batch row.
+    The pull-back then starts sparse: its first hop is
+    ``A_k[rows]^T @ compact`` (the rows of the deferred deepest layer,
+    shared with the loss), and the other selected layer is added at its
+    rows only.  With ``full_matrix_reg`` the gradients are dense and the
+    first hop is a full one.  Either way every sum is taken in the same
+    order as the full-size computation, so the result is bit-identical.
     """
     active = _check_active(out, active_granularities)
     if transposed is None:
         transposed = {k: transpose(out.matrices[k]) for k in active}
-    users = batch.users
-    pos_rows = out.num_users + batch.pos_items
-    neg_rows = out.num_users + batch.neg_items
-    depth = out.depth
+    rows, at_u, at_i, at_j = _batch_rows(out, batch)
+    # where a layer's gradient goes in a full-size one
+    at_rows = slice(None) if full_matrix_reg else rows
     selected = (out.layers.l_odd, out.layers.l_even)
-    num_tables = 1 if out.shared_base else out.num_granularities
-    shape = out.layer(active[0], selected[0]).shape
-    grads = [np.zeros(shape) for _ in range(num_tables)]
+    top = out.layers.depth
+    shape = out.layer(active[0], 0).shape
+    grads = [None] * (1 if out.shared_base else out.num_granularities)
     for k in active:
         inject = {}
         for l in selected:
-            emb = out.layer(k, l)
-            e_u, e_i, e_j = emb[users], emb[pos_rows], emb[neg_rows]
+            sub = out.rows(k, l, rows)
+            e_u, e_i, e_j = sub[at_u], sub[at_i], sub[at_j]
             margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
             weight = expit(-margin)[:, None]
-            grad = np.zeros(shape)
-            np.add.at(grad, users, -weight * (e_i - e_j))
-            np.add.at(grad, pos_rows, -weight * e_u)
-            np.add.at(grad, neg_rows, weight * e_u)
+            grad = np.zeros((rows.size, shape[1]))
+            np.add.at(grad, at_u, -weight * (e_i - e_j))
+            np.add.at(grad, at_i, -weight * e_u)
+            np.add.at(grad, at_j, weight * e_u)
             if full_matrix_reg:
-                grad += (2.0 * l2_coeff) * emb
+                dense = np.zeros(shape)
+                dense[rows] = grad
+                dense += (2.0 * l2_coeff) * out.layer(k, l)
+                grad = dense
             else:
                 scale = 2.0 * l2_coeff / len(batch)
-                np.add.at(grad, users, scale * e_u)
-                np.add.at(grad, pos_rows, scale * e_i)
-                np.add.at(grad, neg_rows, scale * e_j)
+                np.add.at(grad, at_u, scale * e_u)
+                np.add.at(grad, at_i, scale * e_i)
+                np.add.at(grad, at_j, scale * e_j)
             inject[l] = grad
-        pulled = inject[depth] if depth in inject else np.zeros(shape)
-        for l in range(depth, 0, -1):
+        if full_matrix_reg:
+            pulled = spmm(transposed[k], inject[top])
+        else:
+            pulled = np.asarray(out.operator_rows(k, rows).T @ inject[top])
+        for l in range(top - 1, 0, -1):  # pulled holds layer l here
+            if l in inject:
+                pulled[at_rows] += inject[l]
             pulled = spmm(transposed[k], pulled)
-            if l - 1 in inject:
-                pulled = pulled + inject[l - 1]
-        grads[0 if out.shared_base else k] += pulled
-    return grads
+        table = 0 if out.shared_base else k
+        if grads[table] is None:
+            grads[table] = pulled
+        else:
+            grads[table] += pulled
+    return [np.zeros(shape) if grad is None else grad for grad in grads]
+
+
+# elements per row block of the adaptive update (256 KB of float64 per
+# array): its passes over a block of the table, moments and gradient then
+# run in cache
+_ADAM_BLOCK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -291,7 +331,16 @@ def init_optimizer_state(params: ModelParameters) -> OptimizerState:
 
 
 def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: TrainConfig):
-    """In-place parameter update (adaptive-moment by default, or plain SGD)."""
+    """In-place parameter update (adaptive-moment by default, or plain SGD).
+
+    Every gradient is checked finite before any table changes.  The
+    adaptive update runs in place, one block of rows at a time, on two
+    small scratch arrays, so that its many passes stay in cache; each
+    element goes through the same operations in the same order as in
+    the textbook expression.  A table whose moments are still exactly
+    zero and whose gradient is all zero (a granularity not yet active)
+    is skipped: its update would be lr * 0 / (0 + eps) = 0.
+    """
     for idx, grad in enumerate(grads):
         if not np.all(np.isfinite(grad)):
             bad = int(np.count_nonzero(~np.isfinite(grad)))
@@ -310,11 +359,30 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
     for table, grad, m, v in zip(
         params.base_embeddings, grads, state.first_moment, state.second_moment
     ):
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+        if not grad.any() and not m.any() and not v.any():
+            continue
+        rows = max(1, _ADAM_BLOCK // table.shape[1])
+        scratch = np.empty((2, rows, table.shape[1]))
+        for lo in range(0, len(table), rows):
+            t, g, mb, vb = (a[lo:lo + rows] for a in (table, grad, m, v))
+            step, denom = scratch[:, :len(t)]
+            # m = b1 * m + (1 - b1) * grad
+            mb *= b1
+            np.multiply(g, 1.0 - b1, out=step)
+            mb += step
+            # v = b2 * v + (1 - b2) * grad * grad
+            vb *= b2
+            np.multiply(g, 1.0 - b2, out=step)
+            step *= g
+            vb += step
+            # table -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(mb, bias1, out=step)
+            step *= cfg.learning_rate
+            np.divide(vb, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_eps
+            step /= denom
+            t -= step
 
 
 def train(
@@ -375,6 +443,7 @@ def train(
                         out, batch, active, cfg.l2_coeff, cfg.full_matrix_reg, transposed
                     )
                     optimizer_step(params, grads, state, cfg)
+                    del out  # free this step's layers before the next step's
                     loss_sum += loss
                 record = {
                     "phase": phase,

@@ -5,15 +5,20 @@ import pytest
 
 from jmpgcf import (
     InteractionDataset,
+    PopularityConfig,
+    SelectedLayers,
     evaluate,
     evaluate_cutoffs,
+    init_parameters,
     ndcg_at_k,
+    propagate,
+    propagation_matrices,
     rank_user,
     recall_at_k,
 )
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
 
-from conftest import manual_output
+from conftest import make_random_dataset, manual_output
 
 
 def sort_oracle(scores, exclude, k):
@@ -148,6 +153,20 @@ class TestEvaluate:
         b = evaluate(None, out, ds, k=5)
         c = evaluate(None, out, ds, k=5, workers=4, chunk_size=7)
         assert a == b == c
+
+    def test_training_output_worker_invariant(self):
+        """Threads that first read a deferred deepest layer together score
+        what one thread does, and what an eager output does."""
+        ds = make_random_dataset(np.random.default_rng(5), 40, 30, max_degree=6, with_test=True)
+        cfg = PopularityConfig()
+        mats = propagation_matrices(ds, cfg)
+        params = init_parameters(40, 30, 4, cfg, seed=5)
+        layers = SelectedLayers(3, 4)
+        threaded = evaluate(params, propagate(params, mats, layers), ds, k=5,
+                            workers=2, chunk_size=3)
+        single = evaluate(params, propagate(params, mats, layers), ds, k=5)
+        eager = evaluate(params, propagate(params, mats, layers, retain_chain=False), ds, k=5)
+        assert threaded == single == eager
 
     def test_cutoffs_equal_separate_evaluations(self):
         rng = np.random.default_rng(4)

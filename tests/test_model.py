@@ -141,6 +141,64 @@ class TestPropagate:
         assert np.all(high[:8][has_edge] > low[:8][has_edge])
 
 
+class TestDeferredLayer:
+    """A retained chain leaves its deepest layer to be read on demand."""
+
+    def make(self):
+        ds = make_random_dataset(np.random.default_rng(30), 9, 11)
+        cfg = PopularityConfig()
+        return init_parameters(9, 11, 3, cfg, seed=30), propagation_matrices(ds, cfg)
+
+    def outputs(self, layers=SelectedLayers(3, 4), granularities=None):
+        params, mats = self.make()
+        training = propagate(params, mats, layers, granularities=granularities)
+        eager = propagate(
+            params, mats, layers, retain_chain=False, granularities=granularities
+        )
+        return training, eager
+
+    @pytest.mark.parametrize("layers", [SelectedLayers(3, 4), SelectedLayers(3, 2)])
+    def test_full_layer_equals_eager(self, layers):
+        training, eager = self.outputs(layers=layers)
+        for k in range(3):
+            assert training.chains[k][layers.depth] is None
+            deep = training.layer(k, layers.depth)
+            np.testing.assert_array_equal(deep, eager.layer(k, layers.depth))
+            assert training.layer(k, layers.depth) is deep  # computed once
+
+    def test_rows_equal_layer_rows(self):
+        params, mats = self.make()
+        training = propagate(params, mats, SelectedLayers(3, 4))
+        unsorted_repeated = np.array([19, 0, 7, 7, 12, 0, 3, 19])
+        for k in range(3):
+            full = [params.base_for(k)]
+            for _ in range(4):
+                full.append(spmm(mats[k], full[-1]))
+            for idx in (unsorted_repeated, np.arange(2, 20, 3), unsorted_repeated):
+                for l in range(5):
+                    np.testing.assert_array_equal(training.rows(k, l, idx), full[l][idx])
+                np.testing.assert_array_equal(
+                    training.operator_rows(k, idx).toarray(), mats[k].toarray()[idx]
+                )
+            # the deepest layer's rows did not need the whole layer
+            assert training.chains[k][4] is None
+            np.testing.assert_array_equal(training.layer(k, 4), full[4])
+
+    def test_eager_output_has_every_selected_layer(self):
+        _, eager = self.outputs(layers=SelectedLayers(1, 4))
+        assert eager.deferred == frozenset()
+        for chain in eager.chains:
+            assert all(chain[l] is not None for l in (0, 1, 4))
+
+    def test_inactive_granularity_is_not_deferred(self):
+        training, _ = self.outputs(granularities={1, 2})
+        assert training.deferred == {1, 2}
+        with pytest.raises(RuntimeError):
+            training.layer(0, 4)
+        with pytest.raises(RuntimeError):
+            training.rows(0, 4, np.array([0]))
+
+
 class TestScoring:
     def test_all_zero_embeddings(self):
         chains = [[np.zeros((4, 2))] * 3 for _ in range(2)]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chisquare
 
 from jmpgcf import (
@@ -21,7 +22,9 @@ from jmpgcf import (
     propagate,
     propagation_matrices,
     separated_bpr_loss,
+    spmm,
     train,
+    transpose,
 )
 from jmpgcf.training import TripleBatch
 
@@ -253,9 +256,143 @@ class TestBackward:
         out = propagate(params, mats, SelectedLayers(1, 2))
         batch = TripleSampler(ds).sample(4, np.random.default_rng(17))
         grads = backward(out, batch, {2}, l2_coeff=1e-2)
-        assert np.all(grads[2] != 0) or np.any(grads[2] != 0)
+        assert np.any(grads[2] != 0)
         np.testing.assert_array_equal(grads[0], np.zeros_like(grads[0]))
         np.testing.assert_array_equal(grads[1], np.zeros_like(grads[1]))
+
+
+# The full-row step: loss, backward pass and optimizer step over whole
+# layers and full-size gradients, with every sum in the order the row-
+# restricted step must keep.  That step has to give the same bits.
+
+def reference_loss(out, batch, active, l2_coeff, full_matrix_reg):
+    users = batch.users
+    pos_rows = out.num_users + batch.pos_items
+    neg_rows = out.num_users + batch.neg_items
+    total = 0.0
+    reg = 0.0
+    for k in sorted(active):
+        for l in (out.layers.l_odd, out.layers.l_even):
+            emb = out.layer(k, l)
+            e_u, e_i, e_j = emb[users], emb[pos_rows], emb[neg_rows]
+            margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
+            total += float(np.logaddexp(0.0, -margin).sum())
+            if full_matrix_reg:
+                reg += float((emb * emb).sum())
+            else:
+                reg += float((e_u * e_u).sum() + (e_i * e_i).sum() + (e_j * e_j).sum())
+    if not full_matrix_reg:
+        reg /= len(batch)
+    return total + l2_coeff * reg
+
+
+def reference_backward(out, batch, active, l2_coeff, full_matrix_reg, transposed):
+    users = batch.users
+    pos_rows = out.num_users + batch.pos_items
+    neg_rows = out.num_users + batch.neg_items
+    depth = out.depth
+    selected = (out.layers.l_odd, out.layers.l_even)
+    num_tables = 1 if out.shared_base else out.num_granularities
+    shape = out.layer(min(active), selected[0]).shape
+    grads = [np.zeros(shape) for _ in range(num_tables)]
+    for k in sorted(active):
+        inject = {}
+        for l in selected:
+            emb = out.layer(k, l)
+            e_u, e_i, e_j = emb[users], emb[pos_rows], emb[neg_rows]
+            margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
+            weight = expit(-margin)[:, None]
+            grad = np.zeros(shape)
+            np.add.at(grad, users, -weight * (e_i - e_j))
+            np.add.at(grad, pos_rows, -weight * e_u)
+            np.add.at(grad, neg_rows, weight * e_u)
+            if full_matrix_reg:
+                grad += (2.0 * l2_coeff) * emb
+            else:
+                scale = 2.0 * l2_coeff / len(batch)
+                np.add.at(grad, users, scale * e_u)
+                np.add.at(grad, pos_rows, scale * e_i)
+                np.add.at(grad, neg_rows, scale * e_j)
+            inject[l] = grad
+        pulled = inject[depth] if depth in inject else np.zeros(shape)
+        for l in range(depth, 0, -1):
+            pulled = spmm(transposed[k], pulled)
+            if l - 1 in inject:
+                pulled = pulled + inject[l - 1]
+        grads[0 if out.shared_base else k] += pulled
+    return grads
+
+
+def reference_optimizer_step(params, grads, state, cfg):
+    state.step += 1
+    if cfg.optimizer == "sgd":
+        for table, grad in zip(params.base_embeddings, grads):
+            table -= cfg.learning_rate * grad
+        return
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    bias1 = 1.0 - b1 ** state.step
+    bias2 = 1.0 - b2 ** state.step
+    for table, grad, m, v in zip(
+        params.base_embeddings, grads, state.first_moment, state.second_moment
+    ):
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("full_matrix_reg", [False, True])
+@pytest.mark.parametrize("shared_base", [False, True])
+@pytest.mark.parametrize("layers", [(3, 4), (1, 2), (3, 2), (1, 4)])
+def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_matrix_reg,
+                                                     optimizer):
+    """Losses, gradients, tables and moments over steps through the three
+    phases, with sampled batches (users and items repeat) and a batch
+    that touches every row, compare == with the full-row step."""
+    num_users, num_items = 12, 10
+    ds = make_random_dataset(np.random.default_rng(31), num_users, num_items, max_degree=5)
+    pop = PopularityConfig()
+    mats = propagation_matrices(ds, pop)
+    transposed = {k: transpose(m) for k, m in enumerate(mats)}
+    layers = SelectedLayers(*layers)
+    cfg = TrainConfig(learning_rate=0.05, l2_coeff=0.1, optimizer=optimizer,
+                      full_matrix_reg=full_matrix_reg)
+    params = init_parameters(num_users, num_items, 4, pop, seed=31, shared_base=shared_base)
+    ref = init_parameters(num_users, num_items, 4, pop, seed=31, shared_base=shared_base)
+    state, ref_state = init_optimizer_state(params), init_optimizer_state(ref)
+    sampler = TripleSampler(ds)
+    rng = np.random.default_rng(32)
+    span = np.arange(max(num_users, num_items))
+    every_row = TripleBatch(span % num_users, span % num_items, (span + 3) % num_items)
+    batches = [sampler.sample(40, rng), every_row, sampler.sample(40, rng),
+               every_row, sampler.sample(3, rng)]
+    phases = [{2}, {2}, {1, 2}, {0, 1, 2}, {0, 1, 2}]
+    assert np.unique(batches[0].users).size < len(batches[0])
+    assert np.unique(batches[0].pos_items).size < len(batches[0])
+    touched = np.concatenate([every_row.users, num_users + every_row.pos_items])
+    assert np.unique(touched).size == num_users + num_items
+    for batch, active in zip(batches, phases):
+        out = propagate(params, mats, layers, granularities=active)
+        loss = separated_bpr_loss(out, batch, active, cfg.l2_coeff, full_matrix_reg)
+        grads = backward(out, batch, active, cfg.l2_coeff, full_matrix_reg, transposed)
+        optimizer_step(params, grads, state, cfg)
+
+        ref_out = propagate(ref, mats, layers, retain_chain=False, granularities=active)
+        ref_loss = reference_loss(ref_out, batch, active, cfg.l2_coeff, full_matrix_reg)
+        ref_grads = reference_backward(ref_out, batch, active, cfg.l2_coeff, full_matrix_reg,
+                                       transposed)
+        reference_optimizer_step(ref, ref_grads, ref_state, cfg)
+
+        assert loss == ref_loss
+        for ours, theirs in zip(grads, ref_grads):
+            np.testing.assert_array_equal(ours, theirs)
+        for ours, theirs in zip(params.base_embeddings, ref.base_embeddings):
+            np.testing.assert_array_equal(ours, theirs)
+        for ours, theirs in zip(state.first_moment + state.second_moment,
+                                ref_state.first_moment + ref_state.second_moment):
+            np.testing.assert_array_equal(ours, theirs)
 
 
 class TestOptimizer:
@@ -299,6 +436,49 @@ class TestOptimizer:
         params, state, cfg = self.make()
         with pytest.raises(TrainingDivergedError, match="table 0"):
             optimizer_step(params, [np.array([[np.nan], [0.0]])], state, cfg)
+
+    def test_untouched_table_is_skipped(self):
+        """Zero moments and a zero gradient: the table keeps its bits
+        (a -0.0 included) and the moments stay exactly zero."""
+        params, state, cfg = self.make()
+        params.base_embeddings[0][0, 0] = -0.0
+        before = params.base_embeddings[0].copy()
+        for _ in range(3):
+            optimizer_step(params, [np.zeros((2, 1))], state, cfg)
+        assert params.base_embeddings[0].tobytes() == before.tobytes()
+        assert not state.first_moment[0].any() and not state.second_moment[0].any()
+        assert state.step == 3
+
+    def test_zero_gradient_with_moments_still_moves(self):
+        params, state, cfg = self.make(optimizer="adam", lr=0.01)
+        grads = [np.array([[1.0], [-2.0]]), np.zeros((2, 1)), np.zeros((2, 1))]
+        theta = params.base_embeddings[0].copy()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        for t, grad in enumerate(grads, start=1):
+            before = params.base_embeddings[0].copy()
+            optimizer_step(params, [grad], state, cfg)
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad * grad
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            theta = theta - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_allclose(params.base_embeddings[0], theta, rtol=1e-12)
+            assert np.all(params.base_embeddings[0] != before)
+
+    def test_nonfinite_later_table_aborts_before_any_update(self):
+        cfg = PopularityConfig(max_granularity=1)
+        tables = [np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])]
+        params = ModelParameters(1, 1, 1, cfg, tables)
+        state = init_optimizer_state(params)
+        before = [t.copy() for t in tables]
+        grads = [np.array([[0.5], [-1.0]]), np.array([[0.0], [np.nan]])]
+        with pytest.raises(TrainingDivergedError, match="table 1"):
+            optimizer_step(params, grads, state, TrainConfig(learning_rate=0.1))
+        for table, old in zip(params.base_embeddings, before):
+            assert table.tobytes() == old.tobytes()
+        assert state.step == 0
+        assert not state.first_moment[0].any() and not state.second_moment[0].any()
 
 
 class TestPhaseSchedule:
