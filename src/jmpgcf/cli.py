@@ -312,6 +312,7 @@ def cmd_train(cfg, args) -> int:
         eval_topk=cfg.topk,
         metrics_path=os.path.join(cfg.output_dir, "metrics.jsonl"),
         checkpoint_dir=cfg.output_dir,
+        workers=_eval_workers(cfg),
     )
     print(
         f"trained {len(records)} epochs over {schedule.num_phases} phase(s); "

@@ -3,6 +3,14 @@
 Every item the user did not interact with during training is a
 candidate; training items are excluded from the ranking.  Users with
 no held-out items are skipped and do not enter the averages.
+
+Users are scored in chunks, one :func:`score_users` call per chunk.  Its
+result is the chunk's own array, built in place (a weight of 1.0 skips
+the scaling pass, as x * 1.0 == x), so the chunk masks every training
+item to -inf in it with one assignment and takes each user's top-k
+straight from the masked row: the k-th largest value by a partition of
+the row, then a stable sort of the items at or above it.  The ranking
+is the one :func:`rank_user` gives for a copy of the row.
 """
 
 from __future__ import annotations
@@ -40,21 +48,28 @@ def rank_user(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     """Indices of the k highest-scoring items outside ``exclude``.
 
     Descending score, ties broken by ascending item index.  If fewer
-    than k candidates remain, all of them are returned.
+    than k candidates remain (``exclude`` may repeat an item; each
+    distinct item counts once), all of them are returned.  The scores
+    are copied, the excluded items masked to -inf in the copy, and the
+    list read from it as :func:`evaluate_cutoffs` reads its masked rows.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    exclude = np.asarray(list(exclude), dtype=np.int64)
-    k = min(k, n - exclude.size)
+    masked = np.array(scores, dtype=np.float64)
+    exclude = np.unique(np.asarray(list(exclude), dtype=np.int64))
+    masked[exclude] = -np.inf
+    return _top_k(masked, min(k, masked.shape[0] - exclude.size))
+
+
+def _top_k(masked: np.ndarray, k: int) -> np.ndarray:
+    """The first k items of ``masked`` by descending score, then ascending
+    index; ``masked`` holds -inf at every excluded item."""
     if k <= 0:
         return np.empty(0, dtype=np.int64)
-    masked = scores.copy()
-    if exclude.size:
-        masked[exclude] = -np.inf
+    n = masked.shape[0]
     if k < n:
-        # exact top-k: everything above the k-th value, then index-stable
+        # exact top-k: everything at or above the k-th largest value (a
+        # partition of the row, not of a negated copy), then index-stable
         # ordering of the boundary ties
-        threshold = masked[np.argpartition(-masked, k - 1)[:k]].min()
+        threshold = np.partition(masked, n - k)[n - k]
         if math.isfinite(threshold):
             candidates = np.flatnonzero(masked >= threshold)
             order = candidates[np.argsort(-masked[candidates], kind="stable")]
@@ -131,11 +146,15 @@ def evaluate_cutoffs(
     recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
     deepest = max(cutoffs)
 
-    def run_chunk(start):
+    def run_chunk(start, buffers=None):
         users = evaluable[start:start + chunk_size]
-        scores = score_users(out, users, weights=weights)
+        scores = score_users(out, users, weights=weights, buffers=buffers)
+        # the chunk owns its scores: mask every training item in place
+        excluded = [ds.train[u] for u in users]
+        counts = [len(items) for items in excluded]
+        scores[np.repeat(np.arange(len(users)), counts), np.concatenate(excluded)] = -np.inf
         for row, u in enumerate(users):
-            ranked = rank_user(scores[row], ds.train[u], deepest)
+            ranked = _top_k(scores[row], min(deepest, ds.num_items - counts[row]))
             relevant = ds.test[u]
             for c, k in enumerate(cutoffs):
                 recalls[c, start + row] = recall_at_k(ranked[:k], relevant)
@@ -143,8 +162,23 @@ def evaluate_cutoffs(
 
     starts = range(0, len(evaluable), chunk_size)
     if workers > 1:
+        # A worker's chunk buffers are made here, on the calling thread, and
+        # at most one chunk per worker is in flight.  Made by the worker,
+        # they would come from its thread's malloc arena, and glibc keeps an
+        # arena's free memory resident, even after its thread has gone,
+        # until it exceeds the trim threshold (twice the largest mmapped
+        # block freed so far).
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+            running = []
+            for start in starts:
+                if len(running) == workers:
+                    running.pop(0).result()
+                shape = (min(chunk_size, len(evaluable) - start), ds.num_items)
+                buffers = (np.empty(shape), np.empty(shape))
+                running.append(pool.submit(run_chunk, start, buffers))
+                del buffers
+            for future in running:
+                future.result()
     else:
         for start in starts:
             run_chunk(start)

@@ -234,27 +234,47 @@ def propagate(
     )
 
 
-def score_users(out: PropagationOutput, users, items=None, weights=None, granularities=None):
+def score_users(
+    out: PropagationOutput, users, items=None, weights=None, granularities=None, *, buffers=None
+):
     """Preference scores of ``users`` against ``items`` (default: every item).
 
     Per granularity k and selected layer, the term is
     w_k * (e_users @ e_items.T), accumulated in granularity then layer
     order; the result's shape follows numpy indexing of ``users`` and
     ``items`` (a scalar for one user and one item).
+
+    The sum is built in place: the first product is the result, each
+    later one is written into one scratch buffer, scaled there and added.
+    A term is scaled only when w_k != 1.0, since x * 1.0 == x exactly.
+    Every operation is one of the out-of-place ``w_k * (...)`` summed
+    term by term, so the scores are bit for bit the same.  ``buffers``,
+    two float64 arrays of the result's shape, are used as the result and
+    the scratch instead of new ones.
     """
     if weights is None:
         weights = out.default_weights
     if granularities is None:
         granularities = range(out.num_granularities)
+    result, scratch = (None, None) if buffers is None else buffers
     m = out.num_users
     scores = None
     for k in granularities:
         for l in (out.layers.l_odd, out.layers.l_even):
             emb = out.layer(k, l)
             item_rows = emb[m:] if items is None else emb[m + np.asarray(items)]
-            part = weights[k] * (emb[users] @ item_rows.T)
-            scores = part if scores is None else scores + part
-    return scores
+            if scores is None:
+                # an array even for one user and one item, so that *= scales it
+                scores = term = np.asarray(np.matmul(emb[users], item_rows.T, out=result))
+            else:
+                if scratch is None:
+                    scratch = np.empty_like(scores)
+                term = np.matmul(emb[users], item_rows.T, out=scratch)
+            if weights[k] != 1.0:
+                term *= weights[k]
+            if term is scratch:
+                scores += scratch
+    return scores if scores is None or scores.ndim else scores[()]
 
 
 def score_pair(out: PropagationOutput, u, i, weights=None, granularities=None) -> float:

@@ -398,15 +398,16 @@ def train(
     eval_topk=20,
     metrics_path=None,
     checkpoint_dir=None,
+    workers=1,
 ):
     """Run the full multistage schedule; returns (params, epoch records).
 
     Each epoch runs ceil(train interactions / batch) steps.  Per epoch a
     record {phase, epoch, loss, wallclock_s} is kept (plus recall/ndcg
-    against ``eval_ds`` every ``eval_every`` epochs) and appended to
-    ``metrics_path`` as JSON lines.  A checkpoint is written per phase
-    boundary plus a final one; on divergence the last written
-    checkpoints are left in place.
+    against ``eval_ds`` every ``eval_every`` epochs, on ``workers``
+    evaluation threads) and appended to ``metrics_path`` as JSON lines.
+    A checkpoint is written per phase boundary plus a final one; on
+    divergence the last written checkpoints are left in place.
     """
     from . import evaluation
 
@@ -452,7 +453,9 @@ def train(
                 }
                 if eval_ds is not None and eval_every and global_epoch % eval_every == 0:
                     out = propagate(params, matrices, layers, retain_chain=False)
-                    report = evaluation.evaluate(params, out, eval_ds, eval_topk)
+                    report = evaluation.evaluate(
+                        params, out, eval_ds, eval_topk, workers=workers
+                    )
                     record[f"recall@{eval_topk}"] = report.recall
                     record[f"ndcg@{eval_topk}"] = report.ndcg
                 record["wallclock_s"] = time.perf_counter() - started

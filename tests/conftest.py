@@ -73,6 +73,24 @@ def manual_output(chains, l_odd=1, l_even=2, num_users=None, weights=None, matri
     )
 
 
+def out_of_place_scores(out, users, items=None, weights=None, granularities=None):
+    """Reference scores: a fresh array for every weighted term and every
+    partial sum, in granularity then layer order."""
+    if weights is None:
+        weights = out.default_weights
+    if granularities is None:
+        granularities = range(out.num_granularities)
+    m = out.num_users
+    scores = None
+    for k in granularities:
+        for l in (out.layers.l_odd, out.layers.l_even):
+            emb = out.layer(k, l)
+            item_rows = emb[m:] if items is None else emb[m + np.asarray(items)]
+            part = weights[k] * (emb[users] @ item_rows.T)
+            scores = part if scores is None else scores + part
+    return scores
+
+
 def assert_datasets_equal(a: InteractionDataset, b: InteractionDataset):
     assert a.num_users == b.num_users
     assert a.num_items == b.num_items

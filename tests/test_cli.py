@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import jmpgcf.evaluation
+import jmpgcf.training
 from jmpgcf import (
     evaluate,
     load_checkpoint,
@@ -217,6 +219,36 @@ class TestTrainCommand:
         assert rc == 0
         records = [json.loads(l) for l in (toy_dir / "metrics.jsonl").read_text().splitlines()]
         assert all("recall@3" in r for r in records)
+
+
+    def test_workers_reach_per_epoch_evaluation(self, toy_dir, tmp_path, monkeypatch):
+        """--workers reaches train()'s evaluate and changes no byte of metrics.jsonl."""
+        seen = []
+        evaluate = jmpgcf.evaluation.evaluate
+
+        def spying_evaluate(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(jmpgcf.evaluation, "evaluate", spying_evaluate)
+        logged = []
+        for workers in (1, 2):
+            ticks = iter(range(10**6))
+            monkeypatch.setattr(jmpgcf.training, "time",
+                                SimpleNamespace(perf_counter=lambda: 0.25 * next(ticks)))
+            out_dir = tmp_path / f"workers{workers}"
+            out_dir.mkdir()
+            rc = run(
+                "train", "--data-dir", toy_dir, "--output-dir", out_dir,
+                "--k", "1", "--epochs-per-phase", "2", "--embed-dim", "4",
+                "--batch-size", "8", "--l-odd", "1", "--l-even", "2",
+                "--eval-every", "1", "--topk", "3", "--workers", workers,
+            )
+            assert rc == 0
+            logged.append((out_dir / "metrics.jsonl").read_bytes())
+        assert seen == [1] * 4 + [2] * 4
+        assert b"recall@3" in logged[0]
+        assert logged[0] == logged[1]
 
 
 class TestEvaluateCommand:

@@ -18,7 +18,7 @@ from jmpgcf import (
 )
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
 
-from conftest import make_random_dataset, manual_output
+from conftest import make_random_dataset, manual_output, out_of_place_scores
 
 
 def sort_oracle(scores, exclude, k):
@@ -28,6 +28,25 @@ def sort_oracle(scores, exclude, k):
         key=lambda i: (-scores[i], i),
     )
     return order[:k]
+
+
+def negated_copy_ranking(scores, exclude, k):
+    """The reference top-k: argpartition of a negated copy, then a stable
+    sort of everything at or above the k-th value."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[0]
+    exclude = np.unique(np.asarray(list(exclude), dtype=np.int64))
+    k = min(k, n - exclude.size)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    masked = scores.copy()
+    masked[exclude] = -np.inf
+    if k < n:
+        threshold = masked[np.argpartition(-masked, k - 1)[:k]].min()
+        if math.isfinite(threshold):
+            candidates = np.flatnonzero(masked >= threshold)
+            return candidates[np.argsort(-masked[candidates], kind="stable")][:k]
+    return np.argsort(-masked, kind="stable")[:k]
 
 
 class TestRankUser:
@@ -62,6 +81,29 @@ class TestRankUser:
             k = int(rng.integers(1, 8))
             got = rank_user(scores, exclude, k)
             np.testing.assert_array_equal(got, sort_oracle(scores, exclude, k))
+
+    def test_repeated_exclusions_count_once(self):
+        scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        once = rank_user(scores, [1], 4)
+        np.testing.assert_array_equal(once, [0, 2, 3, 4])
+        np.testing.assert_array_equal(rank_user(scores, [1, 1], 4), once)
+        np.testing.assert_array_equal(rank_user(scores, np.array([3, 1, 3, 1, 3]), 9), [0, 2, 4])
+
+    def test_scores_left_unchanged(self):
+        scores = np.array([1.0, 3.0, 2.0])
+        rank_user(scores, [1], 2)
+        np.testing.assert_array_equal(scores, [1.0, 3.0, 2.0])
+
+    def test_matches_copy_and_negate_ranking(self):
+        """Same lists as the negated-copy ranking, boundary ties included."""
+        rng = np.random.default_rng(1)
+        for trial in range(200):
+            n = int(rng.integers(1, 60))
+            scores = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            exclude = rng.integers(0, n, size=int(rng.integers(0, n + 3)))
+            k = int(rng.integers(1, n + 3))
+            np.testing.assert_array_equal(rank_user(scores, exclude, k),
+                                          negated_copy_ranking(scores, exclude, k))
 
 
 class TestRecall:
@@ -234,6 +276,88 @@ class TestEvaluate:
             means.append(evaluate(None, out, ds, k=k).recall)
         sigma = math.sqrt(var_mean / len(means))
         assert abs(np.mean(means) - expected) <= 3 * sigma
+
+
+def reference_reports(out, ds, cutoffs, chunk_size, weights=None):
+    """evaluate_cutoffs rebuilt from the out-of-place scores and the
+    negated-copy ranking of each row, over the same chunks."""
+    evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
+    recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
+    for start in range(0, len(evaluable), chunk_size):
+        users = evaluable[start:start + chunk_size]
+        scores = out_of_place_scores(out, users, weights=weights)
+        for row, u in enumerate(users):
+            ranked = negated_copy_ranking(scores[row], ds.train[u], max(cutoffs))
+            for c, k in enumerate(cutoffs):
+                recalls[c, start + row] = recall_at_k(ranked[:k], ds.test[u])
+                ndcgs[c, start + row] = ndcg_at_k(ranked[:k], ds.test[u], k)
+    return [MetricsReport(k, float(recalls[c].mean()), float(ndcgs[c].mean()), len(evaluable))
+            for c, k in enumerate(cutoffs)]
+
+
+class TestEvaluateExactness:
+    """evaluate_cutoffs masks and ranks the chunk's scores in place; its
+    reports equal the reference bit for bit."""
+
+    CUTOFFS = (1, 5, 20, 40)
+    num_users, num_items = 41, 26
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        rng = np.random.default_rng(21)
+        train, test = [], []
+        for u in range(self.num_users):
+            if u == 7:  # 2 unexcluded candidates, fewer than every cutoff but 1
+                picked = rng.permutation(self.num_items)
+                train.append(picked[:24].tolist())
+                test.append(picked[24:25].tolist())
+                continue
+            picked = rng.choice(self.num_items, size=int(rng.integers(1, 12)), replace=False)
+            cut = int(rng.integers(0, picked.size))
+            train.append(picked[:cut].tolist())
+            test.append([] if u % 9 == 4 else picked[cut:].tolist())
+        return InteractionDataset.from_lists(self.num_users, self.num_items, train, test)
+
+    def output(self, integer_valued):
+        rng = np.random.default_rng(22)
+        rows = self.num_users + self.num_items
+        if integer_valued:  # scores are small integers: ties at every boundary
+            chains = [[rng.integers(-1, 2, size=(rows, 3)).astype(float) for _ in range(3)]
+                      for _ in range(3)]
+        else:
+            chains = [[rng.normal(size=(rows, 5)) for _ in range(3)] for _ in range(3)]
+        for chain in chains:
+            for layer in chain:
+                layer[5] = 0.0  # user 5 scores every item equally
+                layer[self.num_users + 3] = layer[self.num_users + 8]  # items 3 and 8 tie
+        return manual_output(chains, num_users=self.num_users, weights=(1.0, 0.5, 1 / 3))
+
+    @pytest.mark.parametrize("integer_valued", [True, False])
+    @pytest.mark.parametrize("workers, chunk_size", [(1, 256), (1, 7), (3, 7), (3, 10), (3, 1)])
+    def test_reports_equal_reference(self, ds, integer_valued, workers, chunk_size):
+        out = self.output(integer_valued)
+        got = evaluate_cutoffs(None, out, ds, self.CUTOFFS, workers=workers,
+                               chunk_size=chunk_size)
+        assert got == reference_reports(out, ds, self.CUTOFFS, chunk_size)
+        if integer_valued:  # exact sums: the chunking cannot matter
+            assert got == reference_reports(out, ds, self.CUTOFFS, 256)
+
+    def test_fixture_has_the_edge_cases(self, ds):
+        out = self.output(True)
+        scores = out_of_place_scores(out, list(range(self.num_users)))
+        assert np.all(scores[5] == 0.0) and len(ds.test[5])
+        assert self.num_items - len(ds.train[7]) < 5 and len(ds.test[7])
+        assert np.array_equal(scores[:, 3], scores[:, 8])
+        assert any(len(t) == 0 for t in ds.test)
+        # a tie straddles the top-5 boundary of some user
+        for u in range(self.num_users):
+            if not len(ds.test[u]):
+                continue
+            row = np.delete(scores[u], ds.train[u])
+            if row.size > 5 and np.sort(row)[::-1][4] == np.sort(row)[::-1][5]:
+                break
+        else:
+            pytest.fail("no boundary tie")
 
 
 def test_report_formats():

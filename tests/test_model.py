@@ -20,8 +20,9 @@ from jmpgcf import (
     score_pair,
     spmm,
 )
+from jmpgcf.model import score_users
 
-from conftest import make_random_dataset, manual_output
+from conftest import make_random_dataset, manual_output, out_of_place_scores
 
 
 def identity_matrices(nv, count=3):
@@ -298,6 +299,84 @@ class TestScoring:
             score_pair(out, 0, 5)
         with pytest.raises(IndexError):
             score_all_items(out, -1)
+
+
+class TestScoreUsersBitwise:
+    """The in-place sum equals the out-of-place one bit for bit."""
+
+    WEIGHTS = [None, (1.0, 1.0, 1.0), (0.5, 1 / 3, 0.7), (1.0, 0.1, 3.0)]
+
+    @pytest.fixture(scope="class")
+    def out(self):
+        rng = np.random.default_rng(11)
+        ds = make_random_dataset(rng, 23, 31, max_degree=6)
+        cfg = PopularityConfig()
+        params = init_parameters(23, 31, 7, cfg, seed=11)
+        return propagate(params, propagation_matrices(ds, cfg), SelectedLayers(3, 4),
+                         retain_chain=False)
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_user_chunk(self, out, weights):
+        users = [0, 3, 4, 9, 22, 17]
+        self.assert_bitwise(score_users(out, users, weights=weights),
+                            out_of_place_scores(out, users, weights=weights))
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_scalar_user_and_item(self, out, weights):
+        for u in (0, 7, 22):
+            for i in (0, 13, 30):
+                got = score_pair(out, u, i, weights=weights)
+                want = out_of_place_scores(out, u, i, weights=weights)
+                assert type(got) is float
+                assert got.hex() == float(want).hex()
+                self.assert_bitwise(score_users(out, u, i, weights=weights), want)
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_scalar_user(self, out, weights):
+        for u in (1, 12):
+            got = score_all_items(out, u, weights=weights)
+            assert got.shape == (31,)
+            self.assert_bitwise(got, out_of_place_scores(out, u, weights=weights))
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_item_subset(self, out, weights):
+        users, items = [2, 5, 19], [30, 0, 4, 4, 11]
+        self.assert_bitwise(score_users(out, users, items, weights=weights),
+                            out_of_place_scores(out, users, items, weights=weights))
+
+    @pytest.mark.parametrize("granularities", [[0], [2], [1, 2], [2, 0]])
+    def test_granularity_subset(self, out, granularities):
+        for weights in self.WEIGHTS:
+            self.assert_bitwise(
+                score_users(out, [6, 8], weights=weights, granularities=granularities),
+                out_of_place_scores(out, [6, 8], weights=weights, granularities=granularities),
+            )
+            self.assert_bitwise(
+                score_pair(out, 6, 3, weights=weights, granularities=granularities),
+                out_of_place_scores(out, 6, 3, weights=weights, granularities=granularities),
+            )
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_into_given_buffers(self, out, weights):
+        users = [1, 4, 4, 20]
+        result, scratch = np.full((4, 31), np.nan), np.full((4, 31), np.nan)
+        got = score_users(out, users, weights=weights, buffers=(result, scratch))
+        assert got is result
+        self.assert_bitwise(got, out_of_place_scores(out, users, weights=weights))
+
+    def test_result_is_a_fresh_array(self, out):
+        """The caller owns the scores: writing them leaves the layers alone."""
+        before = [out.layer(k, l).copy() for k in range(3) for l in (3, 4)]
+        scores = score_users(out, [0, 1])
+        scores[:] = -np.inf
+        after = [out.layer(k, l) for k in range(3) for l in (3, 4)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert np.all(np.isfinite(score_users(out, [0, 1])))
 
 
 class TestCheckpoint:
