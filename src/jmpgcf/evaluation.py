@@ -59,17 +59,23 @@ def rank_user(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     return _top_k(masked, min(k, masked.shape[0] - exclude.size))
 
 
-def _top_k(masked: np.ndarray, k: int) -> np.ndarray:
+def _top_k(masked: np.ndarray, k: int, buffer=None) -> np.ndarray:
     """The first k items of ``masked`` by descending score, then ascending
-    index; ``masked`` holds -inf at every excluded item."""
+    index; ``masked`` holds -inf at every excluded item.  ``buffer``, a
+    float64 array of the row's length, holds the partitioned copy of the
+    row instead of a new one."""
     if k <= 0:
         return np.empty(0, dtype=np.int64)
     n = masked.shape[0]
     if k < n:
         # exact top-k: everything at or above the k-th largest value (a
-        # partition of the row, not of a negated copy), then index-stable
-        # ordering of the boundary ties
-        threshold = np.partition(masked, n - k)[n - k]
+        # partition of a copy of the row, not of a negated copy), then
+        # index-stable ordering of the boundary ties
+        if buffer is None:
+            buffer = np.empty(n)
+        np.copyto(buffer, masked)
+        buffer.partition(n - k)
+        threshold = buffer[n - k]
         if math.isfinite(threshold):
             candidates = np.flatnonzero(masked >= threshold)
             order = candidates[np.argsort(-masked[candidates], kind="stable")]
@@ -153,8 +159,9 @@ def evaluate_cutoffs(
         excluded = [ds.train[u] for u in users]
         counts = [len(items) for items in excluded]
         scores[np.repeat(np.arange(len(users)), counts), np.concatenate(excluded)] = -np.inf
+        row_buffer = np.empty(ds.num_items)
         for row, u in enumerate(users):
-            ranked = _top_k(scores[row], min(deepest, ds.num_items - counts[row]))
+            ranked = _top_k(scores[row], min(deepest, ds.num_items - counts[row]), row_buffer)
             relevant = ds.test[u]
             for c, k in enumerate(cutoffs):
                 recalls[c, start + row] = recall_at_k(ranked[:k], relevant)

@@ -8,15 +8,20 @@ rescales the right-hand degree normalization so that high-degree
     norm_adj_k[i][j] = (d_i+1)^{-1/2} * (A+I)[i][j] * (d_j+1)^{-1/2 + k*unit}
 
 Granularity 0 is the standard symmetric normalization.  All matrices are
-row-sorted CSR; multiplies go through scipy.sparse.
+row-sorted CSR; multiplies go through scipy.sparse, and a large one
+(:func:`spmm`) is split by rows across the process's cores.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .data import InteractionDataset, train_matrix
 
@@ -187,14 +192,86 @@ def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[
     return [build_normalized_adjacency(adjacency, k, cfg) for k in range(cfg.num_granularities)]
 
 
+# Work (stored entries x dense columns) from which spmm splits a product
+# across cores.  Measured on a 2-vCPU VM: a 69k-entry matrix times 64
+# columns (4.4M, in cache) took 1.17 ms serial and 1.28 ms split, while a
+# 1.7M-entry matrix times 4 columns (6.8M) took 10.3 ms serial and 5.9 ms
+# split, and times 64 columns (108M) 0.12 s serial and 0.065 s split.
+PARALLEL_WORK = 1 << 23
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_pool():
+    # a forked child has none of the parent's threads: start a new pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _get_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="jmpgcf-spmm")
+        return _pool
+
+
 def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product; row i of the result is sum_j M[i,j] * X[j]."""
+    """Sparse @ dense product; row i of the result is sum_j M[i,j] * X[j].
+
+    A product of at least ``PARALLEL_WORK`` entries x columns is split
+    into one contiguous block of output rows per core in the process's
+    CPU affinity, of about equal stored entries.  Each block runs scipy's
+    own CSR kernel (which releases the GIL) on a slice of the row
+    offsets, over the full index and value arrays, into its rows of one
+    result; the calling thread runs the first block.  Every output row
+    takes the same loop over the same entries in the same order as in
+    ``csr @ dense``, so the result is the same bit for bit, whatever the
+    core count.
+    """
     dense = np.asarray(dense, dtype=np.float64)
     if matrix.num_cols != dense.shape[0]:
         raise ValueError(
             f"dimension mismatch: matrix is {matrix.shape}, dense has {dense.shape[0]} rows"
         )
-    return np.asarray(matrix.to_scipy() @ dense)
+    csr = matrix.to_scipy()
+    if (dense.ndim != 2 or matrix.nnz * dense.shape[1] < PARALLEL_WORK
+            or (cores := _cores()) < 2):
+        return np.asarray(csr @ dense)
+    rows, width = matrix.num_rows, dense.shape[1]
+    indptr = csr.indptr
+    flat = np.ascontiguousarray(dense).ravel()
+    result = np.zeros((rows, width))
+    cuts = np.searchsorted(indptr, np.arange(1, cores) * (matrix.nnz / cores))
+    bounds = [0, *np.minimum(cuts, rows).tolist(), rows]
+
+    def block(lo, hi):
+        _sparsetools.csr_matvecs(
+            hi - lo, matrix.num_cols, width, indptr[lo:hi + 1], csr.indices, csr.data,
+            flat, result[lo:hi].ravel(),
+        )
+
+    blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    pool = _get_pool()
+    futures = [pool.submit(block, lo, hi) for lo, hi in blocks[1:]]
+    try:
+        block(*blocks[0])
+    finally:
+        for future in futures:
+            future.result()
+    return result
 
 
 def transpose(matrix: SparseMatrix) -> SparseMatrix:

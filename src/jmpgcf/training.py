@@ -340,14 +340,25 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
     the textbook expression.  A table whose moments are still exactly
     zero and whose gradient is all zero (a granularity not yet active)
     is skipped: its update would be lr * 0 / (0 + eps) = 0.
+
+    One pass per gradient, its sum of squares, answers both questions:
+    it is NaN or inf if an entry is, and it is positive only if an
+    entry is nonzero.  Only a sum that is not finite (an overflow, or
+    bad entries to count) or zero (perhaps an underflow) is checked
+    again entry by entry.
     """
+    squares = []
     for idx, grad in enumerate(grads):
-        if not np.all(np.isfinite(grad)):
+        flat = grad.ravel()
+        total = float(flat @ flat)
+        if not math.isfinite(total):
             bad = int(np.count_nonzero(~np.isfinite(grad)))
-            raise TrainingDivergedError(
-                f"non-finite gradient for table {idx} ({bad} bad entries) "
-                f"at optimizer step {state.step + 1}"
-            )
+            if bad:
+                raise TrainingDivergedError(
+                    f"non-finite gradient for table {idx} ({bad} bad entries) "
+                    f"at optimizer step {state.step + 1}"
+                )
+        squares.append(total)
     state.step += 1
     if cfg.optimizer == "sgd":
         for table, grad in zip(params.base_embeddings, grads):
@@ -356,10 +367,10 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    for table, grad, m, v in zip(
-        params.base_embeddings, grads, state.first_moment, state.second_moment
+    for table, grad, total, m, v in zip(
+        params.base_embeddings, grads, squares, state.first_moment, state.second_moment
     ):
-        if not grad.any() and not m.any() and not v.any():
+        if total == 0 and not grad.any() and not m.any() and not v.any():
             continue
         rows = max(1, _ADAM_BLOCK // table.shape[1])
         scratch = np.empty((2, rows, table.shape[1]))

@@ -1,7 +1,14 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+from jmpgcf import graph
 from jmpgcf import (
     GraphConfigError,
     InteractionDataset,
@@ -168,6 +175,163 @@ class TestSpmm:
         mat = SparseMatrix.from_scipy(sp.identity(4, format="csr"))
         with pytest.raises(ValueError, match="mismatch"):
             spmm(mat, np.ones((5, 2)))
+
+
+class _RecordingKernels:
+    """Stands in for scipy's ``_sparsetools`` and records the row count of
+    every block the split path hands to the CSR kernel."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def csr_matvecs(self, *args):
+        self.blocks.append(args[0])
+        return _sparsetools.csr_matvecs(*args)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every product takes the split path, on a fresh pool."""
+    kernels = _RecordingKernels()
+    monkeypatch.setattr(graph, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(graph, "_pool", None)
+    monkeypatch.setattr(graph, "_sparsetools", kernels)
+    yield kernels
+    if graph._pool is not None:
+        graph._pool.shutdown()
+
+
+def _assert_serial_bits(mat, dense):
+    got = spmm(mat, dense)
+    want = mat.to_scipy() @ dense
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _random_csr(rng, rows, cols, density):
+    dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    return SparseMatrix.from_scipy(sp.csr_matrix(dense))
+
+
+class TestParallelSpmm:
+    @pytest.fixture(params=[2, 3, 8])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(graph, "_cores", lambda: request.param)
+        return request.param
+
+    def test_empty_leading_and_trailing_rows(self, split, cores):
+        rng = np.random.default_rng(20)
+        dense = rng.normal(size=(40, 30)) * (rng.random((40, 30)) < 0.3)
+        dense[:5] = 0
+        dense[-6:] = 0
+        mat = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+        _assert_serial_bits(mat, rng.normal(size=(30, 5)))
+        assert len(split.blocks) > 1 and sum(split.blocks) <= 40
+
+    def test_one_row_holds_most_entries(self, split, cores):
+        rng = np.random.default_rng(21)
+        dense = rng.normal(size=(50, 600)) * (rng.random((50, 600)) < 0.01)
+        dense[7] = rng.normal(size=600)
+        mat = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+        assert mat.to_scipy()[7].nnz > mat.nnz / 2
+        _assert_serial_bits(mat, rng.normal(size=(600, 4)))
+        assert len(split.blocks) > 1
+
+    def test_fewer_rows_than_threads(self, split, cores):
+        rng = np.random.default_rng(22)
+        mat = _random_csr(rng, 1, 9, 1.0)
+        _assert_serial_bits(mat, rng.normal(size=(9, 3)))
+        mat = _random_csr(rng, 3, 9, 0.7)
+        _assert_serial_bits(mat, rng.normal(size=(9, 3)))
+
+    def test_fortran_ordered_and_sliced_dense(self, split, cores):
+        rng = np.random.default_rng(23)
+        mat = _random_csr(rng, 60, 40, 0.2)
+        base = rng.normal(size=(80, 12))
+        _assert_serial_bits(mat, np.asfortranarray(base[:40]))
+        _assert_serial_bits(mat, base[::2])
+        _assert_serial_bits(mat, base[:40, 1::3])
+        _assert_serial_bits(mat, base[:40][::-1])
+
+    def test_integer_dense(self, split, cores):
+        rng = np.random.default_rng(24)
+        mat = _random_csr(rng, 30, 20, 0.3)
+        _assert_serial_bits(mat, rng.integers(-5, 6, size=(20, 4)))
+
+    def test_width_one(self, split, cores):
+        rng = np.random.default_rng(25)
+        mat = _random_csr(rng, 70, 50, 0.2)
+        _assert_serial_bits(mat, rng.normal(size=(50, 1)))
+        assert len(split.blocks) == min(cores, 70)
+        assert sum(split.blocks) == 70
+
+    def test_concurrent_callers_get_serial_bits(self, split):
+        rng = np.random.default_rng(26)
+        mat = _random_csr(rng, 2000, 2000, 0.01)
+        xs = [rng.normal(size=(2000, 16)) for _ in range(4)]
+        wants = [(mat.to_scipy() @ x).tobytes() for x in xs]
+        results = [[] for _ in xs]
+        start = threading.Barrier(len(xs))
+
+        def call(i):
+            start.wait()
+            for _ in range(20):
+                results[i].append(spmm(mat, xs[i]).tobytes())
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, wants):
+            assert got == [want] * 20
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_can_call_spmm(self, split, monkeypatch):
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        rng = np.random.default_rng(27)
+        mat = _random_csr(rng, 300, 300, 0.05)
+        x = rng.normal(size=(300, 8))
+        want = spmm(mat, x).tobytes()
+        assert graph._pool is not None  # the parent's pool has a thread
+        pid = os.fork()
+        if pid == 0:  # child: only os._exit leaves it
+            code = 1
+            try:
+                fresh = graph._pool is None
+                code = 0 if fresh and spmm(mat, x).tobytes() == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's spmm did not return")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_small_products_stay_serial(self, monkeypatch):
+        kernels = _RecordingKernels()
+        monkeypatch.setattr(graph, "_sparsetools", kernels)
+        rng = np.random.default_rng(28)
+        mat = _random_csr(rng, 100, 100, 0.1)
+        _assert_serial_bits(mat, rng.normal(size=(100, 64)))
+        assert kernels.blocks == []
+
+    def test_threshold_between_planted_and_gowalla_hops(self):
+        # the planted benchmark graph's hop (69k entries x 64 columns) stays
+        # serial; the Gowalla-shaped one (1.7M entries x 64) is split
+        assert 69_000 * 64 < graph.PARALLEL_WORK <= 1_691_471 * 64
 
 
 class TestTranspose:

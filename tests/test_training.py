@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,66 @@ class TestOptimizer:
             assert table.tobytes() == old.tobytes()
         assert state.step == 0
         assert not state.first_moment[0].any() and not state.second_moment[0].any()
+
+
+    @staticmethod
+    def one_adam_step(table, grad, lr):
+        """A first adaptive step from zero moments, in optimizer_step's
+        operation order; returns (table, m, v)."""
+        m = grad * (1.0 - 0.9)
+        v = grad * (1.0 - 0.999) * grad
+        step = m / (1.0 - 0.9) * lr / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        return table - step, m, v
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_huge_gradient_is_not_taken_for_nonfinite(self, optimizer):
+        """The squares of 1e200 overflow to inf; the entries are finite,
+        so the step goes on."""
+        params, state, cfg = self.make(optimizer=optimizer, lr=0.1)
+        grad = np.array([[1e200], [-1e200]])
+        table = params.base_embeddings[0].copy()
+        with np.errstate(over="ignore"):
+            optimizer_step(params, [grad], state, cfg)
+            if optimizer == "sgd":
+                want, m, v = table - 0.1 * grad, 0.0, 0.0
+            else:
+                want, m, v = self.one_adam_step(table, grad, 0.1)
+        assert state.step == 1
+        assert params.base_embeddings[0].tobytes() == want.tobytes()
+        if optimizer == "adam":
+            assert state.first_moment[0].tobytes() == m.tobytes()
+            assert state.second_moment[0].tobytes() == v.tobytes()
+
+    def test_tiny_gradient_with_zero_moments_is_applied(self):
+        """The squares of 1e-200 underflow to 0; the gradient is not zero,
+        so the table is not skipped."""
+        cfg = PopularityConfig(max_granularity=0)
+        params = ModelParameters(1, 1, 1, cfg, [np.array([[3e-193], [0.0]])])
+        state = init_optimizer_state(params)
+        grad = np.array([[1e-200], [-1e-200]])
+        want, m, v = self.one_adam_step(params.base_embeddings[0].copy(), grad, 0.1)
+        optimizer_step(params, [grad], state, TrainConfig(learning_rate=0.1))
+        assert np.all(want != [[3e-193], [0.0]])
+        assert params.base_embeddings[0].tobytes() == want.tobytes()
+        assert state.first_moment[0].tobytes() == m.tobytes()
+        assert state.second_moment[0].tobytes() == v.tobytes()
+
+    def test_nonfinite_last_table_message(self):
+        cfg = PopularityConfig(max_granularity=2)
+        tables = [np.full((2, 1), float(k)) for k in range(3)]
+        params = ModelParameters(1, 1, 1, cfg, tables)
+        state = init_optimizer_state(params)
+        state.step = 4
+        before = [t.copy() for t in tables]
+        grads = [np.ones((2, 1)), np.ones((2, 1)), np.array([[np.inf], [np.nan]])]
+        message = "non-finite gradient for table 2 (2 bad entries) at optimizer step 5"
+        with pytest.raises(TrainingDivergedError, match=f"^{re.escape(message)}$"):
+            optimizer_step(params, grads, state, TrainConfig(learning_rate=0.1))
+        for table, old in zip(params.base_embeddings, before):
+            assert table.tobytes() == old.tobytes()
+        assert state.step == 4
+        assert not any(m.any() or v.any()
+                       for m, v in zip(state.first_moment, state.second_moment))
 
 
 class TestPhaseSchedule:
