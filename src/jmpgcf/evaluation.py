@@ -4,13 +4,14 @@ Every item the user did not interact with during training is a
 candidate; training items are excluded from the ranking.  Users with
 no held-out items are skipped and do not enter the averages.
 
-Users are scored in chunks, one :func:`score_users` call per chunk.  Its
-result is the chunk's own array, built in place (a weight of 1.0 skips
-the scaling pass, as x * 1.0 == x), so the chunk masks every training
-item to -inf in it with one assignment and takes each user's top-k
-straight from the masked row: the k-th largest value by a partition of
-the row, then a stable sort of the items at or above it.  The ranking
-is the one :func:`rank_user` gives for a copy of the row.
+Users are scored in chunks, one :func:`score_users` call per chunk: one
+GEMM of the chunk's rows of the stacked factor against its item rows
+(one per run of equal granularity weights).  Its result is the chunk's
+own array, so the chunk masks every training item to -inf in it with
+one assignment and takes each user's top-k straight from the masked
+row: the k-th largest value by a partition of the row, then a stable
+sort of the items at or above it.  The ranking is the one
+:func:`rank_user` gives for a copy of the row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionDataset
-from .model import PropagationOutput, score_users
+from .model import PropagationOutput, score_users, weight_runs
 
 __all__ = [
     "MetricsReport",
@@ -151,6 +152,8 @@ def evaluate_cutoffs(
         raise ValueError("no user has held-out items to evaluate")
     recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
     deepest = max(cutoffs)
+    # stacks a retained chain's factor here, once, before any worker reads it
+    several_runs = len(weight_runs(out, weights, range(out.num_granularities))) > 1
 
     def run_chunk(start, buffers=None):
         users = evaluable[start:start + chunk_size]
@@ -181,7 +184,7 @@ def evaluate_cutoffs(
                 if len(running) == workers:
                     running.pop(0).result()
                 shape = (min(chunk_size, len(evaluable) - start), ds.num_items)
-                buffers = (np.empty(shape), np.empty(shape))
+                buffers = (np.empty(shape), np.empty(shape) if several_runs else None)
                 running.append(pool.submit(run_chunk, start, buffers))
                 del buffers
             for future in running:

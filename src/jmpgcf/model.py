@@ -5,6 +5,14 @@ through its granularity's normalized adjacency; scores are sums of
 inner products taken at the selected odd and even layers, optionally
 weighted per granularity.  There are no per-layer weight matrices and
 no nonlinearities anywhere in the forward path.
+
+That sum is one inner product of stacked factors.  With the selected
+layers of every granularity side by side, ``[e^{k,odd} | e^{k,even}]``
+for k in order (:meth:`PropagationOutput.stacked`), a user's row, each
+block scaled by its w_k, against an item's row gives the score.
+:func:`score_users` takes one GEMM over the stacked factor per run of
+equal weights, scaled once, which equals the term-by-term sum up to
+rounding.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ __all__ = [
     "score_all_items",
     "score_pair",
     "score_users",
+    "weight_runs",
 ]
 
 CHECKPOINT_MAGIC = "JMPGCF1"
@@ -108,6 +117,11 @@ class PropagationOutput:
     without it, as ``A_k[idx] @ chains[k][depth - 1]``; a training step
     reads only its batch's rows, and its loss and backward pass share one
     extraction of ``A_k[idx]`` (:meth:`operator_rows`).
+
+    ``factor`` holds the selected layers of the granularities in
+    ``stacked_granularities`` side by side, one (m+n, 2 * embed_dim)
+    column block per granularity, odd layer first; each of those
+    ``chains[k][l]`` is then a view of its half block (:meth:`stacked`).
     """
 
     num_users: int
@@ -118,9 +132,11 @@ class PropagationOutput:
     default_weights: tuple[float, ...]
     shared_base: bool
     deferred: frozenset[int] = frozenset()
+    factor: np.ndarray | None = field(default=None, repr=False)
+    stacked_granularities: tuple[int, ...] = ()
     # k -> [idx, A_k[idx], deferred-layer rows at idx or None]; the last idx only
     _row_cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property
     def num_granularities(self) -> int:
@@ -159,8 +175,34 @@ class PropagationOutput:
         entry = self._row_entry(k, idx)
         with self._lock:
             if entry[2] is None:
-                entry[2] = np.asarray(entry[1] @ self.chains[k][l - 1])
+                entry[2] = spmm(SparseMatrix.from_scipy(entry[1]), self.chains[k][l - 1])
         return entry[2]
+
+    def stacked(self) -> np.ndarray:
+        """The selected layers side by side (see ``factor``).  An output
+        propagated without it (a retained chain) concatenates it on the
+        first call, from every granularity whose selected layers it holds,
+        computing a deferred layer in full; those layers' entries in
+        ``chains`` then become views of the factor, so that no layer is
+        held twice."""
+        with self._lock:
+            if self.factor is None:
+                selected = (self.layers.l_odd, self.layers.l_even)
+                ks = tuple(
+                    k for k in range(self.num_granularities)
+                    if all(self.chains[k][l] is not None or self._is_pending(k, l)
+                           for l in selected)
+                )
+                pairs = [(k, l) for k in ks for l in selected]
+                blocks = [self.layer(k, l) for k, l in pairs]
+                self.factor = (np.concatenate(blocks, axis=1) if blocks
+                               else np.empty((self.num_users + self.num_items, 0)))
+                self.stacked_granularities = ks
+                start = 0
+                for (k, l), block in zip(pairs, blocks):
+                    self.chains[k][l] = self.factor[:, start:start + block.shape[1]]
+                    start += block.shape[1]
+            return self.factor
 
     def _row_entry(self, k, idx):
         idx = np.asarray(idx)
@@ -206,8 +248,13 @@ def propagate(
         if granularities is None
         else set(granularities)
     )
-    keep = {0, layers.l_odd, layers.l_even}
+    selected = (layers.l_odd, layers.l_even)
     computed = depth - 1 if retain_chain else depth
+    stacked = tuple(k for k in range(params.popularity.num_granularities) if k in wanted)
+    dim = params.embed_dim
+    factor = None
+    if not retain_chain:
+        factor = np.empty((params.num_users + params.num_items, 2 * len(stacked) * dim))
     chains = []
     deferred = set()
     for k in range(params.popularity.num_granularities):
@@ -220,7 +267,15 @@ def propagate(
         chain = [current]
         for l in range(1, computed + 1):
             current = spmm(matrices[k], current)
-            chain.append(current if retain_chain or l in keep else None)
+            if retain_chain:
+                chain.append(current)
+            elif l in selected:
+                start = (2 * stacked.index(k) + selected.index(l)) * dim
+                block = factor[:, start:start + dim]
+                block[...] = current
+                chain.append(block)
+            else:
+                chain.append(None)
         chains.append(chain + [None] * (depth - computed))
     return PropagationOutput(
         num_users=params.num_users,
@@ -231,7 +286,27 @@ def propagate(
         default_weights=params.popularity.granularity_weights,
         shared_base=params.shared_base,
         deferred=frozenset(deferred),
+        factor=factor,
+        stacked_granularities=() if retain_chain else stacked,
     )
+
+
+def weight_runs(out: PropagationOutput, weights, granularities) -> list[tuple[float, slice]]:
+    """``(w, columns)`` per run of consecutive ``granularities`` of equal
+    weight whose blocks are adjacent in the stacked factor, in order."""
+    factor = out.stacked()
+    order = out.stacked_granularities
+    runs = []
+    for k in granularities:
+        if k not in order:
+            raise RuntimeError(f"granularity {k} was not propagated")
+        width = factor.shape[1] // len(order)
+        start = order.index(k) * width
+        if runs and runs[-1][0] == weights[k] and runs[-1][2] == start:
+            runs[-1][2] = start + width
+        else:
+            runs.append([weights[k], start, start + width])
+    return [(w, slice(start, stop)) for w, start, stop in runs]
 
 
 def score_users(
@@ -239,41 +314,43 @@ def score_users(
 ):
     """Preference scores of ``users`` against ``items`` (default: every item).
 
-    Per granularity k and selected layer, the term is
-    w_k * (e_users @ e_items.T), accumulated in granularity then layer
-    order; the result's shape follows numpy indexing of ``users`` and
-    ``items`` (a scalar for one user and one item).
+    The score sums w_k * <e_u^{k,l}, e_i^{k,l}> over granularities k and
+    the selected layers l.  It is taken as one GEMM of the stacked
+    factor's user rows against its item rows per run of equal weights
+    (:func:`weight_runs`; one run under equal weights), scaled once when
+    w != 1.0 and added in run order.  That equals the term-by-term sum
+    up to rounding.  The result's shape follows numpy indexing of
+    ``users`` and ``items`` (a scalar for one user and one item).
 
-    The sum is built in place: the first product is the result, each
-    later one is written into one scratch buffer, scaled there and added.
-    A term is scaled only when w_k != 1.0, since x * 1.0 == x exactly.
-    Every operation is one of the out-of-place ``w_k * (...)`` summed
-    term by term, so the scores are bit for bit the same.  ``buffers``,
-    two float64 arrays of the result's shape, are used as the result and
-    the scratch instead of new ones.
+    The first run's product is the result; each later one is written
+    into one scratch buffer, scaled there and added.  ``buffers``, a
+    float64 result array and a scratch one (or None: only several runs
+    need it), are used instead of new ones.
     """
     if weights is None:
         weights = out.default_weights
     if granularities is None:
         granularities = range(out.num_granularities)
+    runs = weight_runs(out, weights, granularities)
     result, scratch = (None, None) if buffers is None else buffers
+    factor = out.stacked()
     m = out.num_users
+    user_rows = factor[users]
+    item_rows = factor[m:] if items is None else factor[m + np.asarray(items)]
     scores = None
-    for k in granularities:
-        for l in (out.layers.l_odd, out.layers.l_even):
-            emb = out.layer(k, l)
-            item_rows = emb[m:] if items is None else emb[m + np.asarray(items)]
-            if scores is None:
-                # an array even for one user and one item, so that *= scales it
-                scores = term = np.asarray(np.matmul(emb[users], item_rows.T, out=result))
-            else:
-                if scratch is None:
-                    scratch = np.empty_like(scores)
-                term = np.matmul(emb[users], item_rows.T, out=scratch)
-            if weights[k] != 1.0:
-                term *= weights[k]
-            if term is scratch:
-                scores += scratch
+    for w, columns in runs:
+        u, v = user_rows[..., columns], item_rows[..., columns].T
+        if scores is None:
+            # an array even for one user and one item, so that *= scales it
+            scores = term = np.asarray(np.matmul(u, v, out=result))
+        else:
+            if scratch is None:
+                scratch = np.empty_like(scores)
+            term = np.matmul(u, v, out=scratch)
+        if w != 1.0:
+            term *= w
+        if term is scratch:
+            scores += scratch
     return scores if scores is None or scores.ndim else scores[()]
 
 

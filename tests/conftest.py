@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools
 
-from jmpgcf import InteractionDataset, SelectedLayers, build_adjacency
+from jmpgcf import InteractionDataset, SelectedLayers, build_adjacency, graph
 from jmpgcf.model import PropagationOutput
 
 
@@ -89,6 +90,71 @@ def out_of_place_scores(out, users, items=None, weights=None, granularities=None
             part = weights[k] * (emb[users] @ item_rows.T)
             scores = part if scores is None else scores + part
     return scores
+
+
+def stacked_scores(out, users, items=None, weights=None, granularities=None):
+    """Reference scores as stacked-factor products: per run of consecutive
+    granularities of equal weight that are adjacent in the output's
+    stacked order, fresh copies of their selected layers side by side,
+    one product of the user rows against the item rows, scaled once when
+    the weight is not 1.0; the runs summed out of place in order."""
+    if weights is None:
+        weights = out.default_weights
+    if granularities is None:
+        granularities = range(out.num_granularities)
+    out.stacked()  # for the order only; the factor itself is not read
+    order = out.stacked_granularities
+    runs = []  # [weight, granularities]
+    for k in granularities:
+        if (runs and runs[-1][0] == weights[k]
+                and order.index(k) == order.index(runs[-1][1][-1]) + 1):
+            runs[-1][1].append(k)
+        else:
+            runs.append([weights[k], [k]])
+    m = out.num_users
+    item_index = slice(m, None) if items is None else m + np.asarray(items)
+    scores = None
+    for w, ks in runs:
+        layers = [out.layer(k, l) for k in ks for l in (out.layers.l_odd, out.layers.l_even)]
+        user_factor = np.hstack([layer[users] for layer in layers])
+        item_factor = np.hstack([layer[item_index] for layer in layers])
+        part = user_factor @ item_factor.T
+        if w != 1.0:
+            part = w * part
+        scores = part if scores is None else scores + part
+    return scores
+
+
+def assert_near_term_by_term(got, out, users, items=None, weights=None, granularities=None):
+    """``got`` is within 1e-12 of :func:`out_of_place_scores`, relative to
+    the largest of its magnitudes."""
+    want = out_of_place_scores(out, users, items, weights, granularities)
+    scale = float(np.max(np.abs(want)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class RecordingKernels:
+    """Stands in for scipy's ``_sparsetools`` and records the row count of
+    every block the split path hands to the CSR kernel."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def csr_matvecs(self, *args):
+        self.blocks.append(args[0])
+        return _sparsetools.csr_matvecs(*args)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every product takes the split path, on a fresh pool."""
+    kernels = RecordingKernels()
+    monkeypatch.setattr(graph, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(graph, "_pool", None)
+    monkeypatch.setattr(graph, "_sparsetools", kernels)
+    yield kernels
+    if graph._pool is not None:
+        graph._pool.shutdown()
 
 
 def assert_datasets_equal(a: InteractionDataset, b: InteractionDataset):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +18,15 @@ from jmpgcf import (
     recall_at_k,
 )
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
+from jmpgcf.model import PropagationOutput, score_users
 
-from conftest import make_random_dataset, manual_output, out_of_place_scores
+from conftest import (
+    assert_near_term_by_term,
+    make_random_dataset,
+    manual_output,
+    out_of_place_scores,
+    stacked_scores,
+)
 
 
 def sort_oracle(scores, exclude, k):
@@ -210,6 +218,29 @@ class TestEvaluate:
         eager = evaluate(params, propagate(params, mats, layers, retain_chain=False), ds, k=5)
         assert threaded == single == eager
 
+    def test_training_output_stacks_once_on_the_calling_thread(self, monkeypatch):
+        ds = make_random_dataset(np.random.default_rng(6), 40, 30, max_degree=6, with_test=True)
+        cfg = PopularityConfig(granularity_weights=(1.0, 0.5, 0.5))
+        mats = propagation_matrices(ds, cfg)
+        params = init_parameters(40, 30, 4, cfg, seed=6)
+        builds = []
+        stacked = PropagationOutput.stacked
+
+        def recording(self):
+            if self.factor is None:
+                builds.append(threading.get_ident())
+            return stacked(self)
+
+        monkeypatch.setattr(PropagationOutput, "stacked", recording)
+        reports = []
+        for workers in (1, 3):
+            out = propagate(params, mats, SelectedLayers(3, 4))
+            builds.clear()
+            reports.append(evaluate_cutoffs(params, out, ds, (1, 5), workers=workers,
+                                            chunk_size=4))
+            assert builds == [threading.get_ident()]
+        assert reports[0] == reports[1]
+
     def test_cutoffs_equal_separate_evaluations(self):
         rng = np.random.default_rng(4)
         num_users, num_items = 20, 30
@@ -279,13 +310,13 @@ class TestEvaluate:
 
 
 def reference_reports(out, ds, cutoffs, chunk_size, weights=None):
-    """evaluate_cutoffs rebuilt from the out-of-place scores and the
-    negated-copy ranking of each row, over the same chunks."""
+    """evaluate_cutoffs rebuilt from the stacked-factor reference scores
+    and the negated-copy ranking of each row, over the same chunks."""
     evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
     recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
     for start in range(0, len(evaluable), chunk_size):
         users = evaluable[start:start + chunk_size]
-        scores = out_of_place_scores(out, users, weights=weights)
+        scores = stacked_scores(out, users, weights=weights)
         for row, u in enumerate(users):
             ranked = negated_copy_ranking(scores[row], ds.train[u], max(cutoffs))
             for c, k in enumerate(cutoffs):
@@ -297,7 +328,8 @@ def reference_reports(out, ds, cutoffs, chunk_size, weights=None):
 
 class TestEvaluateExactness:
     """evaluate_cutoffs masks and ranks the chunk's scores in place; its
-    reports equal the reference bit for bit."""
+    reports equal the stacked-factor reference bit for bit, and its scores
+    the term-by-term sum within 1e-12."""
 
     CUTOFFS = (1, 5, 20, 40)
     num_users, num_items = 41, 26
@@ -339,8 +371,14 @@ class TestEvaluateExactness:
         got = evaluate_cutoffs(None, out, ds, self.CUTOFFS, workers=workers,
                                chunk_size=chunk_size)
         assert got == reference_reports(out, ds, self.CUTOFFS, chunk_size)
-        if integer_valued:  # exact sums: the chunking cannot matter
+        if integer_valued:  # each run's sum is exact: the chunking cannot matter
             assert got == reference_reports(out, ds, self.CUTOFFS, 256)
+
+    @pytest.mark.parametrize("integer_valued", [True, False])
+    def test_scores_near_term_by_term_sum(self, integer_valued):
+        out = self.output(integer_valued)
+        users = list(range(self.num_users))
+        assert_near_term_by_term(score_users(out, users), out, users)
 
     def test_fixture_has_the_edge_cases(self, ds):
         out = self.output(True)

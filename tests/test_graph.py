@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from jmpgcf import graph
 from jmpgcf import (
@@ -21,7 +20,7 @@ from jmpgcf import (
 )
 from jmpgcf.graph import degrees
 
-from conftest import dense_normalized, make_random_dataset
+from conftest import RecordingKernels, dense_normalized, make_random_dataset
 
 
 class TestBuildAdjacency:
@@ -177,30 +176,6 @@ class TestSpmm:
             spmm(mat, np.ones((5, 2)))
 
 
-class _RecordingKernels:
-    """Stands in for scipy's ``_sparsetools`` and records the row count of
-    every block the split path hands to the CSR kernel."""
-
-    def __init__(self):
-        self.blocks = []
-
-    def csr_matvecs(self, *args):
-        self.blocks.append(args[0])
-        return _sparsetools.csr_matvecs(*args)
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """Every product takes the split path, on a fresh pool."""
-    kernels = _RecordingKernels()
-    monkeypatch.setattr(graph, "PARALLEL_WORK", 0)
-    monkeypatch.setattr(graph, "_pool", None)
-    monkeypatch.setattr(graph, "_sparsetools", kernels)
-    yield kernels
-    if graph._pool is not None:
-        graph._pool.shutdown()
-
-
 def _assert_serial_bits(mat, dense):
     got = spmm(mat, dense)
     want = mat.to_scipy() @ dense
@@ -321,7 +296,7 @@ class TestParallelSpmm:
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
     def test_small_products_stay_serial(self, monkeypatch):
-        kernels = _RecordingKernels()
+        kernels = RecordingKernels()
         monkeypatch.setattr(graph, "_sparsetools", kernels)
         rng = np.random.default_rng(28)
         mat = _random_csr(rng, 100, 100, 0.1)

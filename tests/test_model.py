@@ -20,9 +20,16 @@ from jmpgcf import (
     score_pair,
     spmm,
 )
-from jmpgcf.model import score_users
+from jmpgcf import graph
+from jmpgcf.model import score_users, weight_runs
 
-from conftest import make_random_dataset, manual_output, out_of_place_scores
+from conftest import (
+    assert_near_term_by_term,
+    make_random_dataset,
+    manual_output,
+    out_of_place_scores,
+    stacked_scores,
+)
 
 
 def identity_matrices(nv, count=3):
@@ -185,6 +192,23 @@ class TestDeferredLayer:
             assert training.chains[k][4] is None
             np.testing.assert_array_equal(training.layer(k, 4), full[4])
 
+    def test_deferred_rows_take_the_split_path(self, split, monkeypatch):
+        """Above the work threshold (here 0) the deferred layer's rows go
+        through spmm's row split, and still equal the layer's rows."""
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        params, mats = self.make()
+        training = propagate(params, mats, SelectedLayers(3, 4))
+        idx = np.array([19, 0, 7, 7, 12, 0, 3, 19])
+        for k in range(3):
+            full = params.base_for(k)
+            for _ in range(4):
+                full = mats[k].to_scipy() @ full
+            split.blocks.clear()
+            rows = training.rows(k, 4, idx)
+            assert len(split.blocks) == 2 and sum(split.blocks) == idx.size
+            assert rows.tobytes() == full[idx].tobytes()
+            assert training.chains[k][4] is None
+
     def test_eager_output_has_every_selected_layer(self):
         _, eager = self.outputs(layers=SelectedLayers(1, 4))
         assert eager.deferred == frozenset()
@@ -198,6 +222,115 @@ class TestDeferredLayer:
             training.layer(0, 4)
         with pytest.raises(RuntimeError):
             training.rows(0, 4, np.array([0]))
+
+
+class TestStackedFactor:
+    """An eager output keeps its selected layers side by side in one
+    factor, and scoring reads only that factor."""
+
+    dim = 3
+
+    @pytest.fixture(scope="class")
+    def made(self):
+        ds = make_random_dataset(np.random.default_rng(40), 9, 11)
+        cfg = PopularityConfig()
+        return init_parameters(9, 11, self.dim, cfg, seed=40), propagation_matrices(ds, cfg)
+
+    @pytest.fixture(scope="class")
+    def out(self, made):
+        return propagate(*made, SelectedLayers(3, 4), retain_chain=False)
+
+    def test_layers_are_views_of_their_blocks(self, made, out):
+        params, _ = made
+        assert out.factor.shape == (20, 2 * 3 * self.dim)
+        assert out.stacked() is out.factor
+        assert out.stacked_granularities == (0, 1, 2)
+        for k in range(3):
+            assert out.chains[k][0] is params.base_for(k)
+            for j, l in enumerate((3, 4)):
+                start = (2 * k + j) * self.dim
+                block = out.factor[:, start:start + self.dim]
+                assert np.shares_memory(out.chains[k][l], block)
+                assert out.chains[k][l].tobytes() == block.tobytes()
+            assert out.chains[k][1] is None and out.chains[k][2] is None
+
+    def test_layers_equal_chained_spmm(self, made, out):
+        params, mats = made
+        for k in range(3):
+            chain = [params.base_for(k)]
+            for _ in range(4):
+                chain.append(spmm(mats[k], chain[-1]))
+            for l in (3, 4):
+                assert out.layer(k, l).tobytes() == chain[l].tobytes()
+
+    def test_granularity_subset(self, made, out):
+        sub = propagate(*made, SelectedLayers(3, 4), retain_chain=False, granularities={2, 0})
+        assert sub.stacked_granularities == (0, 2)
+        assert sub.factor.shape == (20, 2 * 2 * self.dim)
+        for k in (0, 2):
+            for l in (3, 4):
+                assert np.shares_memory(sub.chains[k][l], sub.factor)
+                assert sub.layer(k, l).tobytes() == out.layer(k, l).tobytes()
+        # adjacent in this factor: one product under equal weights
+        assert weight_runs(sub, (1.0,) * 3, [0, 2]) == [(1.0, slice(0, 4 * self.dim))]
+        got = score_users(sub, [1, 4], granularities=[0, 2])
+        assert got.tobytes() == stacked_scores(sub, [1, 4], granularities=[0, 2]).tobytes()
+        assert_near_term_by_term(got, out, [1, 4], granularities=[0, 2])
+        with pytest.raises(RuntimeError, match="granularity 1"):
+            score_users(sub, [1, 4])
+
+    @pytest.mark.parametrize("weights", [None, (1.0, 0.5, 1 / 3)])
+    def test_scalar_user_and_item_shapes(self, out, weights):
+        for users, items, shape in [(3, 2, ()), (3, None, (11,)), ([3], 2, (1,)),
+                                    (3, [2, 5], (2,)), ([3, 4], [2], (2, 1)),
+                                    ([3, 4], None, (2, 11))]:
+            got = score_users(out, users, items, weights=weights)
+            assert np.shape(got) == shape
+            if shape == ():
+                assert type(got) is np.float64
+            want = stacked_scores(out, users, items, weights=weights)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("weights, runs", [
+        ((1.0, 1.0, 1.0), [(1.0, slice(0, 18))]),
+        ((1.0, 0.5, 1.0), [(1.0, slice(0, 6)), (0.5, slice(6, 12)), (1.0, slice(12, 18))]),
+        ((0.5, 0.5, 2.0), [(0.5, slice(0, 12)), (2.0, slice(12, 18))]),
+    ])
+    def test_runs_of_equal_adjacent_weights(self, out, weights, runs):
+        assert weight_runs(out, weights, range(3)) == runs
+        assert weight_runs(out, weights, [2, 0]) == [
+            (weights[2], slice(12, 18)), (weights[0], slice(0, 6))]
+        got = score_users(out, [0, 5, 8], weights=weights)
+        assert got.tobytes() == stacked_scores(out, [0, 5, 8], weights=weights).tobytes()
+        assert_near_term_by_term(got, out, [0, 5, 8], weights=weights)
+
+    def test_one_product_under_equal_weights(self, out, monkeypatch):
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        score_users(out, [0, 5, 8], buffers=(np.empty((3, 11)), None))
+        assert calls == [(3, 18)]
+        calls.clear()
+        score_users(out, [0, 5, 8], weights=(1.0, 2.0, 2.0))
+        assert calls == [(3, 6), (3, 12)]
+
+    def test_retained_chain_stacks_once(self, made, out):
+        training = propagate(*made, SelectedLayers(3, 4))
+        assert training.factor is None
+        layer2 = training.layer(1, 2)
+        factor = training.stacked()
+        assert training.stacked() is factor
+        assert factor.tobytes() == out.factor.tobytes()
+        assert training.stacked_granularities == (0, 1, 2)
+        for k in range(3):
+            for l in (3, 4):
+                assert np.shares_memory(training.chains[k][l], factor)
+        assert training.layer(1, 2) is layer2
 
 
 class TestScoring:
@@ -302,9 +435,11 @@ class TestScoring:
 
 
 class TestScoreUsersBitwise:
-    """The in-place sum equals the out-of-place one bit for bit."""
+    """The scores equal the stacked-factor reference bit for bit, and the
+    term-by-term sum within 1e-12."""
 
-    WEIGHTS = [None, (1.0, 1.0, 1.0), (0.5, 1 / 3, 0.7), (1.0, 0.1, 3.0)]
+    WEIGHTS = [None, (1.0, 1.0, 1.0), (0.5, 1 / 3, 0.7), (1.0, 0.1, 3.0), (0.5, 2.0, 0.5),
+               (1.0, 1.0, 0.5)]
 
     @pytest.fixture(scope="class")
     def out(self):
@@ -320,45 +455,49 @@ class TestScoreUsersBitwise:
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
+    def assert_scores(self, got, out, *args, **kwargs):
+        self.assert_bitwise(got, stacked_scores(out, *args, **kwargs))
+        assert_near_term_by_term(got, out, *args, **kwargs)
+
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_user_chunk(self, out, weights):
         users = [0, 3, 4, 9, 22, 17]
-        self.assert_bitwise(score_users(out, users, weights=weights),
-                            out_of_place_scores(out, users, weights=weights))
+        self.assert_scores(score_users(out, users, weights=weights), out, users, weights=weights)
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_scalar_user_and_item(self, out, weights):
         for u in (0, 7, 22):
             for i in (0, 13, 30):
                 got = score_pair(out, u, i, weights=weights)
-                want = out_of_place_scores(out, u, i, weights=weights)
+                want = stacked_scores(out, u, i, weights=weights)
                 assert type(got) is float
                 assert got.hex() == float(want).hex()
-                self.assert_bitwise(score_users(out, u, i, weights=weights), want)
+                self.assert_scores(score_users(out, u, i, weights=weights), out, u, i,
+                                   weights=weights)
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_scalar_user(self, out, weights):
         for u in (1, 12):
             got = score_all_items(out, u, weights=weights)
             assert got.shape == (31,)
-            self.assert_bitwise(got, out_of_place_scores(out, u, weights=weights))
+            self.assert_scores(got, out, u, weights=weights)
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_item_subset(self, out, weights):
         users, items = [2, 5, 19], [30, 0, 4, 4, 11]
-        self.assert_bitwise(score_users(out, users, items, weights=weights),
-                            out_of_place_scores(out, users, items, weights=weights))
+        self.assert_scores(score_users(out, users, items, weights=weights), out, users, items,
+                           weights=weights)
 
-    @pytest.mark.parametrize("granularities", [[0], [2], [1, 2], [2, 0]])
+    @pytest.mark.parametrize("granularities", [[0], [2], [1, 2], [2, 0], [0, 2], [2, 1, 0]])
     def test_granularity_subset(self, out, granularities):
         for weights in self.WEIGHTS:
-            self.assert_bitwise(
+            self.assert_scores(
                 score_users(out, [6, 8], weights=weights, granularities=granularities),
-                out_of_place_scores(out, [6, 8], weights=weights, granularities=granularities),
+                out, [6, 8], weights=weights, granularities=granularities,
             )
-            self.assert_bitwise(
+            self.assert_scores(
                 score_pair(out, 6, 3, weights=weights, granularities=granularities),
-                out_of_place_scores(out, 6, 3, weights=weights, granularities=granularities),
+                out, 6, 3, weights=weights, granularities=granularities,
             )
 
     @pytest.mark.parametrize("weights", WEIGHTS)
@@ -367,7 +506,11 @@ class TestScoreUsersBitwise:
         result, scratch = np.full((4, 31), np.nan), np.full((4, 31), np.nan)
         got = score_users(out, users, weights=weights, buffers=(result, scratch))
         assert got is result
-        self.assert_bitwise(got, out_of_place_scores(out, users, weights=weights))
+        self.assert_scores(got, out, users, weights=weights)
+        # one run needs no scratch
+        got = score_users(out, users, weights=(0.7,) * 3, buffers=(result, None))
+        assert got is result
+        self.assert_scores(got, out, users, weights=(0.7,) * 3)
 
     def test_result_is_a_fresh_array(self, out):
         """The caller owns the scores: writing them leaves the layers alone."""
