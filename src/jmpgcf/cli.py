@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from .data import DatasetFormatError, load_dataset, split_validation
-from .graph import GraphConfigError, PopularityConfig, propagation_matrices
+from .graph import GraphConfigError, PopularityConfig, _cores, propagation_matrices
 from .layers import (
     LayerSelectionConfig,
     LayerSelectionError,
@@ -66,7 +66,8 @@ class RunConfig:
     l_even: int = None
     sample_size: int = 100
     max_hops: int = 20
-    workers: int = 0  # evaluation threads; 0 = every core; results are worker-count invariant
+    # evaluation threads; 0 = every core in the CPU affinity; results are worker-count invariant
+    workers: int = 0
     eval_every: int = 0
     validation_fraction: float = field(
         default=0.0,
@@ -162,6 +163,19 @@ def _resolve_config(args) -> RunConfig:
         raise ConfigError("l_odd and l_even must be given together")
     if cfg.topk < 1:
         raise ConfigError(f"topk must be >= 1, got {cfg.topk}")
+    if cfg.eval_every < 0:
+        raise ConfigError(f"eval_every must be >= 0, got {cfg.eval_every}")
+    if cfg.workers < 0:
+        raise ConfigError(f"workers must be >= 0, got {cfg.workers}")
+    if not 0 <= cfg.validation_fraction < 1:
+        raise ConfigError(
+            f"validation_fraction must be in [0, 1), got {cfg.validation_fraction}"
+        )
+    if cfg.validation_fraction > 0 and cfg.eval_every == 0:
+        raise ConfigError(
+            "validation_fraction needs eval_every >= 1: only the periodic "
+            "evaluation reads the holdout"
+        )
     return cfg
 
 
@@ -344,7 +358,7 @@ def _propagated(params, ds, layers):
 
 
 def _eval_workers(cfg) -> int:
-    return cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+    return cfg.workers if cfg.workers > 0 else _cores()
 
 
 def cmd_evaluate(cfg, args) -> int:

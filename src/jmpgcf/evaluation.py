@@ -152,7 +152,7 @@ def evaluate_cutoffs(
         raise ValueError("no user has held-out items to evaluate")
     recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
     deepest = max(cutoffs)
-    # stacks a retained chain's factor here, once, before any worker reads it
+    # raises here, before any worker starts, for an output that cannot be scored
     several_runs = len(weight_runs(out, weights, range(out.num_granularities))) > 1
 
     def run_chunk(start, buffers=None):

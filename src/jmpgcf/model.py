@@ -8,17 +8,18 @@ no nonlinearities anywhere in the forward path.
 
 That sum is one inner product of stacked factors.  With the selected
 layers of every granularity side by side, ``[e^{k,odd} | e^{k,even}]``
-for k in order (:meth:`PropagationOutput.stacked`), a user's row, each
+for k in order (``PropagationOutput.factor``), a user's row, each
 block scaled by its w_k, against an item's row gives the score.
 :func:`score_users` takes one GEMM over the stacked factor per run of
 equal weights, scaled once, which equals the term-by-term sum up to
-rounding.
+rounding.  Only :func:`propagate` with ``retain_chain=False`` lays that
+factor out, so only such an output can be scored; a training output
+keeps just the layers its loss and gradient read.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,20 +109,23 @@ class PropagationOutput:
     """Propagated embedding matrices per granularity and layer.
 
     ``chains[k][l]`` is the (m+n, embed_dim) matrix after l propagation
-    steps at granularity k (index 0 is the base table); entries may be
-    None for non-selected layers when the chain was not retained.
+    steps at granularity k (index 0 is the base table), or None for a
+    layer that nothing reads and so was not kept.
 
-    A retained chain defers its deepest layer: for each granularity in
-    ``deferred``, ``chains[k][depth]`` stays None until :meth:`layer`
-    computes and caches it.  :meth:`rows` reads rows of that layer
-    without it, as ``A_k[idx] @ chains[k][depth - 1]``; a training step
-    reads only its batch's rows, and its loss and backward pass share one
-    extraction of ``A_k[idx]`` (:meth:`operator_rows`).
+    A training output (``retain_chain=True``) keeps the base, the
+    selected layers and layer depth - 1, and defers its deepest layer:
+    for each granularity in ``deferred``, ``chains[k][depth]`` stays None
+    until :meth:`layer` computes and caches it.  :meth:`rows` reads rows
+    of that layer without it, as ``A_k[idx] @ chains[k][depth - 1]``; a
+    training step reads only its batch's rows, and its loss and backward
+    pass share one extraction of ``A_k[idx]`` (:meth:`operator_rows`).
 
-    ``factor`` holds the selected layers of the granularities in
-    ``stacked_granularities`` side by side, one (m+n, 2 * embed_dim)
-    column block per granularity, odd layer first; each of those
-    ``chains[k][l]`` is then a view of its half block (:meth:`stacked`).
+    An eager output (``retain_chain=False``) keeps the base and the
+    selected layers.  ``factor`` holds the selected layers of the
+    granularities in ``stacked_granularities`` side by side, one
+    (m+n, 2 * embed_dim) column block per granularity, odd layer first,
+    and each of those ``chains[k][l]`` is a view of its half block.  Only
+    an output with a factor can be scored (:func:`score_users`).
     """
 
     num_users: int
@@ -136,7 +140,6 @@ class PropagationOutput:
     stacked_granularities: tuple[int, ...] = ()
     # k -> [idx, A_k[idx], deferred-layer rows at idx or None]; the last idx only
     _row_cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property
     def num_granularities(self) -> int:
@@ -153,9 +156,7 @@ class PropagationOutput:
         """Layer ``l`` of granularity ``k``; a deferred layer is computed
         in full on the first read and kept."""
         if self._is_pending(k, l):
-            with self._lock:  # evaluation threads may read it concurrently
-                if self.chains[k][l] is None:
-                    self.chains[k][l] = spmm(self.matrices[k], self.chains[k][l - 1])
+            self.chains[k][l] = spmm(self.matrices[k], self.chains[k][l - 1])
         mat = self.chains[k][l]
         if mat is None:
             raise RuntimeError(f"layer {l} of granularity {k} was not retained")
@@ -173,109 +174,72 @@ class PropagationOutput:
         if not self._is_pending(k, l):
             return self.layer(k, l)[idx]
         entry = self._row_entry(k, idx)
-        with self._lock:
-            if entry[2] is None:
-                entry[2] = spmm(SparseMatrix.from_scipy(entry[1]), self.chains[k][l - 1])
+        if entry[2] is None:
+            entry[2] = spmm(SparseMatrix.from_scipy(entry[1]), self.chains[k][l - 1])
         return entry[2]
-
-    def stacked(self) -> np.ndarray:
-        """The selected layers side by side (see ``factor``).  An output
-        propagated without it (a retained chain) concatenates it on the
-        first call, from every granularity whose selected layers it holds,
-        computing a deferred layer in full; those layers' entries in
-        ``chains`` then become views of the factor, so that no layer is
-        held twice."""
-        with self._lock:
-            if self.factor is None:
-                selected = (self.layers.l_odd, self.layers.l_even)
-                ks = tuple(
-                    k for k in range(self.num_granularities)
-                    if all(self.chains[k][l] is not None or self._is_pending(k, l)
-                           for l in selected)
-                )
-                pairs = [(k, l) for k in ks for l in selected]
-                blocks = [self.layer(k, l) for k, l in pairs]
-                self.factor = (np.concatenate(blocks, axis=1) if blocks
-                               else np.empty((self.num_users + self.num_items, 0)))
-                self.stacked_granularities = ks
-                start = 0
-                for (k, l), block in zip(pairs, blocks):
-                    self.chains[k][l] = self.factor[:, start:start + block.shape[1]]
-                    start += block.shape[1]
-            return self.factor
 
     def _row_entry(self, k, idx):
         idx = np.asarray(idx)
-        with self._lock:
-            entry = self._row_cache.get(k)
-            if entry is None or not np.array_equal(entry[0], idx):
-                entry = [idx.copy(), self.matrices[k].to_scipy()[idx], None]
-                self._row_cache[k] = entry
-            return entry
+        entry = self._row_cache.get(k)
+        if entry is None or not np.array_equal(entry[0], idx):
+            entry = [idx.copy(), self.matrices[k].to_scipy()[idx], None]
+            self._row_cache[k] = entry
+        return entry
 
 
 def propagate(
     params: ModelParameters,
     matrices,
     layers: SelectedLayers,
-    depth=None,
     retain_chain=True,
     granularities=None,
 ) -> PropagationOutput:
-    """Run linear propagation for every granularity up to ``depth``.
+    """Run linear propagation for every granularity up to the deeper
+    selected layer.
 
     Each step multiplies the previous layer by the granularity's
-    normalized adjacency.  ``depth`` defaults to the deeper selected
-    layer.  With ``retain_chain=True`` (training) every layer is kept,
-    but the last one is deferred: it is computed on first read, or only
-    at the rows asked for (see :class:`PropagationOutput`).  With
-    ``retain_chain=False`` only the selected layers are kept, all
-    computed here (enough for scoring, not for gradients).
-    ``granularities`` restricts the work to a subset (phases early in the
-    schedule never read the finer chains); other chains are present but
-    empty.
+    normalized adjacency, and a step's output is kept only if something
+    reads it later.  With ``retain_chain=True`` (training) those are the
+    selected layers and the layer below the deepest; the deepest layer
+    itself is deferred: it is computed on first read, or only at the
+    rows asked for (see :class:`PropagationOutput`).  With
+    ``retain_chain=False`` every selected layer is computed here, into
+    its block of the stacked factor; only such an output can be scored.
+    ``granularities`` restricts the work to a subset (phases early in
+    the schedule never read the finer chains); other chains are present
+    but empty.
     """
-    if depth is None:
-        depth = layers.depth
-    if depth < layers.depth:
-        raise ValueError(f"depth {depth} below deepest selected layer {layers.depth}")
-    if len(matrices) != params.popularity.num_granularities:
-        raise ValueError(
-            f"expected {params.popularity.num_granularities} matrices, got {len(matrices)}"
-        )
-    wanted = (
-        set(range(params.popularity.num_granularities))
-        if granularities is None
-        else set(granularities)
-    )
+    count = params.popularity.num_granularities
+    if len(matrices) != count:
+        raise ValueError(f"expected {count} matrices, got {len(matrices)}")
+    chosen = set(range(count) if granularities is None else granularities)
+    wanted = tuple(k for k in range(count) if k in chosen)
+    depth = layers.depth
     selected = (layers.l_odd, layers.l_even)
+    keep = {*selected, depth - 1} if retain_chain else set(selected)
     computed = depth - 1 if retain_chain else depth
-    stacked = tuple(k for k in range(params.popularity.num_granularities) if k in wanted)
     dim = params.embed_dim
     factor = None
     if not retain_chain:
-        factor = np.empty((params.num_users + params.num_items, 2 * len(stacked) * dim))
+        factor = np.empty((params.num_users + params.num_items, 2 * len(wanted) * dim))
     chains = []
-    deferred = set()
-    for k in range(params.popularity.num_granularities):
+    for k in range(count):
         if k not in wanted:
             chains.append([None] * (depth + 1))
             continue
-        if retain_chain:
-            deferred.add(k)
         current = params.base_for(k)
         chain = [current]
         for l in range(1, computed + 1):
             current = spmm(matrices[k], current)
-            if retain_chain:
+            if l not in keep:
+                chain.append(None)
+            elif retain_chain:
                 chain.append(current)
-            elif l in selected:
-                start = (2 * stacked.index(k) + selected.index(l)) * dim
+            else:
+                start = (2 * wanted.index(k) + selected.index(l)) * dim
                 block = factor[:, start:start + dim]
                 block[...] = current
                 chain.append(block)
-            else:
-                chain.append(None)
         chains.append(chain + [None] * (depth - computed))
     return PropagationOutput(
         num_users=params.num_users,
@@ -285,16 +249,21 @@ def propagate(
         matrices=list(matrices),
         default_weights=params.popularity.granularity_weights,
         shared_base=params.shared_base,
-        deferred=frozenset(deferred),
+        deferred=frozenset(wanted) if retain_chain else frozenset(),
         factor=factor,
-        stacked_granularities=() if retain_chain else stacked,
+        stacked_granularities=() if retain_chain else wanted,
     )
 
 
 def weight_runs(out: PropagationOutput, weights, granularities) -> list[tuple[float, slice]]:
     """``(w, columns)`` per run of consecutive ``granularities`` of equal
     weight whose blocks are adjacent in the stacked factor, in order."""
-    factor = out.stacked()
+    factor = out.factor
+    if factor is None:
+        raise RuntimeError(
+            "only an output of propagate(retain_chain=False) can be scored: "
+            "this one has no stacked factor"
+        )
     order = out.stacked_granularities
     runs = []
     for k in granularities:
@@ -333,7 +302,7 @@ def score_users(
         granularities = range(out.num_granularities)
     runs = weight_runs(out, weights, granularities)
     result, scratch = (None, None) if buffers is None else buffers
-    factor = out.stacked()
+    factor = out.factor
     m = out.num_users
     user_rows = factor[users]
     item_rows = factor[m:] if items is None else factor[m + np.asarray(items)]

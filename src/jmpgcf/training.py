@@ -12,11 +12,14 @@ granularities.
 Gradients are analytic: per-row contributions at the selected layers
 are pulled back to the base tables by repeated multiplication with the
 transposed propagation matrix (required: the matrix is asymmetric for
-granularity > 0).  Propagation is recomputed every step from the
-current parameters, full-graph up to the layer below the deepest; the
-loss is mini-batch and reads the deepest layer only at the batch's rows,
-and the pull-back starts from those rows.  Every sum keeps the order of
-the full-size computation, so the results are bit-identical to it.
+granularity > 0).  The pull-back is linear and reads no forward
+activation, so a step needs only the selected layers.  Propagation is
+recomputed every step from the current parameters, full-graph up to the
+layer below the deepest, and keeps only the selected layers and that
+one; the loss is mini-batch and reads the deepest layer only at the
+batch's rows, and the pull-back starts from those rows.  Every sum
+keeps the order of the full-size computation, so the results are
+bit-identical to it.
 """
 
 from __future__ import annotations

@@ -56,9 +56,12 @@ def dense_normalized(ds, k, unit):
 
 
 def manual_output(chains, l_odd=1, l_even=2, num_users=None, weights=None, matrices=None):
-    """Build a PropagationOutput directly from per-granularity layer lists."""
+    """Build a scorable PropagationOutput directly from per-granularity
+    layer lists; its factor holds copies of the selected layers side by
+    side, as an eager output's does."""
     chains = [[np.asarray(m, dtype=np.float64) for m in chain] for chain in chains]
     rows = chains[0][0].shape[0]
+    factor = np.concatenate([chain[l] for chain in chains for l in (l_odd, l_even)], axis=1)
     if num_users is None:
         num_users = rows // 2
     if weights is None:
@@ -71,6 +74,8 @@ def manual_output(chains, l_odd=1, l_even=2, num_users=None, weights=None, matri
         matrices=list(matrices) if matrices is not None else [],
         default_weights=tuple(weights),
         shared_base=False,
+        factor=factor,
+        stacked_granularities=tuple(range(len(chains))),
     )
 
 
@@ -102,8 +107,7 @@ def stacked_scores(out, users, items=None, weights=None, granularities=None):
         weights = out.default_weights
     if granularities is None:
         granularities = range(out.num_granularities)
-    out.stacked()  # for the order only; the factor itself is not read
-    order = out.stacked_granularities
+    order = out.stacked_granularities  # the factor itself is not read
     runs = []  # [weight, granularities]
     for k in granularities:
         if (runs and runs[-1][0] == weights[k]

@@ -142,12 +142,18 @@ def test_criterion_2_propagation_oracle():
                         norm.toarray(), scaled, rtol=1e-12, atol=1e-14
                     )
                 params = init_parameters(m, n, 3, cfg, seed=trial)
-                out = propagate(params, [norm] * 3, SelectedLayers(3, 4))
+                # layers 1-4 are the selected layers of two eager outputs
+                propagated = {}
+                for pair in ((1, 2), (3, 4)):
+                    out = propagate(
+                        params, [norm] * 3, SelectedLayers(*pair), retain_chain=False
+                    )
+                    propagated.update((l, out.layer(k, l)) for l in pair)
                 expected = params.base_for(k)
                 for l in range(1, 5):
                     expected = dense @ expected
                     np.testing.assert_allclose(
-                        out.layer(k, l), expected, rtol=1e-12, atol=1e-14
+                        propagated[l], expected, rtol=1e-12, atol=1e-14
                     )
 
 
@@ -238,6 +244,7 @@ def test_criterion_4_loss_and_prediction_equivalence():
         joint = separated_bpr_loss(out, batch, {0, 1, 2}, lam)
         assert math.isclose(cumulative_loss, joint, rel_tol=1e-12, abs_tol=1e-12)
 
+        out = propagate(params, mats, layers, retain_chain=False)
         for u, i in [(0, 0), (3, 5), (7, 8)]:
             cumulative_score = 0.0
             for phase in range(1, schedule.num_phases + 1):
@@ -294,12 +301,15 @@ def test_criterion_6_popularity_monotonicity():
             mats = propagation_matrices(ds, cfg)
             ones = [np.ones((m + n, 2)) for _ in range(3)]
             params = ModelParameters(m, n, 2, cfg, ones)
-            out = propagate(params, mats, SelectedLayers(3, 2))
+            # layers 1-3 are the selected layers of two eager outputs
+            propagated = {}
+            for pair in ((1, 2), (3, 2)):
+                out = propagate(params, mats, SelectedLayers(*pair), retain_chain=False)
+                propagated.update((l, (out.layer(0, l), out.layer(2, l))) for l in pair)
             deg = degrees(build_adjacency(ds))
             touched = deg > 0
             for l in (1, 2, 3):
-                low = out.layer(0, l)
-                high = out.layer(2, l)
+                low, high = propagated[l]
                 assert np.all(high >= low)
                 assert np.all(high[touched] > low[touched])
                 assert np.all(high[~touched] == low[~touched])

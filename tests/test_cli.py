@@ -90,7 +90,12 @@ class TestConfigResolution:
     def test_every_field_is_a_flag_and_a_config_key(self, name, tmp_path):
         types = get_type_hints(RunConfig)
         sample = {str: "somewhere", int: "3", float: "0.25", bool: "true", tuple: "1,2,3"}
-        names = ["l_odd", "l_even"] if name in ("l_odd", "l_even") else [name]
+        # settings that are only valid together
+        names = {
+            "l_odd": ["l_odd", "l_even"],
+            "l_even": ["l_odd", "l_even"],
+            "validation_fraction": ["validation_fraction", "eval_every"],
+        }.get(name, [name])
         argv, lines = [], []
         for key in names:
             text = "sgd" if key == "optimizer" else sample[types[key]]
@@ -221,8 +226,9 @@ class TestTrainCommand:
         assert all("recall@3" in r for r in records)
 
 
-    def test_workers_reach_per_epoch_evaluation(self, toy_dir, tmp_path, monkeypatch):
-        """--workers reaches train()'s evaluate and changes no byte of metrics.jsonl."""
+    @pytest.fixture
+    def evaluation_workers(self, monkeypatch):
+        """The ``workers`` of every evaluate() call, in order."""
         seen = []
         evaluate = jmpgcf.evaluation.evaluate
 
@@ -231,6 +237,11 @@ class TestTrainCommand:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(jmpgcf.evaluation, "evaluate", spying_evaluate)
+        return seen
+
+    def test_workers_reach_per_epoch_evaluation(self, toy_dir, tmp_path, monkeypatch,
+                                                evaluation_workers):
+        """--workers reaches train()'s evaluate and changes no byte of metrics.jsonl."""
         logged = []
         for workers in (1, 2):
             ticks = iter(range(10**6))
@@ -246,9 +257,56 @@ class TestTrainCommand:
             )
             assert rc == 0
             logged.append((out_dir / "metrics.jsonl").read_bytes())
-        assert seen == [1] * 4 + [2] * 4
+        assert evaluation_workers == [1] * 4 + [2] * 4
         assert b"recall@3" in logged[0]
         assert logged[0] == logged[1]
+
+    def test_workers_zero_counts_the_cpu_affinity(self, toy_dir, monkeypatch,
+                                                  evaluation_workers):
+        """--workers 0 gives one evaluation thread per core the process may
+        run on (as under ``taskset -c 0``), not per core of the machine."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rc = run(
+            "train", "--data-dir", toy_dir, "--output-dir", toy_dir,
+            "--k", "0", "--epochs-per-phase", "2", "--embed-dim", "4",
+            "--batch-size", "8", "--l-odd", "1", "--l-even", "2",
+            "--eval-every", "1", "--topk", "3", "--workers", "0",
+        )
+        assert rc == 0
+        assert evaluation_workers == [1, 1]
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"validation_fraction": "1.5"}, "validation_fraction must be in [0, 1)"),
+            ({"validation_fraction": "-0.5"}, "validation_fraction must be in [0, 1)"),
+            ({"validation_fraction": "0.5"}, "validation_fraction needs eval_every >= 1"),
+            ({"validation_fraction": "0.5", "eval_every": "0"},
+             "validation_fraction needs eval_every >= 1"),
+            ({"eval_every": "-2"}, "eval_every must be >= 0"),
+            ({"workers": "-3"}, "workers must be >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_setting_exits_2_before_reading_data(
+        self, toy_dir, capsys, settings, message, source
+    ):
+        (toy_dir / "train.txt").write_text("0 x\n")  # reading it would exit 1
+        if source == "flag":
+            given = [arg for name, value in settings.items()
+                     for arg in ("--" + name.replace("_", "-"), value)]
+        else:
+            cfg_file = toy_dir / "run.cfg"
+            cfg_file.write_text("".join(f"{name}={value}\n" for name, value in settings.items()))
+            given = ["--config", cfg_file]
+        rc = run(
+            "train", "--data-dir", toy_dir, "--output-dir", toy_dir,
+            "--l-odd", "1", "--l-even", "2", *given,
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (toy_dir / "metrics.jsonl").exists()
 
 
 class TestEvaluateCommand:

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from jmpgcf import (
     recall_at_k,
 )
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
-from jmpgcf.model import PropagationOutput, score_users
+from jmpgcf.model import score_users
 
 from conftest import (
     assert_near_term_by_term,
@@ -204,42 +203,19 @@ class TestEvaluate:
         c = evaluate(None, out, ds, k=5, workers=4, chunk_size=7)
         assert a == b == c
 
-    def test_training_output_worker_invariant(self):
-        """Threads that first read a deferred deepest layer together score
-        what one thread does, and what an eager output does."""
+    def test_propagated_output_worker_invariant(self):
+        """Threads score a propagated output as one thread does; a training
+        output cannot be scored at all."""
         ds = make_random_dataset(np.random.default_rng(5), 40, 30, max_degree=6, with_test=True)
         cfg = PopularityConfig()
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(40, 30, 4, cfg, seed=5)
         layers = SelectedLayers(3, 4)
-        threaded = evaluate(params, propagate(params, mats, layers), ds, k=5,
-                            workers=2, chunk_size=3)
-        single = evaluate(params, propagate(params, mats, layers), ds, k=5)
-        eager = evaluate(params, propagate(params, mats, layers, retain_chain=False), ds, k=5)
-        assert threaded == single == eager
-
-    def test_training_output_stacks_once_on_the_calling_thread(self, monkeypatch):
-        ds = make_random_dataset(np.random.default_rng(6), 40, 30, max_degree=6, with_test=True)
-        cfg = PopularityConfig(granularity_weights=(1.0, 0.5, 0.5))
-        mats = propagation_matrices(ds, cfg)
-        params = init_parameters(40, 30, 4, cfg, seed=6)
-        builds = []
-        stacked = PropagationOutput.stacked
-
-        def recording(self):
-            if self.factor is None:
-                builds.append(threading.get_ident())
-            return stacked(self)
-
-        monkeypatch.setattr(PropagationOutput, "stacked", recording)
-        reports = []
-        for workers in (1, 3):
-            out = propagate(params, mats, SelectedLayers(3, 4))
-            builds.clear()
-            reports.append(evaluate_cutoffs(params, out, ds, (1, 5), workers=workers,
-                                            chunk_size=4))
-            assert builds == [threading.get_ident()]
-        assert reports[0] == reports[1]
+        out = propagate(params, mats, layers, retain_chain=False)
+        threaded = evaluate(params, out, ds, k=5, workers=2, chunk_size=3)
+        assert threaded == evaluate(params, out, ds, k=5)
+        with pytest.raises(RuntimeError, match=r"retain_chain=False"):
+            evaluate(params, propagate(params, mats, layers), ds, k=5, workers=2)
 
     def test_cutoffs_equal_separate_evaluations(self):
         rng = np.random.default_rng(4)

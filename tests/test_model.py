@@ -11,6 +11,8 @@ from jmpgcf import (
     PopularityConfig,
     SelectedLayers,
     SparseMatrix,
+    TripleSampler,
+    backward,
     init_parameters,
     load_checkpoint,
     propagate,
@@ -18,9 +20,10 @@ from jmpgcf import (
     save_checkpoint,
     score_all_items,
     score_pair,
+    separated_bpr_loss,
     spmm,
 )
-from jmpgcf import graph
+from jmpgcf import graph, model
 from jmpgcf.model import score_users, weight_runs
 
 from conftest import (
@@ -68,10 +71,11 @@ class TestInitParameters:
 class TestPropagate:
     def test_identity_matrices_leave_base_unchanged(self):
         params = init_parameters(3, 4, 5, PopularityConfig(), seed=1)
-        out = propagate(params, identity_matrices(7), SelectedLayers(1, 2), depth=4)
-        for k in range(3):
-            for l in range(5):
-                np.testing.assert_array_equal(out.layer(k, l), params.base_for(k))
+        for pair in ((1, 2), (3, 4)):
+            out = propagate(params, identity_matrices(7), SelectedLayers(*pair))
+            for k in range(3):
+                for l in (0, *pair):
+                    np.testing.assert_array_equal(out.layer(k, l), params.base_for(k))
 
     def test_deeper_layer_contains_shallower_chain(self):
         """Applying the matrix twice to layer 1 reproduces layer 3."""
@@ -80,10 +84,11 @@ class TestPropagate:
         cfg = PopularityConfig()
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(5, 5, 3, cfg, seed=2)
-        out = propagate(params, mats, SelectedLayers(3, 2))
+        shallow = propagate(params, mats, SelectedLayers(1, 2), retain_chain=False)
+        deep = propagate(params, mats, SelectedLayers(3, 2), retain_chain=False)
         for k in range(3):
-            rebuilt = spmm(mats[k], spmm(mats[k], out.layer(k, 1)))
-            np.testing.assert_array_equal(rebuilt, out.layer(k, 3))
+            rebuilt = spmm(mats[k], spmm(mats[k], shallow.layer(k, 1)))
+            np.testing.assert_array_equal(rebuilt, deep.layer(k, 3))
 
     def test_matches_dense_oracle(self):
         ds = InteractionDataset.from_lists(2, 2, [[0], [0, 1]])
@@ -96,17 +101,7 @@ class TestPropagate:
             expected = dense @ (dense @ params.base_for(k))
             np.testing.assert_allclose(out.layer(k, 2), expected, rtol=1e-12, atol=1e-15)
 
-    def test_depth_defaults_to_deepest_selected(self):
-        params = init_parameters(2, 2, 2, PopularityConfig(), seed=0)
-        out = propagate(params, identity_matrices(4), SelectedLayers(3, 2))
-        assert out.depth == 3
-
-    def test_depth_below_selected_rejected(self):
-        params = init_parameters(2, 2, 2, PopularityConfig(), seed=0)
-        with pytest.raises(ValueError):
-            propagate(params, identity_matrices(4), SelectedLayers(3, 4), depth=2)
-
-    def test_chain_dropped_unless_retained(self):
+    def test_eager_output_drops_unselected_layers(self):
         params = init_parameters(2, 2, 2, PopularityConfig(), seed=0)
         out = propagate(
             params, identity_matrices(4), SelectedLayers(1, 4), retain_chain=False
@@ -183,7 +178,7 @@ class TestDeferredLayer:
             for _ in range(4):
                 full.append(spmm(mats[k], full[-1]))
             for idx in (unsorted_repeated, np.arange(2, 20, 3), unsorted_repeated):
-                for l in range(5):
+                for l in (0, 3, 4):
                     np.testing.assert_array_equal(training.rows(k, l, idx), full[l][idx])
                 np.testing.assert_array_equal(
                     training.operator_rows(k, idx).toarray(), mats[k].toarray()[idx]
@@ -224,6 +219,81 @@ class TestDeferredLayer:
             training.rows(0, 4, np.array([0]))
 
 
+class TestKeptLayers:
+    """An output keeps exactly the layers that are read later: a training
+    output its selected layers and the one the deferred deepest layer is
+    computed from, an eager output its selected layers as views of the
+    stacked factor."""
+
+    LAYERS = [SelectedLayers(3, 4), SelectedLayers(1, 2), SelectedLayers(3, 2),
+              SelectedLayers(1, 4)]
+
+    @pytest.fixture(scope="class")
+    def made(self):
+        ds = make_random_dataset(np.random.default_rng(50), 9, 11)
+        cfg = PopularityConfig()
+        return ds, init_parameters(9, 11, 3, cfg, seed=50), propagation_matrices(ds, cfg)
+
+    @staticmethod
+    def kept(chain):
+        return {l for l, mat in enumerate(chain) if mat is not None}
+
+    @pytest.mark.parametrize("granularities", [None, {1, 2}])
+    @pytest.mark.parametrize("layers", LAYERS)
+    def test_training_output(self, made, layers, granularities):
+        _, params, mats = made
+        out = propagate(params, mats, layers, granularities=granularities)
+        active = {0, 1, 2} if granularities is None else granularities
+        read = {0, layers.l_odd, layers.l_even, layers.depth - 1} - {layers.depth}
+        assert out.deferred == active
+        for k, chain in enumerate(out.chains):
+            assert len(chain) == layers.depth + 1
+            assert self.kept(chain) == (read if k in active else set())
+        assert out.factor is None
+        for score in (lambda: score_users(out, [0, 1]), lambda: score_pair(out, 0, 1)):
+            with pytest.raises(RuntimeError, match=r"propagate\(retain_chain=False\)"):
+                score()
+
+    @pytest.mark.parametrize("granularities", [None, {1, 2}])
+    @pytest.mark.parametrize("layers", LAYERS)
+    def test_eager_output(self, made, layers, granularities):
+        _, params, mats = made
+        out = propagate(params, mats, layers, retain_chain=False, granularities=granularities)
+        active = {0, 1, 2} if granularities is None else granularities
+        assert out.deferred == frozenset()
+        assert out.stacked_granularities == tuple(sorted(active))
+        for k, chain in enumerate(out.chains):
+            assert len(chain) == layers.depth + 1
+            if k not in active:
+                assert self.kept(chain) == set()
+                continue
+            assert self.kept(chain) == {0, layers.l_odd, layers.l_even}
+            assert chain[0] is params.base_for(k)
+            for l in (layers.l_odd, layers.l_even):
+                assert chain[l].base is out.factor
+
+    @pytest.mark.parametrize("layers", LAYERS)
+    def test_full_matrix_reg_computes_the_deferred_layer_once(self, made, layers, monkeypatch):
+        ds, params, mats = made
+        out = propagate(params, mats, layers)
+        hops = []
+        spmm = model.spmm
+
+        def counting(matrix, dense):
+            hops.append(matrix.num_rows)
+            return spmm(matrix, dense)
+
+        monkeypatch.setattr(model, "spmm", counting)
+        batch = TripleSampler(ds).sample(8, np.random.default_rng(51))
+        for _ in range(2):
+            separated_bpr_loss(out, batch, {0, 1, 2}, 0.1, full_matrix_reg=True)
+            backward(out, batch, {0, 1, 2}, 0.1, full_matrix_reg=True)
+        # one full hop per granularity, and no row-restricted one
+        assert hops == [20] * 3
+        for k in range(3):
+            assert out.chains[k][layers.depth] is not None
+
+
 class TestStackedFactor:
     """An eager output keeps its selected layers side by side in one
     factor, and scoring reads only that factor."""
@@ -243,7 +313,6 @@ class TestStackedFactor:
     def test_layers_are_views_of_their_blocks(self, made, out):
         params, _ = made
         assert out.factor.shape == (20, 2 * 3 * self.dim)
-        assert out.stacked() is out.factor
         assert out.stacked_granularities == (0, 1, 2)
         for k in range(3):
             assert out.chains[k][0] is params.base_for(k)
@@ -319,19 +388,6 @@ class TestStackedFactor:
         score_users(out, [0, 5, 8], weights=(1.0, 2.0, 2.0))
         assert calls == [(3, 6), (3, 12)]
 
-    def test_retained_chain_stacks_once(self, made, out):
-        training = propagate(*made, SelectedLayers(3, 4))
-        assert training.factor is None
-        layer2 = training.layer(1, 2)
-        factor = training.stacked()
-        assert training.stacked() is factor
-        assert factor.tobytes() == out.factor.tobytes()
-        assert training.stacked_granularities == (0, 1, 2)
-        for k in range(3):
-            for l in (3, 4):
-                assert np.shares_memory(training.chains[k][l], factor)
-        assert training.layer(1, 2) is layer2
-
 
 class TestScoring:
     def test_all_zero_embeddings(self):
@@ -356,7 +412,7 @@ class TestScoring:
         mats = propagation_matrices(ds, cfg)
         params = init_parameters(6, 5, 3, cfg, seed=5)
         layers = SelectedLayers(3, 2)
-        out = propagate(params, mats, layers)
+        out = propagate(params, mats, layers, retain_chain=False)
         for u, i in [(0, 0), (3, 4), (5, 2)]:
             expected = 0.0
             for k, w in enumerate(cfg.granularity_weights):
@@ -375,6 +431,7 @@ class TestScoring:
             init_parameters(4, 3, 4, cfg, seed=6),
             propagation_matrices(ds, cfg),
             SelectedLayers(1, 2),
+            retain_chain=False,
         )
         scores = score_all_items(out, 2)
         assert scores.shape == (3,)
@@ -412,6 +469,7 @@ class TestScoring:
             init_parameters(5, 6, 3, cfg, seed=9),
             propagation_matrices(ds, cfg),
             SelectedLayers(1, 2),
+            retain_chain=False,
         )
         max_k = cfg.max_granularity
         cumulative = 0.0

@@ -1,0 +1,184 @@
+"""Exactness gate: the numbers a restructuring must leave unchanged, as one JSON document.
+
+Run from the root of a checkout::
+
+    python tools/exactness_gate.py > gate.json
+
+It imports ``jmpgcf`` from that checkout's ``src``, and the benchmark's
+generators, step driver and user sample from its ``perfbench`` (read
+only), so the same script can be run in two trees, say a clean export of
+the parent commit and the change.  The document holds:
+
+* ``gowalla``: on ``gowalla_lists(1)`` with layers (3, 4), the step
+  driver's loss sequence (2 steps per phase, adam) and the SHA-256 of the
+  tables it trained; the SHA-256 of the selected layers propagated from
+  them; and the ``evaluate_cutoffs`` reports (cutoffs 1, 5, 20, 40) on the
+  benchmark's 2,048-user sample, with 1 and 2 workers.
+* ``planted_steps``: on ``planted_lists(1)``, the loss sequence (4 steps
+  per phase) and the table SHA-256 in 32 configurations: layers (3, 4),
+  (1, 2), (3, 2), (1, 4) x adam/sgd x ``full_matrix_reg`` x
+  ``shared_base``.
+* ``planted_train``: the records of a ``train()`` run over the planted
+  schedule (one epoch per phase, per-epoch evaluation), the SHA-256 of
+  its final tables and of their selected layers, and the reports on every
+  evaluable user, with 1 and 2 workers.
+
+Floats are written with ``float.hex`` and arrays as the SHA-256 of their
+bytes, so two trees compute the same numbers to the bit exactly when
+their documents are byte-identical (``cmp``).  A run takes a few minutes
+and about 2 GB of memory (the Gowalla-size graph).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.getcwd()
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import gen  # noqa: E402
+import jmpgcf  # noqa: E402
+from jmpgcf import (  # noqa: E402
+    PhaseSchedule,
+    SelectedLayers,
+    TrainConfig,
+    TripleSampler,
+    build_adjacency,
+    build_normalized_adjacency,
+    evaluate_cutoffs,
+    init_parameters,
+    load_dataset,
+    propagate,
+    train,
+    transpose,
+)
+from spans import Tracer  # noqa: E402
+from steps import StepDriver  # noqa: E402
+from workloads import (  # noqa: E402
+    EMBED_DIM,
+    GOWALLA_EVAL_USERS,
+    PLANTED_LAYERS,
+    PLANTED_STEPS_PER_PHASE,
+    POPULARITY,
+    TOPK,
+    _restrict,
+    _sample_users,
+)
+
+if os.path.realpath(os.path.dirname(jmpgcf.__file__)) != os.path.realpath(
+        os.path.join(ROOT, "src", "jmpgcf")):
+    raise SystemExit(f"jmpgcf was imported from {jmpgcf.__file__}, not from {ROOT}/src")
+
+SEED = 1
+CUTOFFS = (1, 5, 20, 40)
+WORKERS = (1, 2)
+GOWALLA_LAYERS = SelectedLayers(3, 4)
+GOWALLA_STEPS_PER_PHASE = 2
+# (layers, optimizer, full_matrix_reg, shared_base)
+PLANTED_CONFIGS = list(itertools.product(
+    [SelectedLayers(3, 4), SelectedLayers(1, 2), SelectedLayers(3, 2), SelectedLayers(1, 4)],
+    ["adam", "sgd"], [False, True], [False, True],
+))
+
+
+def _sha(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _graph(make, directory):
+    """The generated dataset, read back from its files, with its
+    propagation matrices and their transposes."""
+    ds = load_dataset(*gen.write_lists(directory, *make(SEED)))
+    adjacency = build_adjacency(ds)
+    matrices = [build_normalized_adjacency(adjacency, k, POPULARITY)
+                for k in range(POPULARITY.num_granularities)]
+    return ds, matrices, {k: transpose(m) for k, m in enumerate(matrices)}
+
+
+def _steps(ds, matrices, transposed, layers, steps_per_phase, optimizer="adam",
+           full_matrix_reg=False, shared_base=False):
+    """The step driver's losses over the equal-phase plan, and its tables."""
+    params = init_parameters(ds.num_users, ds.num_items, EMBED_DIM, POPULARITY, SEED,
+                             shared_base=shared_base)
+    cfg = TrainConfig(seed=SEED, optimizer=optimizer, full_matrix_reg=full_matrix_reg)
+    driver = StepDriver(params, matrices, transposed, layers, TripleSampler(ds), cfg,
+                        Tracer(False))
+    losses = driver.run((steps_per_phase,) * POPULARITY.num_granularities)
+    return params, {"losses": [loss.hex() for loss in losses],
+                    "tables": _sha(params.base_embeddings)}
+
+
+def _evaluation(params, matrices, layers, ds):
+    """The selected layers' SHA-256 and the reports, per worker count."""
+    out = propagate(params, matrices, layers, retain_chain=False)
+    selected = [out.layer(k, l) for k in range(out.num_granularities)
+                for l in (layers.l_odd, layers.l_even)]
+    reports = {}
+    for workers in WORKERS:
+        reports[f"workers={workers}"] = [
+            {"k": r.k, "recall": r.recall.hex(), "ndcg": r.ndcg.hex(),
+             "users": r.num_users_evaluated}
+            for r in evaluate_cutoffs(params, out, ds, CUTOFFS, workers=workers)
+        ]
+    return {"layers": _sha(selected), "reports": reports}
+
+
+def gowalla(directory):
+    ds, matrices, transposed = _graph(gen.gowalla_lists, directory)
+    params, result = _steps(ds, matrices, transposed, GOWALLA_LAYERS, GOWALLA_STEPS_PER_PHASE)
+    sample = _restrict(ds, _sample_users(ds, GOWALLA_EVAL_USERS, SEED))
+    result.update(_evaluation(params, matrices, GOWALLA_LAYERS, sample))
+    return result
+
+
+def planted_steps(directory, configs=PLANTED_CONFIGS):
+    ds, matrices, transposed = _graph(gen.planted_lists, directory)
+    result = {}
+    for layers, optimizer, full_matrix_reg, shared_base in configs:
+        label = (f"layers=({layers.l_odd},{layers.l_even}) {optimizer} "
+                 f"full_matrix_reg={full_matrix_reg} shared_base={shared_base}")
+        result[label] = _steps(ds, matrices, transposed, layers, PLANTED_STEPS_PER_PHASE,
+                               optimizer, full_matrix_reg, shared_base)[1]
+    return result
+
+
+def planted_train(directory):
+    ds, matrices, _ = _graph(gen.planted_lists, directory)
+    params = init_parameters(ds.num_users, ds.num_items, EMBED_DIM, POPULARITY, SEED)
+    params, records = train(ds, params, PhaseSchedule.uniform(POPULARITY.max_granularity, 1),
+                            TrainConfig(seed=SEED), PLANTED_LAYERS, matrices=matrices,
+                            eval_ds=ds, eval_every=1, eval_topk=TOPK,
+                            metrics_path=os.path.join(directory, "metrics.jsonl"),
+                            checkpoint_dir=directory)
+    result = {
+        "records": [{key: value.hex() if isinstance(value, float) else value
+                     for key, value in record.items() if key != "wallclock_s"}
+                    for record in records],
+        "tables": _sha(params.base_embeddings),
+    }
+    result.update(_evaluation(params, matrices, PLANTED_LAYERS, ds))
+    return result
+
+
+def main():
+    document = {}
+    for name, part in (("gowalla", gowalla), ("planted_steps", planted_steps),
+                       ("planted_train", planted_train)):
+        with tempfile.TemporaryDirectory(prefix="exactness-gate-") as directory:
+            document[name] = part(directory)
+    json.dump(document, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
