@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionDataset
+from .graph import _cores
 from .model import PropagationOutput, score_users, weight_runs
 
 __all__ = [
@@ -139,7 +140,10 @@ def evaluate_cutoffs(
 
     Each user is ranked once, at the largest cutoff; a smaller cutoff's
     list is a prefix of that ranking, because :func:`rank_user` orders by
-    descending score and then ascending item index.
+    descending score and then ascending item index.  At most ``workers``
+    threads score chunks, and never more than there are chunks or cores
+    in the process's CPU affinity: each thread holds one chunk's score
+    buffers, and a thread beyond the cores adds only memory.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise ValueError(f"cutoffs must be >= 1, got {cutoffs}")
@@ -171,17 +175,18 @@ def evaluate_cutoffs(
                 ndcgs[c, start + row] = ndcg_at_k(ranked[:k], relevant, k)
 
     starts = range(0, len(evaluable), chunk_size)
-    if workers > 1:
+    threads = min(workers, len(starts), _cores())
+    if threads > 1:
         # A worker's chunk buffers are made here, on the calling thread, and
-        # at most one chunk per worker is in flight.  Made by the worker,
+        # at most one chunk per thread is in flight.  Made by the worker,
         # they would come from its thread's malloc arena, and glibc keeps an
         # arena's free memory resident, even after its thread has gone,
         # until it exceeds the trim threshold (twice the largest mmapped
         # block freed so far).
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             running = []
             for start in starts:
-                if len(running) == workers:
+                if len(running) == threads:
                     running.pop(0).result()
                 shape = (min(chunk_size, len(evaluable) - start), ds.num_items)
                 buffers = (np.empty(shape), np.empty(shape) if several_runs else None)

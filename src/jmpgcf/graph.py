@@ -29,6 +29,7 @@ __all__ = [
     "GraphConfigError",
     "PopularityConfig",
     "SparseMatrix",
+    "add_product",
     "build_adjacency",
     "build_normalized_adjacency",
     "degrees",
@@ -250,18 +251,15 @@ def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
     if (dense.ndim != 2 or matrix.nnz * dense.shape[1] < PARALLEL_WORK
             or (cores := _cores()) < 2):
         return np.asarray(csr @ dense)
-    rows, width = matrix.num_rows, dense.shape[1]
+    rows = matrix.num_rows
     indptr = csr.indptr
-    flat = np.ascontiguousarray(dense).ravel()
-    result = np.zeros((rows, width))
+    dense = np.ascontiguousarray(dense)
+    result = np.zeros((rows, dense.shape[1]))
     cuts = np.searchsorted(indptr, np.arange(1, cores) * (matrix.nnz / cores))
     bounds = [0, *np.minimum(cuts, rows).tolist(), rows]
 
     def block(lo, hi):
-        _sparsetools.csr_matvecs(
-            hi - lo, matrix.num_cols, width, indptr[lo:hi + 1], csr.indices, csr.data,
-            flat, result[lo:hi].ravel(),
-        )
+        add_product(result[lo:hi], indptr[lo:hi + 1], csr.indices, csr.data, dense)
 
     blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     pool = _get_pool()
@@ -272,6 +270,20 @@ def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
         for future in futures:
             future.result()
     return result
+
+
+def add_product(out, indptr, indices, data, dense):
+    """``out += M @ dense`` in place, for the CSR matrix M of
+    ``(data, indices, indptr)``, one entry at a time: for each row i and
+    each of its entries e in stored order, ``out[i] += data[e] *
+    dense[indices[e]]``.  It runs scipy's own CSR kernel, which releases
+    the GIL.  ``out`` and ``dense`` are C-contiguous float64 arrays of
+    the same width, and ``indptr`` has ``len(out) + 1`` entries.
+    """
+    _sparsetools.csr_matvecs(
+        out.shape[0], dense.shape[0], dense.shape[1], indptr, indices, data,
+        dense.ravel(), out.reshape(-1),
+    )
 
 
 def transpose(matrix: SparseMatrix) -> SparseMatrix:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import InteractionDataset, train_matrix
-from .graph import propagation_matrices, spmm, transpose
+from .graph import add_product, propagation_matrices, spmm, transpose
 from .layers import SelectedLayers
 from .model import ModelParameters, PropagationOutput, propagate, save_checkpoint
 
@@ -201,6 +201,31 @@ def _batch_rows(out, batch):
     return rows, at[:b], at[b:2 * b], at[2 * b:]
 
 
+class _RowScatter:
+    """Adds the rows of batch-sized blocks into a compact gradient, as
+    numpy's ``add.at(grad, at, values)`` does, bit for bit.
+
+    ``at[p]`` is the gradient row of batch position p.  The pattern is
+    the (rows x batch) 0/1 matrix in CSR whose row r lists the positions
+    at r in ascending order.  :func:`add_product` then computes
+    ``grad[r] += 1.0 * values[p]`` in place, entry by entry in that
+    order: each row receives the same additions in the same order as
+    under ``add.at``, and the products are exact.  (``grad += S @
+    values`` would sum each row's block first, which is not the same.)
+    """
+
+    def __init__(self, at, num_rows):
+        self.indices = np.argsort(at, kind="stable")
+        self.indptr = np.zeros(num_rows + 1, dtype=self.indices.dtype)
+        np.cumsum(np.bincount(at, minlength=num_rows), out=self.indptr[1:])
+        self.ones = np.ones(at.size)
+
+    def add(self, grad, values):
+        """``grad[at[p]] += values[p]`` for every p in order, in place;
+        ``grad`` and ``values`` are C-contiguous float64 arrays."""
+        add_product(grad, self.indptr, self.indices, self.ones, values)
+
+
 def separated_bpr_loss(
     out: PropagationOutput,
     batch: TripleBatch,
@@ -268,6 +293,7 @@ def backward(
     if transposed is None:
         transposed = {k: transpose(out.matrices[k]) for k in active}
     rows, at_u, at_i, at_j = _batch_rows(out, batch)
+    to_u, to_i, to_j = (_RowScatter(at, rows.size) for at in (at_u, at_i, at_j))
     # where a layer's gradient goes in a full-size one
     at_rows = slice(None) if full_matrix_reg else rows
     selected = (out.layers.l_odd, out.layers.l_even)
@@ -282,9 +308,9 @@ def backward(
             margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
             weight = expit(-margin)[:, None]
             grad = np.zeros((rows.size, shape[1]))
-            np.add.at(grad, at_u, -weight * (e_i - e_j))
-            np.add.at(grad, at_i, -weight * e_u)
-            np.add.at(grad, at_j, weight * e_u)
+            to_u.add(grad, -weight * (e_i - e_j))
+            to_i.add(grad, -weight * e_u)
+            to_j.add(grad, weight * e_u)
             if full_matrix_reg:
                 dense = np.zeros(shape)
                 dense[rows] = grad
@@ -292,9 +318,9 @@ def backward(
                 grad = dense
             else:
                 scale = 2.0 * l2_coeff / len(batch)
-                np.add.at(grad, at_u, scale * e_u)
-                np.add.at(grad, at_i, scale * e_i)
-                np.add.at(grad, at_j, scale * e_j)
+                to_u.add(grad, scale * e_u)
+                to_i.add(grad, scale * e_i)
+                to_j.add(grad, scale * e_j)
             inject[l] = grad
         if full_matrix_reg:
             pulled = spmm(transposed[k], inject[top])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from jmpgcf import (
     rank_user,
     recall_at_k,
 )
+from jmpgcf import evaluation
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
 from jmpgcf.model import score_users
 
@@ -26,6 +28,33 @@ from conftest import (
     out_of_place_scores,
     stacked_scores,
 )
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the process's CPU affinity to the given number of cores, as
+    evaluate_cutoffs sees it (it runs no more threads than that)."""
+
+    def set_cores(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    return set_cores
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool evaluate_cutoffs starts, in order."""
+    sizes = []
+    executor = evaluation.ThreadPoolExecutor
+
+    def spying_executor(max_workers):
+        sizes.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", spying_executor)
+    return sizes
 
 
 def sort_oracle(scores, exclude, k):
@@ -187,7 +216,8 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(None, out, ds, k=1)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, cores, pool_sizes):
+        cores(4)
         rng = np.random.default_rng(2)
         num_users, num_items = 30, 40
         train = [[int(rng.integers(0, num_items))] for _ in range(num_users)]
@@ -202,10 +232,25 @@ class TestEvaluate:
         b = evaluate(None, out, ds, k=5)
         c = evaluate(None, out, ds, k=5, workers=4, chunk_size=7)
         assert a == b == c
+        assert pool_sizes == [4]
 
-    def test_propagated_output_worker_invariant(self):
+    def test_threads_capped_by_cores_and_chunks(self, cores, pool_sizes):
+        """Eight workers on two cores run two threads, and on one chunk
+        none; the reports are those of one worker."""
+        ds = make_random_dataset(np.random.default_rng(6), 40, 30, max_degree=6, with_test=True)
+        chains = [[np.random.default_rng(7).normal(size=(70, 4)) for _ in range(3)]]
+        out = manual_output(chains, num_users=40)
+        single = evaluate_cutoffs(None, out, ds, (1, 5), workers=1, chunk_size=3)
+        cores(2)
+        assert evaluate_cutoffs(None, out, ds, (1, 5), workers=8, chunk_size=3) == single
+        assert pool_sizes == [2]
+        assert evaluate_cutoffs(None, out, ds, (1, 5), workers=8, chunk_size=256) == single
+        assert pool_sizes == [2]
+
+    def test_propagated_output_worker_invariant(self, cores):
         """Threads score a propagated output as one thread does; a training
         output cannot be scored at all."""
+        cores(2)
         ds = make_random_dataset(np.random.default_rng(5), 40, 30, max_degree=6, with_test=True)
         cfg = PopularityConfig()
         mats = propagation_matrices(ds, cfg)
@@ -217,7 +262,8 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match=r"retain_chain=False"):
             evaluate(params, propagate(params, mats, layers), ds, k=5, workers=2)
 
-    def test_cutoffs_equal_separate_evaluations(self):
+    def test_cutoffs_equal_separate_evaluations(self, cores, pool_sizes):
+        cores(3)
         rng = np.random.default_rng(4)
         num_users, num_items = 20, 30
         train, test = [], []
@@ -231,6 +277,7 @@ class TestEvaluate:
         out = manual_output(chains, num_users=num_users)
         cutoffs = (5, 1, 28, 3, 5, 40)
         reports = evaluate_cutoffs(None, out, ds, cutoffs, workers=3, chunk_size=6)
+        assert pool_sizes == [3]
         assert reports == [evaluate(None, out, ds, k=k) for k in cutoffs]
 
     @pytest.mark.parametrize("cutoffs", [(0,), (-3,), (2, 0), ()])
@@ -342,7 +389,8 @@ class TestEvaluateExactness:
 
     @pytest.mark.parametrize("integer_valued", [True, False])
     @pytest.mark.parametrize("workers, chunk_size", [(1, 256), (1, 7), (3, 7), (3, 10), (3, 1)])
-    def test_reports_equal_reference(self, ds, integer_valued, workers, chunk_size):
+    def test_reports_equal_reference(self, ds, integer_valued, workers, chunk_size, cores):
+        cores(workers)
         out = self.output(integer_valued)
         got = evaluate_cutoffs(None, out, ds, self.CUTOFFS, workers=workers,
                                chunk_size=chunk_size)

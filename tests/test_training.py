@@ -1,9 +1,11 @@
+import itertools
 import logging
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import expit
 from scipy.stats import chisquare
 
@@ -27,7 +29,7 @@ from jmpgcf import (
     train,
     transpose,
 )
-from jmpgcf.training import TripleBatch
+from jmpgcf.training import TripleBatch, _RowScatter
 
 from conftest import make_random_dataset, manual_output
 
@@ -394,6 +396,109 @@ def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_m
         for ours, theirs in zip(state.first_moment + state.second_moment,
                                 ref_state.first_moment + ref_state.second_moment):
             np.testing.assert_array_equal(ours, theirs)
+
+
+def bits(array):
+    """The bytes of a float64 array as int64, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+def scattered(num_rows, ats, parts, add_at=False):
+    """A compact gradient after adding ``parts`` in backward's order: the
+    user, positive and negative parts of the pairwise term, then (when
+    there are six) those of the L2 term.  ``ats`` holds the three parts'
+    row of each batch position; ``add_at`` adds with np.add.at instead of
+    the batch's row scatters."""
+    grad = np.zeros((num_rows, parts[0].shape[1]))
+    if add_at:
+        for at, values in zip(itertools.cycle(ats), parts):
+            np.add.at(grad, at, values)
+    else:
+        scatters = [_RowScatter(np.asarray(at), num_rows) for at in ats]
+        for scatter, values in zip(itertools.cycle(scatters), parts):
+            scatter.add(grad, values)
+    return grad
+
+
+def summed_by_block(num_rows, ats, parts):
+    """``grad += S @ values`` per part: each row's block summed first."""
+    grad = np.zeros((num_rows, parts[0].shape[1]))
+    for at, values in zip(itertools.cycle(ats), parts):
+        pattern = sp.csr_matrix((np.ones(len(at)), (at, np.arange(len(at)))),
+                                shape=(num_rows, len(at)))
+        grad += pattern @ values
+    return grad
+
+
+class TestRowScatter:
+    """The batch's row scatters add each part as np.add.at does, bit for
+    bit: every row gets the same additions in the same order."""
+
+    @pytest.mark.parametrize("parts", [3, 6], ids=["full_matrix_reg", "batch_reg"])
+    def test_order_dependent_row_and_signed_zeros(self, parts):
+        """Row 0 is hit by all six parts, with 1e16, 1.0 and -1e16 whose
+        sum depends on the order; the pairwise parts add only signed
+        zeros to row 3, so only the L2 parts move it (with
+        ``full_matrix_reg`` the L2 term is not scattered)."""
+        ats = ([0, 0, 1, 3], [2, 0, 0, 3], [0, 1, 2, 3])
+        blocks = [
+            [[1.0, 1e16], [0.5, 1.0], [3.0, 4.0], [-0.0, 0.0]],
+            [[2.0, -0.0], [1e16, -1e16], [-1e16, 2.0], [0.0, -0.0]],
+            [[1.0, 1.0], [-0.0, 5.0], [6.0, -0.0], [-0.0, -0.0]],
+            [[-1e16, 1.0], [1.0, 1e16], [7.0, -0.0], [1.5, -2.5]],
+            [[-0.0, 8.0], [1.0, -1e16], [-1e16, 1.0], [0.25, -0.0]],
+            [[1e16, 1.0], [9.0, -0.0], [-1.0, 1.0], [-0.0, 3.0]],
+        ]
+        blocks = [np.array(block) for block in blocks[:parts]]
+        got = scattered(4, ats, blocks)
+        assert np.array_equal(bits(got), bits(scattered(4, ats, blocks, add_at=True)))
+        # the rows' sums depend on the order of their additions
+        assert not np.array_equal(bits(got), bits(summed_by_block(4, ats, blocks)))
+        if parts == 6:
+            assert np.all(got[3] != 0)
+
+    @pytest.mark.parametrize("parts", [3, 6], ids=["full_matrix_reg", "batch_reg"])
+    @pytest.mark.parametrize("b", [1, 2048])
+    def test_random_batch(self, b, parts):
+        """Values from 1e-8 to 1e16 in magnitude, of both signs, with
+        signed zeros, on rows that repeat (a batch of 2048 over 60 rows)."""
+        rng = np.random.default_rng(b + parts)
+        num_rows = 3 if b == 1 else 60
+        ats = ([0], [1], [2]) if b == 1 else tuple(rng.integers(0, num_rows, (3, b)))
+        blocks = []
+        for _ in range(parts):
+            block = rng.choice([-1.0, 1.0], (b, 5)) * 10.0 ** rng.uniform(-8, 16, (b, 5))
+            block[rng.random((b, 5)) < 0.05] = -0.0
+            block[rng.random((b, 5)) < 0.05] = 0.0
+            blocks.append(block)
+        got = scattered(num_rows, ats, blocks)
+        assert np.array_equal(bits(got), bits(scattered(num_rows, ats, blocks, add_at=True)))
+        if b > 1:
+            assert not np.array_equal(bits(got), bits(summed_by_block(num_rows, ats, blocks)))
+
+    @pytest.mark.parametrize("full_matrix_reg", [False, True])
+    @pytest.mark.parametrize("b", [1, 2048])
+    def test_backward_equals_reference(self, b, full_matrix_reg):
+        """backward's gradients, to the sign of zero, equal those of the
+        reference that scatters with np.add.at, on tables whose entries
+        span twelve orders of magnitude."""
+        ds = make_random_dataset(np.random.default_rng(41), 12, 10, max_degree=5)
+        pop = PopularityConfig()
+        mats = propagation_matrices(ds, pop)
+        transposed = {k: transpose(m) for k, m in enumerate(mats)}
+        layers = SelectedLayers(3, 4)
+        params = init_parameters(12, 10, 4, pop, seed=41)
+        rng = np.random.default_rng(42)
+        for table in params.base_embeddings:
+            table *= 10.0 ** rng.uniform(-6, 6, table.shape)
+        batch = TripleSampler(ds).sample(b, rng)
+        active = {0, 1, 2}
+        out = propagate(params, mats, layers, granularities=active)
+        grads = backward(out, batch, active, 0.1, full_matrix_reg, transposed)
+        ref_out = propagate(params, mats, layers, retain_chain=False, granularities=active)
+        ref_grads = reference_backward(ref_out, batch, active, 0.1, full_matrix_reg, transposed)
+        for ours, theirs in zip(grads, ref_grads):
+            assert np.array_equal(bits(ours), bits(theirs))
 
 
 class TestOptimizer:
