@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +48,9 @@ class InteractionDataset:
 
     ``train[u]`` and ``test[u]`` are strictly sorted, duplicate-free
     integer arrays, disjoint per user.  Instances are treated as
-    immutable and are safe to share across threads.
+    immutable and are safe to share across threads.  ``_derived`` keeps
+    what is computed from the training lists once per dataset (the
+    joined adjacency of :func:`jmpgcf.graph.build_adjacency`).
     """
 
     num_users: int
@@ -56,6 +58,7 @@ class InteractionDataset:
     train: tuple[np.ndarray, ...]
     test: tuple[np.ndarray, ...]
     num_train_interactions: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.train) != self.num_users or len(self.test) != self.num_users:
@@ -118,30 +121,96 @@ def train_matrix(ds: InteractionDataset) -> sp.csr_matrix:
     )
 
 
+# Byte classes of the file grammar.  A token is a maximal run of bytes
+# that are neither separators nor line ends; a valid one is all digits.
+_SEPARATOR, _LF, _CR, _DIGIT, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\v\f")] = _SEPARATOR
+_BYTE_CLASS[ord("\n")] = _LF
+_BYTE_CLASS[ord("\r")] = _CR
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+# a token of fewer digits is below 10**18 and so fits in int64
+_CHECKED_DIGITS = len(str(_ITEM_MAX))
+
+
 def _parse_interaction_file(path):
     """Parse one adjacency-list file into ``(uids, users, items)``: the uid
-    of every line, and flat per-interaction user and item arrays."""
-    counts, flat = {}, []  # items per uid, in line order; all items
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                values = [int(tok) for tok in tokens]
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
-            if min(values) < 0:
-                raise DatasetFormatError(f"{path}:{lineno}: negative index")
-            if max(values) > _ITEM_MAX:
-                raise DatasetFormatError(f"{path}:{lineno}: index too large for int64")
-            uid = values[0]
-            if uid in counts:
-                raise DatasetFormatError(f"{path}:{lineno}: user {uid} appears on multiple lines")
-            counts[uid] = len(values) - 1
-            flat.extend(values[1:])
-    uids = np.array(list(counts), dtype=_ITEM_DTYPE)
-    return uids, np.repeat(uids, list(counts.values())), np.array(flat, dtype=_ITEM_DTYPE)
+    of every line, and flat per-interaction user and item arrays.
+
+    The bytes are read once and classified through a lookup table; token
+    and line boundaries are found with numpy, and the tokens of the valid
+    lines are converted by one ``np.fromstring`` call.  A line ends at
+    LF, CRLF or a lone CR, as in text mode.  The first line that breaks
+    the format (a byte that is not an ASCII digit, separator or line end,
+    an id beyond int64, or a repeated uid) is reported with its number.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_CLASS[raw]
+
+    line_end = kind == _LF
+    cr = np.flatnonzero(kind == _CR)
+    line_end[cr[raw[np.minimum(cr + 1, raw.size - 1)] != ord("\n")]] = True  # lone CRs
+    breaks = np.flatnonzero(line_end)
+    edges = np.diff((kind >= _DIGIT).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    token_lines = 1 + np.searchsorted(breaks, starts)
+
+    last_line = len(breaks) + 1
+    bad_line = last_line + 1  # the first line that breaks the grammar, if any
+    other = kind == _OTHER
+    if other.any():
+        bad_line = 1 + int(np.searchsorted(breaks, other.argmax()))
+    for t in np.flatnonzero(ends - starts >= _CHECKED_DIGITS).tolist():
+        if token_lines[t] >= bad_line:
+            break
+        try:
+            too_large = int(data[starts[t]:ends[t]]) > _ITEM_MAX
+        except ValueError:  # more digits than int() converts
+            too_large = True
+        if too_large:
+            bad_line = int(token_lines[t])
+
+    count = int(np.searchsorted(token_lines, bad_line))  # tokens of the valid lines
+    valid = data if count == len(starts) else data[:starts[count]]
+    values = np.fromstring(valid, dtype=_ITEM_DTYPE, count=count, sep=" ") if count else _empty_items()
+    token_lines = token_lines[:count]
+    first = np.ones(count, dtype=bool)
+    first[1:] = token_lines[1:] != token_lines[:-1]
+    heads = np.flatnonzero(first)
+    uids = values[heads]
+    order = np.argsort(uids, kind="stable")
+    repeats = order[1:][uids[order[1:]] == uids[order[:-1]]]
+    if repeats.size:
+        head = heads[repeats.min()]
+        raise DatasetFormatError(
+            f"{path}:{token_lines[head]}: user {values[head]} appears on multiple lines"
+        )
+    if bad_line <= last_line:
+        lo = breaks[bad_line - 2] + 1 if bad_line > 1 else 0
+        hi = breaks[bad_line - 1] if bad_line < last_line else len(data)
+        raise DatasetFormatError(f"{path}:{bad_line}: {_line_fault(data[lo:hi])}")
+    counts = np.diff(np.append(heads, count)) - 1
+    return uids, np.repeat(uids, counts), values[~first]
+
+
+def _line_fault(line: bytes) -> str:
+    """What is wrong with a line that holds a byte outside the grammar or
+    an id beyond int64, checked in the order of the old line parser."""
+    if not line.isascii():
+        return "non-ASCII byte"
+    tokens = [token.decode("ascii") for token in line.split()]
+    try:
+        values = [int(token) for token in tokens]
+    except ValueError as exc:
+        return f"malformed token ({exc})"
+    if min(values) < 0:
+        return "negative index"
+    if max(values) > _ITEM_MAX:
+        return "index too large for int64"
+    token = next(token for token in tokens if not token.isdigit())
+    return f"malformed token ({token!r} is not a run of ASCII digits)"
 
 
 def _write_mapping(path, originals):

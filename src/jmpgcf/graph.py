@@ -92,12 +92,56 @@ class PopularityConfig:
 
 
 @dataclass(eq=False)
+class _Pattern:
+    """The row offsets and column indices of a CSR matrix, shared by the
+    matrices that differ from it only in their values."""
+
+    num_rows: int
+    num_cols: int
+    row_offsets: np.ndarray
+    col_indices: np.ndarray
+    _transposed: tuple = field(default=None, repr=False)
+
+    def with_values(self, values) -> "SparseMatrix":
+        return SparseMatrix(self.num_rows, self.num_cols, self.row_offsets, self.col_indices,
+                            values, _pattern=self)
+
+    def transposed(self):
+        """``(pattern, perm)``: the pattern of the transpose, and the order
+        in which the transpose stores the entries, so that a matrix's
+        transpose has the values ``values[perm]``.
+
+        Computed on the first call, by transposing a copy whose values
+        are the entry numbers exactly as scipy transposes a matrix, and
+        kept.  A symmetric pattern, such as that of A+I, is its own
+        transpose, so the transposes share its arrays.
+        """
+        if self._transposed is None:
+            entries = np.arange(len(self.col_indices), dtype=self.row_offsets.dtype)
+            order = sp.csr_matrix(
+                (entries, self.col_indices, self.row_offsets), shape=(self.num_rows, self.num_cols)
+            ).transpose().tocsr()
+            order.sort_indices()
+            arrays = ((order.indptr, self.row_offsets), (order.indices, self.col_indices))
+            if order.shape == (self.num_rows, self.num_cols) and all(
+                    a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays):
+                pattern = self
+            else:
+                pattern = _Pattern(*order.shape, order.indptr, order.indices)
+            self._transposed = (pattern, order.data)
+        return self._transposed
+
+
+@dataclass(eq=False)
 class SparseMatrix:
     """CSR matrix over the joined (user+item) node space.
 
     ``row_offsets`` has length ``num_rows + 1`` and is nondecreasing;
     column indices are strictly increasing within each row; all stored
-    values are finite.
+    values are finite.  A matrix is not modified once built: what is
+    derived from it for transposes and normalizations is computed on
+    first use and kept on it (two threads racing on a first use may each
+    compute it; the results are equal).
     """
 
     num_rows: int
@@ -106,6 +150,8 @@ class SparseMatrix:
     col_indices: np.ndarray
     values: np.ndarray
     _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
+    _pattern: _Pattern = field(default=None, repr=False, compare=False)
+    _with_loops: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.row_offsets = np.asarray(self.row_offsets)
@@ -144,15 +190,27 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
+    def _sparsity(self) -> _Pattern:
+        if self._pattern is None:
+            self._pattern = _Pattern(self.num_rows, self.num_cols, self.row_offsets,
+                                     self.col_indices)
+        return self._pattern
+
 
 def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
     """Symmetric (m+n)-square 0/1 adjacency ``[[0, R], [R^T, 0]]`` of the
     interaction matrix R.
 
-    No self-loops are stored; those are added during normalization.
+    No self-loops are stored; those are added during normalization.  It
+    is built on the first call for ``ds`` and kept on it, so that layer
+    selection and every propagation matrix share one.
     """
-    r = train_matrix(ds)
-    return SparseMatrix.from_scipy(sp.bmat([[None, r], [r.T, None]]))
+    adjacency = ds._derived.get("adjacency")
+    if adjacency is None:
+        r = train_matrix(ds)
+        adjacency = SparseMatrix.from_scipy(sp.bmat([[None, r], [r.T, None]]))
+        ds._derived["adjacency"] = adjacency
+    return adjacency
 
 
 def degrees(adjacency: SparseMatrix) -> np.ndarray:
@@ -175,16 +233,26 @@ def build_normalized_adjacency(
         )
     if adjacency.num_rows != adjacency.num_cols:
         raise ValueError("adjacency must be square")
-    nv = adjacency.num_rows
-    deg = degrees(adjacency)
-    log_d1 = np.log(deg + 1.0)
-    left = np.exp(-0.5 * log_d1)
+    pattern, left_scaled, log_d1 = _self_loops(adjacency)
     right = np.exp(cfg.column_exponent(k) * log_d1)
-    with_loops = adjacency.to_scipy() + sp.identity(nv, format="csr")
-    with_loops.sort_indices()
-    out = with_loops.copy()
-    out.data = out.data * np.repeat(left, np.diff(out.indptr)) * right[out.indices]
-    return SparseMatrix.from_scipy(out)
+    return pattern.with_values(left_scaled * right[pattern.col_indices])
+
+
+def _self_loops(adjacency: SparseMatrix):
+    """``(pattern, left_scaled, log_d1)`` of A+I: its sorted pattern, its
+    stored values times the left factor (d_i+1)^{-1/2} of their row, and
+    ln(d+1).  Built on the first call and kept on ``adjacency``, so every
+    granularity shares the pattern and computes only its own values."""
+    if adjacency._with_loops is None:
+        nv = adjacency.num_rows
+        log_d1 = np.log(degrees(adjacency) + 1.0)
+        left = np.exp(-0.5 * log_d1)
+        with_loops = adjacency.to_scipy() + sp.identity(nv, format="csr")
+        with_loops.sort_indices()
+        left_scaled = with_loops.data * np.repeat(left, np.diff(with_loops.indptr))
+        pattern = _Pattern(nv, nv, with_loops.indptr, with_loops.indices)
+        adjacency._with_loops = (pattern, left_scaled, log_d1)
+    return adjacency._with_loops
 
 
 def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[SparseMatrix]:
@@ -287,4 +355,8 @@ def add_product(out, indptr, indices, data, dense):
 
 
 def transpose(matrix: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix.from_scipy(matrix.to_scipy().transpose())
+    """The transpose of ``matrix``: the transposed pattern (the same arrays
+    when the pattern is symmetric) with the values gathered in its order,
+    bit for bit scipy's ``transpose().tocsr()`` with sorted indices."""
+    pattern, perm = matrix._sparsity().transposed()
+    return pattern.with_values(matrix.values[perm])

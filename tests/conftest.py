@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse import _sparsetools
 
-from jmpgcf import InteractionDataset, SelectedLayers, build_adjacency, graph
+from jmpgcf import DatasetFormatError, InteractionDataset, SelectedLayers, build_adjacency, graph
+from jmpgcf.data import _ITEM_DTYPE, _ITEM_MAX
 from jmpgcf.model import PropagationOutput
 
 
@@ -174,3 +175,33 @@ def assert_datasets_equal(a: InteractionDataset, b: InteractionDataset):
 def tiny_dataset():
     # 2 users, 3 items: user 0 -> {1, 2}, user 1 -> {0}; test: 0 -> {0}
     return InteractionDataset.from_lists(2, 3, [[1, 2], [0]], [[0], []])
+
+
+def reference_parse_interaction_file(path):
+    """The line-by-line parser that ``data._parse_interaction_file``
+    replaced, kept as its reference: text mode, ``str.split`` and one
+    ``int()`` per token.  It now also names the line of a non-ASCII byte,
+    where the strict ascii codec raised a bare ``UnicodeDecodeError``."""
+    counts, flat = {}, []  # items per uid, in line order; all items
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise DatasetFormatError(f"{path}:{lineno}: non-ASCII byte")
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                values = [int(tok) for tok in tokens]
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
+            if min(values) < 0:
+                raise DatasetFormatError(f"{path}:{lineno}: negative index")
+            if max(values) > _ITEM_MAX:
+                raise DatasetFormatError(f"{path}:{lineno}: index too large for int64")
+            uid = values[0]
+            if uid in counts:
+                raise DatasetFormatError(f"{path}:{lineno}: user {uid} appears on multiple lines")
+            counts[uid] = len(values) - 1
+            flat.extend(values[1:])
+    uids = np.array(list(counts), dtype=_ITEM_DTYPE)
+    return uids, np.repeat(uids, list(counts.values())), np.array(flat, dtype=_ITEM_DTYPE)

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jmpgcf import DatasetFormatError, build_adjacency, load_dataset, save_dataset, split_validation
+from jmpgcf import DatasetFormatError, build_adjacency, data, load_dataset, save_dataset, split_validation
 from jmpgcf.data import InteractionDataset
 
-from conftest import assert_datasets_equal, make_random_dataset
+from conftest import assert_datasets_equal, make_random_dataset, reference_parse_interaction_file
 
 
 def write(path, text):
@@ -61,6 +63,10 @@ class TestLoadDataset:
         test = write(tmp_path / "test.txt", "")
         with pytest.raises(DatasetFormatError, match="multiple lines"):
             load_dataset(train, test)
+        # the first line that repeats a uid is named, not the last
+        train = write(tmp_path / "train.txt", "0 1\n1 2\n1 3\n0 4\n")
+        with pytest.raises(DatasetFormatError, match=r"train\.txt:3: user 1 appears"):
+            load_dataset(train, test)
 
     def test_train_test_overlap_rejected(self, tmp_path):
         train = write(tmp_path / "train.txt", "0 1 2\n")
@@ -105,6 +111,18 @@ class TestLoadDataset:
             with pytest.raises(DatasetFormatError, match=r"train\.txt:2: .*int64"):
                 load_dataset(train, test)
 
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        for bad in ("caf\u00e9".encode("utf-8"), b"\xff", b"7\x80"):
+            train = tmp_path / "train.txt"
+            train.write_bytes(b"0 1\n1 2\n2 " + bad + b" 3\n")
+            test = write(tmp_path / "test.txt", "")
+            with pytest.raises(DatasetFormatError, match=r"train\.txt:3: non-ASCII byte"):
+                load_dataset(str(train), test)
+            train.write_bytes(b"0 1\n")
+            (tmp_path / "test.txt").write_bytes(b"0 2\r\n\r\n" + bad + b"\n")
+            with pytest.raises(DatasetFormatError, match=r"test\.txt:3: non-ASCII byte"):
+                load_dataset(str(train), str(tmp_path / "test.txt"))
+
     def test_largest_int64_id_loads_with_remap(self, tmp_path):
         train = write(tmp_path / "train.txt", "0 9223372036854775807 4\n")
         test = write(tmp_path / "test.txt", "")
@@ -112,6 +130,109 @@ class TestLoadDataset:
         np.testing.assert_array_equal(ds.train[0], [0, 1])
         item_map = (tmp_path / "item_id_map.txt").read_text().splitlines()
         assert item_map == ["4 0", "9223372036854775807 1"]
+
+
+def random_interaction_bytes(rng, lines=60):
+    """A valid file as bytes: unique uids, tab and vertical-tab or form-feed
+    separators, LF, CRLF and lone-CR line ends, blank and whitespace-only
+    lines, uid-only lines, leading zeros, the id 2**63 - 1, and sometimes
+    no final newline."""
+    uids = rng.choice(10 * lines, size=lines, replace=False)
+    out = []
+    for uid in uids.tolist():
+        blank = rng.random()
+        if blank < 0.1:
+            out.append(b"")
+        elif blank < 0.2:
+            out.append(rng.choice([b" ", b"\t", b" \t \x0b", b"\x0c"]))
+        ids = [uid] + rng.integers(0, 50, size=int(rng.integers(0, 8))).tolist()
+        if rng.random() < 0.1:
+            ids.append(2**63 - 1)
+        tokens = [b"0" * int(rng.integers(0, 3)) + str(i).encode() if rng.random() < 0.2
+                  else str(i).encode() for i in ids]
+        if rng.random() < 0.05:
+            tokens.append(b"0" * 25 + b"42")  # 27 digits that fit in int64
+        seps = [rng.choice([b" ", b"\t", b"  ", b" \t", b"\x0b", b"\x0c"]) for _ in tokens]
+        lead = rng.choice([b"", b" ", b"\t"])
+        out.append(lead + b"".join(t + s for t, s in zip(tokens, seps)).rstrip())
+    ends = [rng.choice([b"\n", b"\r\n", b"\r"]) for _ in out]
+    text = b"".join(line + end for line, end in zip(out, ends))
+    return text[:-len(ends[-1])] if rng.random() < 0.3 else text
+
+
+# a token that breaks the format, and what the reference makes of it
+MALFORMED = {
+    "letter": b"2x",
+    "negative": b"-3",
+    "beyond int64": str(2**63).encode(),
+    "too many digits for int()": b"7" * 5000,
+    "non-ASCII": "\u00e9".encode("utf-8"),
+}
+
+
+class TestParser:
+    """``_parse_interaction_file`` against the line parser it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_files_equal_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "train.txt"
+        path.write_bytes(random_interaction_bytes(rng))
+        got = data._parse_interaction_file(str(path))
+        want = reference_parse_interaction_file(str(path))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    def test_random_files_load_equal_datasets(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(99)
+        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+        train.write_bytes(random_interaction_bytes(rng))
+        test.write_bytes(b"")
+        got = load_dataset(str(train), str(test), remap=True, mapping_dir=str(tmp_path))
+        monkeypatch.setattr(data, "_parse_interaction_file", reference_parse_interaction_file)
+        want = load_dataset(str(train), str(test), remap=True, mapping_dir=str(tmp_path))
+        assert_datasets_equal(got, want)
+
+    @pytest.mark.parametrize("case", [*MALFORMED, "repeated uid"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_malformed_same_error_as_reference(self, tmp_path, case, seed):
+        rng = np.random.default_rng(seed)
+        lines = re.split(rb"(\r\n|\r|\n)", random_interaction_bytes(rng))
+        rows = [i for i in range(0, len(lines), 2) if lines[i].split()]
+        at = rows[int(rng.integers(1, len(rows)))]
+        if case == "repeated uid":
+            earlier = lines[rows[int(rng.integers(0, rows.index(at)))]].split()[0]
+            lines[at] = b"\t".join([earlier, *lines[at].split()[1:]])
+        else:
+            tokens = lines[at].split()
+            tokens.insert(int(rng.integers(0, len(tokens) + 1)), MALFORMED[case])
+            lines[at] = b" ".join(tokens)
+        path = tmp_path / "train.txt"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetFormatError) as want:
+            reference_parse_interaction_file(str(path))
+        with pytest.raises(DatasetFormatError) as got:
+            data._parse_interaction_file(str(path))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:")
+
+    @pytest.mark.parametrize("line", [b"0 +5", b"0 1_000", b"0 -0"]
+                             + [b"0 1" + bytes([c]) + b"2" for c in range(0x1C, 0x20)])
+    def test_only_ascii_digit_runs_are_tokens(self, tmp_path, line):
+        # int() and str.split() accept these, so the reference loads them
+        path = tmp_path / "train.txt"
+        path.write_bytes(b"3 4\n" + line + b"\n")
+        reference_parse_interaction_file(str(path))
+        with pytest.raises(DatasetFormatError, match=r"train\.txt:2: malformed token"):
+            data._parse_interaction_file(str(path))
+
+    def test_empty_and_blank_files(self, tmp_path):
+        path = tmp_path / "train.txt"
+        for text in (b"", b"\n", b" \t\r\n\r\x0b\n"):
+            path.write_bytes(text)
+            for got in data._parse_interaction_file(str(path)):
+                assert got.dtype == np.int64 and got.size == 0
 
 
 class TestRemap:

@@ -36,3 +36,21 @@ def test_one_planted_configuration_repeats(tmp_path, monkeypatch):
     assert len(result["losses"]) == steps
     assert all(float.fromhex(loss) > 0 for loss in result["losses"])
     assert len(result["tables"]) == 64
+
+
+def test_planted_setup_repeats(tmp_path, monkeypatch):
+    gate = load_gate(monkeypatch)
+    assert set(gate.SETUP_GRAPHS) == {"gowalla", "planted"}
+    graphs = {"planted": gate.SETUP_GRAPHS["planted"]}
+    documents = [json.dumps(gate.setup(str(tmp_path / run), graphs), sort_keys=True)
+                 for run in ("first", "second")]
+    assert documents[0] == documents[1]
+    result = json.loads(documents[0])["planted"]
+    granularities = gate.POPULARITY.num_granularities
+    assert len(result["matrices"]) == len(result["transposes"]) == granularities
+    # A+I is symmetric: a transpose stores the same index arrays
+    for matrix, transposed in zip(result["matrices"], result["transposes"]):
+        assert matrix["row_offsets"] == transposed["row_offsets"]
+        assert matrix["col_indices"] == transposed["col_indices"]
+    assert len(result["hop_coverages"]) == gate.LayerSelectionConfig().max_hops
+    assert all(0 <= float.fromhex(c) <= 1 for c in result["hop_coverages"].values())

@@ -15,6 +15,7 @@ from jmpgcf import (
     SparseMatrix,
     build_adjacency,
     build_normalized_adjacency,
+    propagation_matrices,
     spmm,
     transpose,
 )
@@ -329,3 +330,79 @@ class TestTranspose:
         np.testing.assert_array_equal(back.toarray(), norm.toarray())
         np.testing.assert_array_equal(back.row_offsets, norm.row_offsets)
         np.testing.assert_array_equal(back.col_indices, norm.col_indices)
+
+
+def _scipy_transpose(mat):
+    want = mat.to_scipy().transpose().tocsr()
+    want.sort_indices()
+    return want
+
+
+def _assert_same_bits(got, want_shape, arrays):
+    assert got.shape == want_shape
+    for name, want in zip(("row_offsets", "col_indices", "values"), arrays):
+        actual = getattr(got, name)
+        assert actual.dtype == want.dtype, name
+        assert actual.tobytes() == want.tobytes(), name
+
+
+def _transpose_cases():
+    rng = np.random.default_rng(30)
+    square = rng.normal(size=(12, 12)) * (rng.random((12, 12)) < 0.3)
+    wide = rng.normal(size=(5, 9)) * (rng.random((5, 9)) < 0.5)
+    empty_rows = rng.normal(size=(10, 7)) * (rng.random((10, 7)) < 0.5)
+    empty_rows[[0, 4, 9]] = 0
+    single = np.zeros((3, 4))
+    single[2, 1] = -0.75
+    return {"non-symmetric": square, "wide": wide, "tall": wide.T.copy(),
+            "empty rows": empty_rows, "single entry": single, "no entries": np.zeros((2, 3))}
+
+
+class TestTransposeGather:
+    """``transpose`` gathers the values through its pattern's cached order
+    and matches scipy's transpose bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_transpose_cases()))
+    def test_equals_scipy_and_double_transpose_is_identity(self, name):
+        mat = SparseMatrix.from_scipy(sp.csr_matrix(_transpose_cases()[name]))
+        want = _scipy_transpose(mat)
+        once = transpose(mat)
+        _assert_same_bits(once, want.shape, (want.indptr, want.indices, want.data))
+        twice = transpose(once)
+        _assert_same_bits(twice, mat.shape, (mat.row_offsets, mat.col_indices, mat.values))
+        assert transpose(mat).col_indices is once.col_indices  # the order is kept
+
+    def test_propagation_transposes_share_one_pattern(self):
+        rng = np.random.default_rng(31)
+        ds = make_random_dataset(rng, 15, 11, max_degree=6)
+        mats = propagation_matrices(ds, PopularityConfig())
+        trans = [transpose(m) for m in mats]
+        for m, t in zip(mats, trans):
+            want = _scipy_transpose(m)
+            _assert_same_bits(t, want.shape, (want.indptr, want.indices, want.data))
+            _assert_same_bits(transpose(t), m.shape, (m.row_offsets, m.col_indices, m.values))
+            for other in (*mats, *trans):
+                assert np.shares_memory(other.row_offsets, m.row_offsets)
+                assert np.shares_memory(other.col_indices, m.col_indices)
+        stored = {id(a): a.nbytes for m in (*mats, *trans)
+                  for a in (m.row_offsets, m.col_indices, m.values)}
+        pattern = mats[0].row_offsets.nbytes + mats[0].col_indices.nbytes
+        assert len(stored) == 2 + 6
+        assert sum(stored.values()) == pattern + 6 * mats[0].values.nbytes
+
+    def test_normalized_values_match_scipy_expression(self):
+        # the shared pattern's values are today's expression, bit for bit
+        rng = np.random.default_rng(32)
+        ds = make_random_dataset(rng, 14, 10, max_degree=5)
+        adj = build_adjacency(ds)
+        cfg = PopularityConfig()
+        log_d1 = np.log(degrees(adj) + 1.0)
+        left = np.exp(-0.5 * log_d1)
+        with_loops = adj.to_scipy() + sp.identity(adj.num_rows, format="csr")
+        with_loops.sort_indices()
+        for k in range(cfg.num_granularities):
+            right = np.exp(cfg.column_exponent(k) * log_d1)
+            values = (with_loops.data * np.repeat(left, np.diff(with_loops.indptr))
+                      * right[with_loops.indices])
+            _assert_same_bits(build_normalized_adjacency(adj, k, cfg), adj.shape,
+                              (with_loops.indptr, with_loops.indices, values))

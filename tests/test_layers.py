@@ -5,10 +5,13 @@ from jmpgcf import (
     InteractionDataset,
     LayerSelectionConfig,
     LayerSelectionError,
+    PopularityConfig,
     SelectedLayers,
     build_adjacency,
     count_k_hop_neighbors,
+    graph,
     hop_coverages,
+    propagation_matrices,
     select_layers,
 )
 from jmpgcf.layers import _sample_users
@@ -79,6 +82,47 @@ class TestCountKHopNeighbors:
                 farthest = int(dist[u][component].max())
                 shells = sum(count_k_hop_neighbors(ds, u, hop) for hop in range(1, farthest + 2))
                 assert 1 + shells == int(component.sum())
+
+
+class TestOneJoinedAdjacency:
+    """The joined adjacency is built once per dataset and shared."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(ds):
+            calls.append(ds)
+            return train_matrix(ds)
+
+        train_matrix = graph.train_matrix
+        monkeypatch.setattr(graph, "train_matrix", counting)
+        return calls
+
+    def test_repeated_counts_build_once(self, builds):
+        rng = np.random.default_rng(11)
+        train = [sorted(rng.choice(9, size=int(rng.integers(0, 4)), replace=False).tolist())
+                 for _ in range(8)]
+        ds = InteractionDataset.from_lists(8, 9, train)
+        fresh = InteractionDataset.from_lists(8, 9, train)
+        dist = shortest_path_matrix(fresh)
+        builds.clear()
+        for u in range(ds.num_users):
+            for hop in range(1, 6):
+                assert count_k_hop_neighbors(ds, u, hop) == int(np.sum(dist[u] == hop))
+        assert builds == [ds]
+
+    def test_shared_by_layers_and_propagation(self, builds):
+        ds = InteractionDataset.from_lists(3, 4, [[0, 1], [1, 2], [3]])
+        adjacency = build_adjacency(ds)
+        hop_coverages(ds, LayerSelectionConfig(max_hops=4))
+        count_k_hop_neighbors(ds, 0, 3)
+        propagation_matrices(ds, PopularityConfig())
+        assert build_adjacency(ds) is adjacency
+        assert builds == [ds]
+        other = InteractionDataset.from_lists(3, 4, [[0, 1], [1, 2], [3]])
+        assert build_adjacency(other) is not adjacency
+        assert builds == [ds, other]
 
 
 class TestHopCoverages:

@@ -22,6 +22,11 @@ the parent commit and the change.  The document holds:
   schedule (one epoch per phase, per-epoch evaluation), the SHA-256 of
   its final tables and of their selected layers, and the reports on every
   evaluable user, with 1 and 2 workers.
+* ``setup``: for ``gowalla_lists(1)`` and ``planted_lists(1)``, read back
+  from their files, the SHA-256 of the loaded train and test lists (with
+  their lengths), of the ``row_offsets``, ``col_indices`` and ``values``
+  of every propagation matrix and of its transpose, and the hop
+  coverages of ``hop_coverages`` with the default selection settings.
 
 Floats are written with ``float.hex`` and arrays as the SHA-256 of their
 bytes, so two trees compute the same numbers to the bit exactly when
@@ -52,7 +57,9 @@ from jmpgcf import (  # noqa: E402
     TripleSampler,
     build_adjacency,
     build_normalized_adjacency,
+    LayerSelectionConfig,
     evaluate_cutoffs,
+    hop_coverages,
     init_parameters,
     load_dataset,
     propagate,
@@ -86,6 +93,7 @@ PLANTED_CONFIGS = list(itertools.product(
     [SelectedLayers(3, 4), SelectedLayers(1, 2), SelectedLayers(3, 2), SelectedLayers(1, 4)],
     ["adam", "sgd"], [False, True], [False, True],
 ))
+SETUP_GRAPHS = {"gowalla": gen.gowalla_lists, "planted": gen.planted_lists}
 
 
 def _sha(arrays) -> str:
@@ -170,9 +178,35 @@ def planted_train(directory):
     return result
 
 
+def _lists_sha(lists):
+    return _sha([np.array([len(items) for items in lists], dtype=np.int64), *lists])
+
+
+def _stored(matrix):
+    return {name: _sha([getattr(matrix, name)])
+            for name in ("row_offsets", "col_indices", "values")}
+
+
+def setup(directory, graphs=SETUP_GRAPHS):
+    """What the set-up computes from each generated graph's files."""
+    result = {}
+    for name, make in graphs.items():
+        ds, matrices, transposed = _graph(make, os.path.join(directory, name))
+        odd, even = hop_coverages(ds, LayerSelectionConfig())
+        result[name] = {
+            "train": _lists_sha(ds.train),
+            "test": _lists_sha(ds.test),
+            "matrices": [_stored(m) for m in matrices],
+            "transposes": [_stored(transposed[k]) for k in range(len(matrices))],
+            "hop_coverages": {str(hop): coverage.hex()
+                              for hop, coverage in sorted({**odd, **even}.items())},
+        }
+    return result
+
+
 def main():
     document = {}
-    for name, part in (("gowalla", gowalla), ("planted_steps", planted_steps),
+    for name, part in (("setup", setup), ("gowalla", gowalla), ("planted_steps", planted_steps),
                        ("planted_train", planted_train)):
         with tempfile.TemporaryDirectory(prefix="exactness-gate-") as directory:
             document[name] = part(directory)
