@@ -12,9 +12,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 from typing import get_type_hints
 
-from .data import DatasetFormatError, load_dataset, split_validation
+from .data import load_dataset, split_validation
 from .graph import GraphConfigError, PopularityConfig, _cores, propagation_matrices
 from .layers import (
     LayerSelectionConfig,
@@ -40,41 +41,72 @@ class ConfigError(Exception):
     pass
 
 
+def _build(owner, cfg, *same, **renamed):
+    """``owner`` called with RunConfig keys, ``same`` as themselves and ``renamed`` as
+    ``argument=key``; a rejected value is a ConfigError naming its keys."""
+    keys = {**dict(zip(same, same)), **renamed}
+    try:
+        return owner(**{arg: getattr(cfg, key) for arg, key in keys.items()})
+    except ValueError as exc:
+        named = [key for arg, key in keys.items() if arg in str(exc)] or keys.values()
+        given = ", ".join(f"{key}={getattr(cfg, key)!r}" for key in named)
+        raise ConfigError(f"{given}: {exc}") from None
+
+
+def _owned(owner, *same, **renamed):
+    """A RunConfig property: the ``owner`` object built once from its keys."""
+    return cached_property(lambda cfg: _build(owner, cfg, *same, **renamed))
+
+
+def _setting(default, text):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every run setting.  Each field is both a ``--dashed-name`` flag and
-    a ``snake_name=`` config-file key, parsed from its annotated type."""
+    a ``snake_name=`` config-file key, parsed from its annotated type.  A
+    library type's setting takes its default from that type, which alone
+    checks it: the properties at the end build each type from its keys."""
 
-    data_dir: str = field(default=".", metadata={"help": "directory with train.txt/test.txt"})
+    data_dir: str = _setting(".", "directory with train.txt/test.txt")
     output_dir: str = "."
     embed_dim: int = 64
-    batch_size: int = 2048
-    learning_rate: float = 1e-3
-    l2_coeff: float = 1e-4
-    c: float = field(default=0.1, metadata={"help": "granularity exponent unit"})
-    k: int = field(default=2, metadata={"help": "maximum popularity granularity"})
-    alpha: float = field(default=0.5, metadata={"help": "coverage threshold"})
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    l2_coeff: float = TrainConfig.l2_coeff
+    c: float = _setting(PopularityConfig.granularity_unit, "granularity exponent unit")
+    k: int = _setting(PopularityConfig.max_granularity, "maximum popularity granularity")
+    alpha: float = _setting(LayerSelectionConfig.alpha, "coverage threshold")
     epochs_per_phase: int = 300
     topk: int = 20
-    seed: int = 0
-    optimizer: str = field(default="adam", metadata={"choices": ("adam", "sgd")})
+    seed: int = TrainConfig.seed
+    optimizer: str = _setting(TrainConfig.optimizer, "adam or sgd")
     shared_base: bool = False
-    lambda_weights: tuple = field(
-        default=None, metadata={"help": "comma-separated per-granularity weights"}
+    lambda_weights: tuple = _setting(
+        PopularityConfig.granularity_weights, "comma-separated per-granularity weights"
     )
     l_odd: int = None
     l_even: int = None
-    sample_size: int = 100
-    max_hops: int = 20
+    sample_size: int = LayerSelectionConfig.sample_size
+    max_hops: int = LayerSelectionConfig.max_hops
     # evaluation threads; 0 = every core in the CPU affinity; results are worker-count invariant
     workers: int = 0
     eval_every: int = 0
-    validation_fraction: float = field(
-        default=0.0,
-        metadata={"help": "per-user fraction of training items held out for periodic metrics"},
+    validation_fraction: float = _setting(
+        0.0, "per-user fraction of training items held out for periodic metrics"
     )
-    full_matrix_reg: bool = False
+    full_matrix_reg: bool = TrainConfig.full_matrix_reg
     remap: bool = False
+
+    popularity = _owned(PopularityConfig, granularity_unit="c", max_granularity="k",
+                        granularity_weights="lambda_weights")
+    selection = _owned(LayerSelectionConfig, "alpha", "sample_size", "max_hops", "seed")
+    training = _owned(TrainConfig, "learning_rate", "l2_coeff", "batch_size", "optimizer",
+                      "seed", "full_matrix_reg")
+    schedule = _owned(PhaseSchedule.uniform, "epochs_per_phase", max_granularity="k")
+    layers = _owned(lambda l_odd, l_even: None if l_odd is None else SelectedLayers(l_odd, l_even),
+                    "l_odd", "l_even")  # None when not given
 
 
 def _parse_bool(text):
@@ -100,27 +132,21 @@ def _parse_cutoffs(text):
     return cutoffs
 
 
-def _value_parser(name, kind, choices):
+def _value_parser(name, kind):
     """Text-to-value parser of one RunConfig field, shared by its flag and
     its config-file key.  It raises ValueError, which argparse turns into
     exit 2 and the file reader into a ConfigError."""
     convert = {bool: _parse_bool, tuple: _parse_reals}.get(kind, kind)
 
     def parse(text):
-        value = convert(text)
-        if choices and value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}")
-        return value
+        return convert(text)
 
     parse.__name__ = name  # argparse names it in "invalid <name> value"
     return parse
 
 
 _TYPES = get_type_hints(RunConfig)
-_PARSE = {
-    spec.name: _value_parser(spec.name, _TYPES[spec.name], spec.metadata.get("choices"))
-    for spec in fields(RunConfig)
-}
+_PARSE = {spec.name: _value_parser(spec.name, _TYPES[spec.name]) for spec in fields(RunConfig)}
 
 
 def _parse_config_file(path):
@@ -154,11 +180,6 @@ def _resolve_config(args) -> RunConfig:
         if flag_value is not None:
             merged[name] = flag_value
     cfg = RunConfig(**merged)
-    if cfg.lambda_weights is not None and len(cfg.lambda_weights) != cfg.k + 1:
-        raise ConfigError(
-            f"lambda_weights needs {cfg.k + 1} values for k={cfg.k}, "
-            f"got {len(cfg.lambda_weights)}"
-        )
     if (cfg.l_odd is None) != (cfg.l_even is None):
         raise ConfigError("l_odd and l_even must be given together")
     if cfg.topk < 1:
@@ -176,6 +197,10 @@ def _resolve_config(args) -> RunConfig:
             "validation_fraction needs eval_every >= 1: only the periodic "
             "evaluation reads the holdout"
         )
+    for name in ("popularity", "selection", "training", "schedule", "layers"):
+        getattr(cfg, name)  # build each library object, so that it checks its keys now
+    # init_parameters owns the embed_dim rule; with no rows it allocates nothing
+    _build(partial(init_parameters, 0, 0, cfg=cfg.popularity, seed=cfg.seed), cfg, "embed_dim")
     return cfg
 
 
@@ -190,7 +215,6 @@ def _add_common_flags(parser):
                 flag,
                 dest=spec.name,
                 type=_PARSE[spec.name],
-                choices=spec.metadata.get("choices"),
                 help=spec.metadata.get("help"),
             )
 
@@ -232,40 +256,24 @@ def _load_data(cfg):
     return load_dataset(train_path, test_path, remap=cfg.remap, mapping_dir=cfg.output_dir)
 
 
-def _popularity(cfg) -> PopularityConfig:
-    return PopularityConfig(
-        granularity_unit=cfg.c,
-        max_granularity=cfg.k,
-        granularity_weights=cfg.lambda_weights,
-    )
-
-
-def _print_coverage(odd, even, out=sys.stdout):
+def _print_coverage(odd, even):
     hops = sorted(set(odd) | set(even))
     nonzero = [h for h in hops if odd.get(h, even.get(h)) > 0]
     last = max(nonzero, default=hops[-1]) + 2 if nonzero else hops[-1]
-    print(f"{'hop':>4} {'parity':>6} {'coverage':>10}", file=out)
+    print(f"{'hop':>4} {'parity':>6} {'coverage':>10}")
     for hop in hops:
         if hop > last:
             break
         parity = "odd" if hop % 2 == 1 else "even"
         coverage = odd.get(hop, even.get(hop))
-        print(f"{hop:>4} {parity:>6} {coverage:>10.4f}", file=out)
+        print(f"{hop:>4} {parity:>6} {coverage:>10.4f}")
 
 
 def cmd_select_layers(cfg, args) -> int:
     ds = _load_data(cfg)
-    sel_cfg = LayerSelectionConfig(
-        alpha=cfg.alpha, sample_size=cfg.sample_size, max_hops=cfg.max_hops, seed=cfg.seed
-    )
-    coverages = hop_coverages(ds, sel_cfg)
-    try:
-        selected = select_layers(ds, sel_cfg, coverages=coverages)
-    except LayerSelectionError as exc:
-        _print_coverage(exc.odd_coverage, exc.even_coverage)
-        raise
-    odd, even = coverages
-    _print_coverage(odd, even)
+    odd, even = hop_coverages(ds, cfg.selection)
+    _print_coverage(odd, even)  # also when no hop reaches alpha
+    selected = select_layers(ds, cfg.selection, coverages=(odd, even))
     print(f"selected: l_odd={selected.l_odd} l_even={selected.l_even}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     payload = {
@@ -280,9 +288,7 @@ def cmd_select_layers(cfg, args) -> int:
     return 0
 
 
-def _selected_layers(cfg) -> SelectedLayers:
-    if cfg.l_odd is not None:
-        return SelectedLayers(l_odd=cfg.l_odd, l_even=cfg.l_even)
+def _layers_json(cfg) -> SelectedLayers:
     path = os.path.join(cfg.output_dir, "layers.json")
     if not os.path.exists(path):
         raise ConfigError(
@@ -294,32 +300,22 @@ def _selected_layers(cfg) -> SelectedLayers:
 
 
 def cmd_train(cfg, args) -> int:
+    layers = cfg.layers or _layers_json(cfg)
     ds = _load_data(cfg)
-    layers = _selected_layers(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     if cfg.validation_fraction > 0:
         train_ds, eval_ds = split_validation(ds, cfg.validation_fraction, cfg.seed)
     else:
         train_ds, eval_ds = ds, ds
-    popularity = _popularity(cfg)
     params = init_parameters(
-        ds.num_users, ds.num_items, cfg.embed_dim, popularity, cfg.seed,
+        ds.num_users, ds.num_items, cfg.embed_dim, cfg.popularity, cfg.seed,
         shared_base=cfg.shared_base,
-    )
-    schedule = PhaseSchedule.uniform(cfg.k, cfg.epochs_per_phase)
-    train_cfg = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        l2_coeff=cfg.l2_coeff,
-        batch_size=cfg.batch_size,
-        optimizer=cfg.optimizer,
-        seed=cfg.seed,
-        full_matrix_reg=cfg.full_matrix_reg,
     )
     _, records = train(
         train_ds,
         params,
-        schedule,
-        train_cfg,
+        cfg.schedule,
+        cfg.training,
         layers,
         eval_ds=eval_ds if cfg.eval_every else None,
         eval_every=cfg.eval_every,
@@ -329,7 +325,7 @@ def cmd_train(cfg, args) -> int:
         workers=_eval_workers(cfg),
     )
     print(
-        f"trained {len(records)} epochs over {schedule.num_phases} phase(s); "
+        f"trained {len(records)} epochs over {cfg.schedule.num_phases} phase(s); "
         f"final loss {records[-1]['loss']:.6f}" if records else "no epochs configured"
     )
     return 0
@@ -382,10 +378,12 @@ def cmd_evaluate(cfg, args) -> int:
 
 
 def cmd_predict(cfg, args) -> int:
+    if args.user < 0:
+        raise ConfigError(f"user must be >= 0, got {args.user}")
     ds = _load_data(cfg)
-    ckpt = _load_checkpoint_for(cfg, ds, args.checkpoint)
-    if not 0 <= args.user < ds.num_users:
+    if args.user >= ds.num_users:
         raise ConfigError(f"user {args.user} outside [0, {ds.num_users})")
+    ckpt = _load_checkpoint_for(cfg, ds, args.checkpoint)
     out = _propagated(ckpt.params, ds, ckpt.layers)
     scores = score_all_items(out, args.user)
     topk = rank_user(scores, ds.train[args.user], cfg.topk)
@@ -410,9 +408,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (
-        DatasetFormatError,
         LayerSelectionError,
-        CheckpointFormatError,
         TrainingDivergedError,
         ValueError,
         OSError,

@@ -72,8 +72,8 @@ class LayerSelectionError(RuntimeError):
 _BLOCK = 64  # sources per pass: one bit each in a uint64 word per node
 
 
-def _exact_hop_counts(indptr, indices, sources, max_depth):
-    """Nodes at shortest-path distance exactly h, summed over ``sources``.
+def _exact_hop_counts(adjacency, sources, max_depth):
+    """Nodes at shortest-path distance exactly h in ``adjacency``, summed over ``sources``.
 
     Entry ``h - 1`` of the result is the count for h = 1..max_depth.
     Multi-source BFS over bitsets: the distinct ``sources`` are traversed
@@ -82,6 +82,10 @@ def _exact_hop_counts(indptr, indices, sources, max_depth):
     words of each row's neighbours, and the bits not yet seen are the
     nodes first reached at that depth.
     """
+    indptr = adjacency.row_offsets
+    # numpy casts an int32 index array to intp on every gather; one copy
+    # per call is cheaper than that cast at every level
+    indices = adjacency.col_indices.astype(np.intp, copy=False)
     num_nodes = len(indptr) - 1
     totals = np.zeros(max_depth, dtype=np.int64)
     # reduceat yields indices[start] for an empty segment, so only rows
@@ -105,11 +109,6 @@ def _exact_hop_counts(indptr, indices, sources, max_depth):
     return totals
 
 
-def _joined_csr(ds: InteractionDataset):
-    adjacency = build_adjacency(ds)
-    return adjacency.row_offsets, adjacency.col_indices.astype(np.int64, copy=False)
-
-
 def count_k_hop_neighbors(ds: InteractionDataset, u: int, hop: int) -> int:
     """Number of nodes at shortest-path distance exactly ``hop`` from user ``u``.
 
@@ -120,8 +119,7 @@ def count_k_hop_neighbors(ds: InteractionDataset, u: int, hop: int) -> int:
         raise ValueError(f"hop must be >= 1, got {hop}")
     if not 0 <= u < ds.num_users:
         raise IndexError(f"user index {u} out of range")
-    indptr, indices = _joined_csr(ds)
-    return int(_exact_hop_counts(indptr, indices, np.array([u]), hop)[hop - 1])
+    return int(_exact_hop_counts(build_adjacency(ds), np.array([u]), hop)[hop - 1])
 
 
 def _sample_users(ds, cfg):
@@ -141,9 +139,8 @@ def hop_coverages(ds: InteractionDataset, cfg: LayerSelectionConfig):
     """
     if ds.num_users == 0 or ds.num_items == 0:
         raise ValueError("dataset must contain at least one user and one item")
-    indptr, indices = _joined_csr(ds)
     sampled = _sample_users(ds, cfg)
-    totals = _exact_hop_counts(indptr, indices, sampled, cfg.max_hops)
+    totals = _exact_hop_counts(build_adjacency(ds), sampled, cfg.max_hops)
     odd, even = {}, {}
     for hop in range(1, cfg.max_hops + 1):
         space = ds.num_items if hop % 2 == 1 else ds.num_users

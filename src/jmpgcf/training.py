@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
+from . import evaluation
 from .data import InteractionDataset, train_matrix
 from .graph import add_product, propagation_matrices, spmm, transpose
 from .layers import SelectedLayers
@@ -449,8 +450,6 @@ def train(
     A checkpoint is written per phase boundary plus a final one; on
     divergence the last written checkpoints are left in place.
     """
-    from . import evaluation
-
     if schedule.max_granularity != params.popularity.max_granularity:
         raise ValueError("schedule and parameters disagree on max granularity")
     if matrices is None:

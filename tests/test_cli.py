@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from types import SimpleNamespace
 from dataclasses import fields
 from typing import get_type_hints
@@ -10,6 +11,10 @@ import pytest
 import jmpgcf.evaluation
 import jmpgcf.training
 from jmpgcf import (
+    LayerSelectionConfig,
+    PhaseSchedule,
+    PopularityConfig,
+    TrainConfig,
     evaluate,
     load_checkpoint,
     load_dataset,
@@ -98,7 +103,8 @@ class TestConfigResolution:
         }.get(name, [name])
         argv, lines = [], []
         for key in names:
-            text = "sgd" if key == "optimizer" else sample[types[key]]
+            # l_even=3 would be rejected before any data is read: even layers only
+            text = {"optimizer": "sgd", "l_even": "4"}.get(key, sample[types[key]])
             flag = "--" + key.replace("_", "-")
             argv += [flag] if types[key] is bool else [flag, text]
             lines.append(f"{key}={text}")
@@ -119,14 +125,52 @@ class TestConfigResolution:
         assert len(options) == extra
         assert {"--config", "--lambda-weights", "--no-shared-base", "--l-odd"} <= options
 
-    @pytest.mark.parametrize("command", ["select-layers", "train"])
-    def test_bad_choice_in_file_exits_2_like_the_flag(self, command, toy_dir, capsys):
-        cfg_file = toy_dir / "run.cfg"
-        cfg_file.write_text("optimizer=foo\n")
-        common = ["--data-dir", toy_dir, "--output-dir", toy_dir, "--l-odd", "1", "--l-even", "2"]
-        assert run(command, *common, "--optimizer", "foo") == 2
-        assert run(command, *common, "--config", cfg_file) == 2
-        assert "optimizer" in capsys.readouterr().err
+    def test_defaults_are_the_library_defaults(self):
+        cfg = RunConfig()
+        assert cfg.popularity == PopularityConfig()
+        assert cfg.selection == LayerSelectionConfig()
+        assert cfg.training == TrainConfig()
+        assert cfg.schedule == PhaseSchedule.uniform(PopularityConfig().max_granularity, 300)
+        assert cfg.layers is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"batch_size": "0"},
+            {"learning_rate": "-1"},
+            {"l2_coeff": "-1"},
+            {"embed_dim": "0"},
+            {"epochs_per_phase": "-1"},
+            {"l_odd": "2", "l_even": "2"},
+            {"alpha": "2"},
+            {"sample_size": "0"},
+            {"max_hops": "1"},
+            {"c": "0"},
+            {"k": "-1"},
+            {"lambda_weights": "1,0,1"},
+            {"optimizer": "foo"},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["select-layers", "train", "evaluate", "predict"])
+    def test_bad_value_exits_2_before_reading_data(self, command, source, bad, toy_dir, capsys):
+        """Each library type checks its keys before the data is read."""
+        (toy_dir / "train.txt").write_text("0 x\n")  # reading it would exit 1
+        settings = {"l_odd": "1", "l_even": "2", **bad}
+        if source == "flag":
+            given = [arg for name, value in settings.items()
+                     for arg in ("--" + name.replace("_", "-"), value)]
+        else:
+            cfg_file = toy_dir / "run.cfg"
+            cfg_file.write_text("".join(f"{name}={value}\n" for name, value in settings.items()))
+            given = ["--config", cfg_file]
+        extra = {"evaluate": ["--checkpoint", toy_dir / "x.ckpt"],
+                 "predict": ["--checkpoint", toy_dir / "x.ckpt", "--user", "0"]}
+        rc = run(command, "--data-dir", toy_dir, "--output-dir", toy_dir,
+                 *extra.get(command, []), *given)
+        assert rc == 2
+        assert re.search(rf"\b{next(iter(bad))}=", capsys.readouterr().err)
 
 
 class TestSelectLayersCommand:
@@ -157,7 +201,9 @@ class TestSelectLayersCommand:
         (tmp_path / "test.txt").write_text("")
         rc = run("select-layers", "--data-dir", tmp_path, "--alpha", "1.0")
         assert rc == 1
-        assert "coverage" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "coverage" in captured.err
+        assert captured.out.splitlines()[0].split() == ["hop", "parity", "coverage"]
 
 
 class TestTrainCommand:
@@ -186,6 +232,12 @@ class TestTrainCommand:
         assert (toy_dir / "checkpoint_final.ckpt").exists()
 
     def test_requires_layers(self, toy_dir, capsys):
+        rc = run("train", "--data-dir", toy_dir, "--output-dir", toy_dir)
+        assert rc == 2
+        assert "layers.json" in capsys.readouterr().err
+
+    def test_layers_resolved_before_reading_data(self, toy_dir, capsys):
+        (toy_dir / "train.txt").write_text("0 x\n")  # reading it would exit 1
         rc = run("train", "--data-dir", toy_dir, "--output-dir", toy_dir)
         assert rc == 2
         assert "layers.json" in capsys.readouterr().err
@@ -505,6 +557,24 @@ class TestPredictCommand:
             "--checkpoint", toy_dir / "checkpoint_final.ckpt", "--user", "999",
         )
         assert rc == 2
+
+    def test_negative_user_exits_2_before_reading_data(self, toy_dir, capsys):
+        (toy_dir / "train.txt").write_text("0 x\n")  # reading it would exit 1
+        rc = run(
+            "predict", "--data-dir", toy_dir, "--output-dir", toy_dir,
+            "--checkpoint", toy_dir / "x.ckpt", "--user", "-1",
+        )
+        assert rc == 2
+        assert "user must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_user_past_the_data_exits_2_before_reading_checkpoint(self, toy_dir, capsys):
+        (toy_dir / "x.ckpt").write_bytes(b"XXXXXXX\n")  # reading it would exit 1
+        rc = run(
+            "predict", "--data-dir", toy_dir, "--output-dir", toy_dir,
+            "--checkpoint", toy_dir / "x.ckpt", "--user", "12",
+        )
+        assert rc == 2
+        assert "user 12 outside [0, 12)" in capsys.readouterr().err
 
 
 def test_remap_writes_mapping_files(tmp_path):
