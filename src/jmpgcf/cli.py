@@ -295,8 +295,21 @@ def _layers_json(cfg) -> SelectedLayers:
             f"no layers.json in {cfg.output_dir}; run select-layers or pass --l-odd/--l-even"
         )
     with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    return SelectedLayers(l_odd=payload["l_odd"], l_even=payload["l_even"])
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not ASCII
+            raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected an object with keys l_odd and l_even")
+    for key in ("l_odd", "l_even"):
+        if key not in payload:
+            raise ConfigError(f"{path}: missing key {key!r}")
+        if type(payload[key]) is not int:
+            raise ConfigError(f"{path}: {key}={payload[key]!r}: expected an integer")
+    try:
+        return SelectedLayers(l_odd=payload["l_odd"], l_even=payload["l_even"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_train(cfg, args) -> int:

@@ -8,10 +8,15 @@ Users are scored in chunks, one :func:`score_users` call per chunk: one
 GEMM of the chunk's rows of the stacked factor against its item rows
 (one per run of equal granularity weights).  Its result is the chunk's
 own array, so the chunk masks every training item to -inf in it with
-one assignment and takes each user's top-k straight from the masked
-row: the k-th largest value by a partition of the row, then a stable
-sort of the items at or above it.  The ranking is the one
-:func:`rank_user` gives for a copy of the row.
+one assignment and ranks it a small block of rows at a time: one
+partition of a copy of the block gives each row's threshold, one pass
+over the flat block the items at or above it, and one lexsort by (row,
+-score, item) their order.  Hits, Recall and NDCG at every cutoff are
+then whole-chunk array operations.  The DCG adds the same
+``1 / log2(position + 2)`` terms in the same order as :func:`ndcg_at_k`,
+so each report is, to the bit, the mean of :func:`recall_at_k` and
+:func:`ndcg_at_k` over the users.  :func:`rank_user` is the one-row
+case of the same ranking.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ import numpy as np
 from .data import InteractionDataset
 from .graph import _cores
 from .model import PropagationOutput, score_users, weight_runs
+
+# scores ranked per partition: a block of at most 512 KiB per worker, or one row
+_BLOCK_ELEMENTS = 1 << 16
 
 __all__ = [
     "MetricsReport",
@@ -53,37 +61,50 @@ def rank_user(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     than k candidates remain (``exclude`` may repeat an item; each
     distinct item counts once), all of them are returned.  The scores
     are copied, the excluded items masked to -inf in the copy, and the
-    list read from it as :func:`evaluate_cutoffs` reads its masked rows.
+    copy ranked as a one-row block of :func:`evaluate_cutoffs`.
     """
     masked = np.array(scores, dtype=np.float64)
     exclude = np.unique(np.asarray(list(exclude), dtype=np.int64))
     masked[exclude] = -np.inf
-    return _top_k(masked, min(k, masked.shape[0] - exclude.size))
+    keep = max(0, min(k, masked.shape[0] - exclude.size))
+    return _rank_rows(masked[None], np.array([keep]), [exclude], keep)[0]
 
 
-def _top_k(masked: np.ndarray, k: int, buffer=None) -> np.ndarray:
-    """The first k items of ``masked`` by descending score, then ascending
-    index; ``masked`` holds -inf at every excluded item.  ``buffer``, a
-    float64 array of the row's length, holds the partitioned copy of the
-    row instead of a new one."""
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    n = masked.shape[0]
-    if k < n:
-        # exact top-k: everything at or above the k-th largest value (a
-        # partition of a copy of the row, not of a negated copy), then
-        # index-stable ordering of the boundary ties
-        if buffer is None:
-            buffer = np.empty(n)
-        np.copyto(buffer, masked)
-        buffer.partition(n - k)
-        threshold = buffer[n - k]
-        if math.isfinite(threshold):
-            candidates = np.flatnonzero(masked >= threshold)
-            order = candidates[np.argsort(-masked[candidates], kind="stable")]
-            return order[:k]
-    order = np.argsort(-masked, kind="stable")
-    return order[:k]
+def _rank_rows(masked, keep, excluded, width: int) -> np.ndarray:
+    """Each row's first ``keep[r]`` items by descending score, then
+    ascending index, as a (rows, width) array padded with ``n``, one past
+    the last item.
+
+    ``masked`` is a C-contiguous (rows, n) block holding -inf at every
+    item of ``excluded[r]``; ``keep[r] <= min(width, n - len(excluded[r]))``.
+    One partition of a copy of the block gives each row's width-th largest
+    value, every row's items at or above it are found in one pass over the
+    flat block, and one lexsort by (row, -score, item) orders them.  Any
+    threshold at or below a row's keep-th largest value selects a superset
+    of its list, so one partition point serves rows of every ``keep``.  A
+    row whose threshold is not finite (fewer than width items above -inf,
+    or width items at +inf) is sorted whole, and its excluded items are
+    dropped from the order: a candidate that itself scores -inf still
+    ranks, and no excluded item does.
+    """
+    rows, n = masked.shape
+    ranked = np.full((rows, width), n, dtype=np.int64)
+    if width == 0:
+        return ranked
+    threshold = np.partition(masked, n - width, axis=1)[:, n - width]
+    finite = np.isfinite(threshold)
+    # NaN compares false: a row without a finite threshold has no candidates here
+    flat = np.flatnonzero(masked >= np.where(finite, threshold, np.nan)[:, None])
+    row, item = np.divmod(flat, n)
+    order = np.lexsort((item, -masked.ravel()[flat], row))
+    row, item = row[order], item[order]
+    position = np.arange(row.size) - np.searchsorted(row, row)
+    kept = position < keep[row]
+    ranked[row[kept], position[kept]] = item[kept]
+    for r in np.flatnonzero(~finite & (keep > 0)):
+        order = np.argsort(-masked[r], kind="stable")
+        ranked[r, :keep[r]] = order[~np.isin(order, excluded[r])][:keep[r]]
+    return ranked
 
 
 def recall_at_k(topk, relevant) -> float:
@@ -139,8 +160,10 @@ def evaluate_cutoffs(
     """:func:`evaluate` at each of ``cutoffs`` from one scoring pass.
 
     Each user is ranked once, at the largest cutoff; a smaller cutoff's
-    list is a prefix of that ranking, because :func:`rank_user` orders by
-    descending score and then ascending item index.  At most ``workers``
+    list is a prefix of that ranking, because the ranking (the one
+    :func:`rank_user` gives) orders by descending score and then ascending
+    item index.  The chunk's users are ranked, and their metrics computed,
+    with whole-array operations, not one user at a time.  At most ``workers``
     threads score chunks, and never more than there are chunks or cores
     in the process's CPU affinity: each thread holds one chunk's score
     buffers, and a thread beyond the cores adds only memory.
@@ -159,20 +182,38 @@ def evaluate_cutoffs(
     # raises here, before any worker starts, for an output that cannot be scored
     several_runs = len(weight_runs(out, weights, range(out.num_granularities))) > 1
 
+    width = min(deepest, ds.num_items)
+    # ndcg_at_k's terms 1 / log2(position + 2), and the ideal DCG of 1..width hits
+    discounts = np.array([1.0 / math.log2(p + 2) for p in range(width)])
+    ideal = np.cumsum(discounts)
+    block_rows = max(1, _BLOCK_ELEMENTS // ds.num_items)
+
     def run_chunk(start, buffers=None):
         users = evaluable[start:start + chunk_size]
+        rows = np.arange(len(users))
         scores = score_users(out, users, weights=weights, buffers=buffers)
         # the chunk owns its scores: mask every training item in place
         excluded = [ds.train[u] for u in users]
-        counts = [len(items) for items in excluded]
-        scores[np.repeat(np.arange(len(users)), counts), np.concatenate(excluded)] = -np.inf
-        row_buffer = np.empty(ds.num_items)
-        for row, u in enumerate(users):
-            ranked = _top_k(scores[row], min(deepest, ds.num_items - counts[row]), row_buffer)
-            relevant = ds.test[u]
-            for c, k in enumerate(cutoffs):
-                recalls[c, start + row] = recall_at_k(ranked[:k], relevant)
-                ndcgs[c, start + row] = ndcg_at_k(ranked[:k], relevant, k)
+        counts = np.array([len(items) for items in excluded])
+        scores[np.repeat(rows, counts), np.concatenate(excluded)] = -np.inf
+        keep = np.minimum(deepest, ds.num_items - counts)
+        ranked = np.concatenate([
+            _rank_rows(scores[lo:lo + block_rows], keep[lo:lo + block_rows],
+                       excluded[lo:lo + block_rows], width)
+            for lo in range(0, len(users), block_rows)
+        ])
+        # held-out items as keys row * (n + 1) + item: the padding n matches none
+        relevant = [ds.test[u] for u in users]
+        sizes = np.array([len(items) for items in relevant])
+        stride = ds.num_items + 1
+        hits = np.isin(ranked + stride * rows[:, None],
+                       np.concatenate(relevant) + stride * np.repeat(rows, sizes))
+        found = np.cumsum(hits, axis=1)
+        dcg = np.cumsum(hits * discounts, axis=1)  # sequential, as ndcg_at_k adds
+        for c, k in enumerate(cutoffs):
+            at = min(k, width) - 1
+            recalls[c, start:start + len(users)] = found[:, at] / sizes
+            ndcgs[c, start:start + len(users)] = dcg[:, at] / ideal[np.minimum(sizes, k) - 1]
 
     starts = range(0, len(evaluable), chunk_size)
     threads = min(workers, len(starts), _cores())

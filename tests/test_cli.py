@@ -242,6 +242,25 @@ class TestTrainCommand:
         assert rc == 2
         assert "layers.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"l_odd": 1}', "l_even"),
+            ('{"l_odd": "1", "l_even": 2}', "l_odd"),
+            ("l_odd=1\n", "JSON"),
+            ('{"l_odd": 2, "l_even": 2}', "l_odd"),
+        ],
+        ids=["missing key", "string value", "not json", "even l_odd"],
+    )
+    def test_bad_layers_json_exits_2_naming_the_key(self, toy_dir, capsys, text, key):
+        (toy_dir / "layers.json").write_text(text)
+        rc = run("train", "--data-dir", toy_dir, "--output-dir", toy_dir,
+                 "--epochs-per-phase", "0")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "layers.json" in err and key in err
+        assert "Traceback" not in err
+
     def test_uses_layers_json_when_present(self, bipartite_dir, toy_dir):
         rc = run("select-layers", "--data-dir", toy_dir, "--output-dir", toy_dir, "--alpha", "0.3")
         assert rc == 0

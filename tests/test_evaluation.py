@@ -142,6 +142,61 @@ class TestRankUser:
                                           negated_copy_ranking(scores, exclude, k))
 
 
+def masked_block(scores, excluded):
+    masked = np.array(scores, dtype=np.float64)
+    for row, items in enumerate(excluded):
+        masked[row, items] = -np.inf
+    return masked
+
+
+class TestRankRows:
+    """The block ranker behind rank_user and evaluate_cutoffs, row for row
+    against the sort oracle."""
+
+    def check(self, scores, excluded, k):
+        n = scores.shape[1]
+        keep = np.array([min(k, n - len(items)) for items in excluded])
+        width = min(k, n)
+        ranked = evaluation._rank_rows(masked_block(scores, excluded), keep, excluded, width)
+        assert ranked.shape == (scores.shape[0], width)
+        for row, items in enumerate(excluded):
+            expected = sort_oracle(scores[row], set(items), k)
+            np.testing.assert_array_equal(ranked[row, :keep[row]], expected)
+            assert np.all(ranked[row, keep[row]:] == n)  # padding: one past the last item
+
+    def test_tie_heavy_integer_scores(self):
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 50))
+            scores = rng.integers(-2, 3, size=(rows, n)).astype(float)
+            excluded = [np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+                        for _ in range(rows)]
+            self.check(scores, excluded, int(rng.integers(1, n + 5)))
+
+    def test_edge_rows(self):
+        n = 12
+        scores = np.tile(np.arange(n) % 3, (5, 1)).astype(float)
+        scores[3, [1, 4]] = scores[4, [3, 4]] = -np.inf  # candidates scoring -inf
+        excluded = [
+            np.arange(n),  # every item excluded
+            np.array([], dtype=np.int64),  # nothing excluded, k at or above n
+            np.arange(n - 2),  # 2 candidates, fewer than k: the k-th value is -inf
+            np.array([0, 2]),  # 2 of the 10 candidates score -inf, as the excluded items do
+            np.array([0, 5, 6, 7, 8, 9, 10, 11]),  # the 4th of 4 candidates scores -inf
+        ]
+        self.check(scores, excluded, n)
+        self.check(scores, excluded, 4)
+        for row in range(5):  # one-row blocks
+            self.check(scores[row:row + 1], excluded[row:row + 1], 4)
+
+    def test_rank_user_is_the_one_row_case(self):
+        scores = np.array([2.0, 1.0, 2.0, -np.inf, 1.0])
+        np.testing.assert_array_equal(rank_user(scores, [0], 3), [2, 1, 4])
+        np.testing.assert_array_equal(rank_user(scores, [0, 1, 2, 4], 3), [3])
+        assert rank_user(scores, range(5), 3).size == 0
+        assert rank_user(scores, [], 0).size == 0
+
+
 class TestRecall:
     def test_all_relevant_retrieved(self):
         assert recall_at_k([1, 2, 3, 9], {1, 2, 3}) == 1.0
@@ -397,6 +452,29 @@ class TestEvaluateExactness:
         assert got == reference_reports(out, ds, self.CUTOFFS, chunk_size)
         if integer_valued:  # each run's sum is exact: the chunking cannot matter
             assert got == reference_reports(out, ds, self.CUTOFFS, 256)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_reports_are_per_user_means_to_the_bit(self, ds, workers, chunk_size, cores,
+                                                   monkeypatch):
+        """Each report is the mean of recall_at_k / ndcg_at_k over the
+        users, ranked by the sort oracle; blocks of 3 rows leave a ragged
+        block in every chunk of 7."""
+        cores(workers)
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 3 * self.num_items)
+        out = self.output(True)  # each run's sum is exact: the chunking cannot matter
+        got = evaluate_cutoffs(None, out, ds, self.CUTOFFS, workers=workers,
+                               chunk_size=chunk_size)
+        evaluable = [u for u in range(self.num_users) if len(ds.test[u])]
+        scores = stacked_scores(out, evaluable)
+        for report, k in zip(got, self.CUTOFFS):
+            ranked = [sort_oracle(scores[row], set(ds.train[u].tolist()), k)
+                      for row, u in enumerate(evaluable)]
+            recall = np.array([recall_at_k(r, ds.test[u]) for r, u in zip(ranked, evaluable)])
+            ndcg = np.array([ndcg_at_k(r, ds.test[u], k) for r, u in zip(ranked, evaluable)])
+            assert report.recall.hex() == float(recall.mean()).hex()
+            assert report.ndcg.hex() == float(ndcg.mean()).hex()
+            assert report.num_users_evaluated == len(evaluable)
 
     @pytest.mark.parametrize("integer_valued", [True, False])
     def test_scores_near_term_by_term_sum(self, integer_valued):

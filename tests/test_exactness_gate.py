@@ -54,3 +54,17 @@ def test_planted_setup_repeats(tmp_path, monkeypatch):
         assert matrix["col_indices"] == transposed["col_indices"]
     assert len(result["hop_coverages"]) == gate.LayerSelectionConfig().max_hops
     assert all(0 <= float.fromhex(c) <= 1 for c in result["hop_coverages"].values())
+
+
+def test_tie_section_repeats_for_every_worker_count(tmp_path, monkeypatch):
+    gate = load_gate(monkeypatch)
+    ds, matrices, _ = gate._graph(gate.gen.planted_lists, str(tmp_path))
+    params = gate.init_parameters(ds.num_users, ds.num_items, gate.EMBED_DIM, gate.POPULARITY,
+                                  gate.SEED)
+    documents = [gate._tie_evaluation(params, matrices, gate.PLANTED_LAYERS, ds)
+                 for _ in range(2)]
+    assert documents[0] == documents[1]
+    reports = documents[0]["reports"]
+    assert set(reports) == {f"workers={w}" for w in gate.WORKERS}
+    assert reports["workers=1"] == reports["workers=2"]
+    assert [r["k"] for r in reports["workers=1"]] == list(gate.CUTOFFS)

@@ -21,7 +21,10 @@ the parent commit and the change.  The document holds:
 * ``planted_train``: the records of a ``train()`` run over the planted
   schedule (one epoch per phase, per-epoch evaluation), the SHA-256 of
   its final tables and of their selected layers, and the reports on every
-  evaluable user, with 1 and 2 workers.
+  evaluable user, with 1 and 2 workers; and under ``ties``, the same
+  reports for the trained output with its selected layers rounded to
+  multiples of 0.25, whose scores have many ties (at k=20,
+  a tie straddles the cutoff for about one user in five).
 * ``setup``: for ``gowalla_lists(1)`` and ``planted_lists(1)``, read back
   from their files, the SHA-256 of the loaded train and test lists (with
   their lengths), of the ``row_offsets``, ``col_indices`` and ``values``
@@ -126,19 +129,33 @@ def _steps(ds, matrices, transposed, layers, steps_per_phase, optimizer="adam",
                     "tables": _sha(params.base_embeddings)}
 
 
+def _reports(params, out, ds):
+    """The ``evaluate_cutoffs`` reports, per worker count."""
+    return {
+        f"workers={workers}": [
+            {"k": r.k, "recall": r.recall.hex(), "ndcg": r.ndcg.hex(),
+             "users": r.num_users_evaluated}
+            for r in evaluate_cutoffs(params, out, ds, CUTOFFS, workers=workers)
+        ]
+        for workers in WORKERS
+    }
+
+
 def _evaluation(params, matrices, layers, ds):
     """The selected layers' SHA-256 and the reports, per worker count."""
     out = propagate(params, matrices, layers, retain_chain=False)
     selected = [out.layer(k, l) for k in range(out.num_granularities)
                 for l in (layers.l_odd, layers.l_even)]
-    reports = {}
-    for workers in WORKERS:
-        reports[f"workers={workers}"] = [
-            {"k": r.k, "recall": r.recall.hex(), "ndcg": r.ndcg.hex(),
-             "users": r.num_users_evaluated}
-            for r in evaluate_cutoffs(params, out, ds, CUTOFFS, workers=workers)
-        ]
-    return {"layers": _sha(selected), "reports": reports}
+    return {"layers": _sha(selected), "reports": _reports(params, out, ds)}
+
+
+def _tie_evaluation(params, matrices, layers, ds):
+    """The reports of an output whose selected layers are rounded to
+    multiples of 0.25, so that its scores have many ties."""
+    out = propagate(params, matrices, layers, retain_chain=False)
+    np.round(out.factor * 4, out=out.factor)  # the selected layers are views of the factor
+    out.factor /= 4
+    return {"layers": _sha([out.factor]), "reports": _reports(params, out, ds)}
 
 
 def gowalla(directory):
@@ -175,6 +192,7 @@ def planted_train(directory):
         "tables": _sha(params.base_embeddings),
     }
     result.update(_evaluation(params, matrices, PLANTED_LAYERS, ds))
+    result["ties"] = _tie_evaluation(params, matrices, PLANTED_LAYERS, ds)
     return result
 
 
