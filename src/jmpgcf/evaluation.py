@@ -64,7 +64,9 @@ def rank_user(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     copy ranked as a one-row block of :func:`evaluate_cutoffs`.
     """
     masked = np.array(scores, dtype=np.float64)
-    exclude = np.unique(np.asarray(list(exclude), dtype=np.int64))
+    if not isinstance(exclude, np.ndarray):
+        exclude = list(exclude)
+    exclude = np.unique(np.asarray(exclude, dtype=np.int64))
     masked[exclude] = -np.inf
     keep = max(0, min(k, masked.shape[0] - exclude.size))
     return _rank_rows(masked[None], np.array([keep]), [exclude], keep)[0]
@@ -93,14 +95,19 @@ def _rank_rows(masked, keep, excluded, width: int) -> np.ndarray:
         return ranked
     threshold = np.partition(masked, n - width, axis=1)[:, n - width]
     finite = np.isfinite(threshold)
-    # NaN compares false: a row without a finite threshold has no candidates here
-    flat = np.flatnonzero(masked >= np.where(finite, threshold, np.nan)[:, None])
+    all_finite = finite.all()
+    if not all_finite:
+        # NaN compares false: a row without a finite threshold has no candidates here
+        threshold = np.where(finite, threshold, np.nan)
+    flat = np.flatnonzero(masked >= threshold[:, None])
     row, item = np.divmod(flat, n)
     order = np.lexsort((item, -masked.ravel()[flat], row))
     row, item = row[order], item[order]
     position = np.arange(row.size) - np.searchsorted(row, row)
     kept = position < keep[row]
     ranked[row[kept], position[kept]] = item[kept]
+    if all_finite:
+        return ranked
     for r in np.flatnonzero(~finite & (keep > 0)):
         order = np.argsort(-masked[r], kind="stable")
         ranked[r, :keep[r]] = order[~np.isin(order, excluded[r])][:keep[r]]

@@ -9,11 +9,14 @@ rescales the right-hand degree normalization so that high-degree
 
 Granularity 0 is the standard symmetric normalization.  All matrices are
 row-sorted CSR; multiplies go through scipy.sparse, and a large one
-(:func:`spmm`) is split by rows across the process's cores.
+(:func:`spmm`) is split by rows across the process's cores.  Work of
+several granularities whose products are too small to split runs side
+by side on the same cores instead (:func:`side_by_side`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -297,6 +300,83 @@ def _get_pool():
         return _pool
 
 
+def splits(matrix: SparseMatrix, width: int) -> bool:
+    """Whether :func:`spmm` splits ``matrix`` times ``width`` dense columns
+    by rows: the product is at least ``PARALLEL_WORK`` and the process has
+    more than one core."""
+    return matrix.nnz * width >= PARALLEL_WORK and _cores() >= 2
+
+
+def fans_out(count: int, hops=()) -> bool:
+    """Whether :func:`side_by_side` runs ``count`` tasks side by side: the
+    process has more than one core, and no sparse product a task runs splits.
+
+    ``hops`` lists the largest products a task runs, as ``(matrix, width)``
+    pairs.  One that :func:`splits` already uses every core, and a task
+    that submitted its blocks to the pool could wait on a block that no
+    free thread is left to run; so such work runs one task after another.
+    """
+    return count > 1 and _cores() >= 2 and not any(splits(m, width) for m, width in hops)
+
+
+def side_by_side(tasks, workspace=None) -> list:
+    """Run ``tasks`` side by side on :func:`spmm`'s pool and on the calling
+    thread, and return their results in order.
+
+    Each thread takes the next task not yet taken until none is left (one
+    thread runs them all if the process has one core).  With ``workspace``,
+    a callable, the calling thread makes one workspace per thread before
+    any task starts, and each task is called with its thread's: large
+    arrays made on the calling thread come from its malloc arena, while
+    glibc keeps a worker thread's arena's freed memory resident.  Without
+    it, a task is called without arguments.  A task must not submit to the
+    pool (see :func:`fans_out`).  If tasks raise, the first of them in
+    order re-raises its exception here, once every task has ended.
+    """
+    tasks = list(tasks)
+    helpers = max(0, min(len(tasks), _cores()) - 1)
+    spaces = [workspace() for _ in range(helpers + 1)] if workspace else [None] * (helpers + 1)
+    results = [None] * len(tasks)
+    errors = [None] * len(tasks)
+    claim = itertools.count()  # each next() is atomic under the GIL
+
+    def drain(space):
+        while (i := next(claim)) < len(tasks):
+            try:
+                results[i] = tasks[i]() if space is None else tasks[i](space)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[i] = exc
+
+    futures = [_get_pool().submit(drain, space) for space in spaces[1:]]
+    try:
+        drain(spaces[0])
+    finally:
+        for future in futures:
+            future.result()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+def product_into(out: np.ndarray, matrix, dense: np.ndarray) -> np.ndarray:
+    """``matrix @ dense`` into ``out``, for a scipy CSR or CSC matrix or a
+    :class:`SparseMatrix`, on the calling thread: ``out`` is zero-filled
+    and scipy's own kernel for the format adds the product, as ``matrix @
+    dense`` does into the zeros it allocates, so the result is the same
+    bit for bit.  ``out`` is a C-contiguous float64 array of the result's
+    shape and ``dense`` a float64 one."""
+    if isinstance(matrix, SparseMatrix):
+        matrix = matrix.to_scipy()
+    if not out.flags.c_contiguous or out.shape != (matrix.shape[0], dense.shape[1]):
+        raise ValueError("out must be a C-contiguous array of the product's shape")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, f"{matrix.format}_matvecs")
+    kernel(*matrix.shape, dense.shape[1], matrix.indptr, matrix.indices, matrix.data,
+           np.ascontiguousarray(dense).ravel(), out.reshape(-1))
+    return out
+
+
 def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
     """Sparse @ dense product; row i of the result is sum_j M[i,j] * X[j].
 
@@ -316,9 +396,9 @@ def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix is {matrix.shape}, dense has {dense.shape[0]} rows"
         )
     csr = matrix.to_scipy()
-    if (dense.ndim != 2 or matrix.nnz * dense.shape[1] < PARALLEL_WORK
-            or (cores := _cores()) < 2):
+    if dense.ndim != 2 or not splits(matrix, dense.shape[1]):
         return np.asarray(csr @ dense)
+    cores = _cores()
     rows = matrix.num_rows
     indptr = csr.indptr
     dense = np.ascontiguousarray(dense)

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .graph import PopularityConfig, SparseMatrix, spmm
+from .graph import PopularityConfig, SparseMatrix, fans_out, product_into, side_by_side, spmm
 from .layers import SelectedLayers
 
 __all__ = [
@@ -140,6 +141,8 @@ class PropagationOutput:
     stacked_granularities: tuple[int, ...] = ()
     # k -> [idx, A_k[idx], deferred-layer rows at idx or None]; the last idx only
     _row_cache: dict = field(default_factory=dict, repr=False)
+    # the training step's rows and margins of the last batch (training._batch_terms)
+    _batch_cache: object = field(default=None, repr=False)
 
     @property
     def num_granularities(self) -> int:
@@ -167,15 +170,19 @@ class PropagationOutput:
         CSR), kept until a call with a different ``idx``."""
         return self._row_entry(k, idx)[1]
 
-    def rows(self, k: int, l: int, idx: np.ndarray) -> np.ndarray:
+    def rows(self, k: int, l: int, idx: np.ndarray, out=None) -> np.ndarray:
         """``layer(k, l)[idx]``, bit for bit, without computing a deferred
         layer in full (its rows are kept like :meth:`operator_rows`).  The
-        result may be shared: do not modify it."""
+        result may be shared: do not modify it.  Rows of a deferred layer
+        computed here go into ``out`` when it is given (a C-contiguous
+        float64 array of their shape; see :func:`graph.product_into`)."""
         if not self._is_pending(k, l):
             return self.layer(k, l)[idx]
         entry = self._row_entry(k, idx)
         if entry[2] is None:
-            entry[2] = spmm(SparseMatrix.from_scipy(entry[1]), self.chains[k][l - 1])
+            operator, previous = SparseMatrix.from_scipy(entry[1]), self.chains[k][l - 1]
+            entry[2] = (spmm(operator, previous) if out is None
+                        else product_into(out, operator, previous))
         return entry[2]
 
     def _row_entry(self, k, idx):
@@ -207,7 +214,9 @@ def propagate(
     its block of the stacked factor; only such an output can be scored.
     ``granularities`` restricts the work to a subset (phases early in
     the schedule never read the finer chains); other chains are present
-    but empty.
+    but empty.  The chains are computed side by side when no hop splits
+    by rows (:func:`graph.fans_out`), each hop into a buffer made on the
+    calling thread; every hop gives the same bits either way.
     """
     count = params.popularity.num_granularities
     if len(matrices) != count:
@@ -222,15 +231,22 @@ def propagate(
     factor = None
     if not retain_chain:
         factor = np.empty((params.num_users + params.num_items, 2 * len(wanted) * dim))
-    chains = []
-    for k in range(count):
-        if k not in wanted:
-            chains.append([None] * (depth + 1))
-            continue
+
+    # layers whose hop results a chain keeps as they are (not copied into the factor)
+    kept = keep if retain_chain else set()
+
+    def chain_of(k, buffers=None):
+        # ``buffers``, when given, take the hops' results: a hop writes into the
+        # last one, and the layer it read goes back on the list unless it is kept
         current = params.base_for(k)
         chain = [current]
         for l in range(1, computed + 1):
-            current = spmm(matrices[k], current)
+            if buffers is None:
+                current = spmm(matrices[k], current)
+            else:
+                previous, current = current, product_into(buffers.pop(), matrices[k], current)
+                if l > 1 and l - 1 not in kept:
+                    buffers.append(previous)
             if l not in keep:
                 chain.append(None)
             elif retain_chain:
@@ -240,7 +256,24 @@ def propagate(
                 block = factor[:, start:start + dim]
                 block[...] = current
                 chain.append(block)
-        chains.append(chain + [None] * (depth - computed))
+        return chain + [None] * (depth - computed)
+
+    if fans_out(len(wanted), [(matrices[k], dim) for k in wanted]):
+        # each chain's hop buffers are made here, on the calling thread (see
+        # side_by_side): as many as its kept layers and the two it alternates need
+        live = need = 0
+        for l in range(1, computed + 1):
+            live += 1
+            need = max(need, live)
+            if l > 1 and l - 1 not in kept:
+                live -= 1
+        shape = (params.num_users + params.num_items, dim)
+        built = side_by_side(partial(chain_of, k, [np.empty(shape) for _ in range(need)])
+                             for k in wanted)
+    else:
+        built = [chain_of(k) for k in wanted]
+    built = dict(zip(wanted, built))
+    chains = [built.get(k, [None] * (depth + 1)) for k in range(count)]
     return PropagationOutput(
         num_users=params.num_users,
         num_items=params.num_items,

@@ -20,6 +20,14 @@ one; the loss is mini-batch and reads the deepest layer only at the
 batch's rows, and the pull-back starts from those rows.  Every sum
 keeps the order of the full-size computation, so the results are
 bit-identical to it.
+
+The granularities meet only in sums, so each stage of a step (the
+propagation, the loss, the pull-back and the update of each table) runs
+its granularities side by side on the process's cores
+(:func:`graph.side_by_side`), unless a sparse product of the stage is
+large enough to be split by rows itself (:func:`graph.fans_out`).  The
+parts are combined in granularity order, so the results do not depend on
+the core count.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +45,16 @@ from scipy.special import expit
 
 from . import evaluation
 from .data import InteractionDataset, train_matrix
-from .graph import add_product, propagation_matrices, spmm, transpose
+from .graph import (
+    SparseMatrix,
+    add_product,
+    fans_out,
+    product_into,
+    propagation_matrices,
+    side_by_side,
+    spmm,
+    transpose,
+)
 from .layers import SelectedLayers
 from .model import ModelParameters, PropagationOutput, propagate, save_checkpoint
 
@@ -190,16 +208,69 @@ def _check_active(out, active_granularities):
     return active
 
 
-def _batch_rows(out, batch):
-    """The batch's distinct joined-space rows (ascending), and the
-    positions of each triple's user, positive and negative among them."""
-    b = len(batch)
-    rows, at = np.unique(
-        np.concatenate([batch.users, out.num_users + batch.pos_items,
-                        out.num_users + batch.neg_items]),
-        return_inverse=True,
-    )
-    return rows, at[:b], at[b:2 * b], at[2 * b:]
+@dataclass(eq=False)
+class _BatchTerms:
+    """A batch's distinct joined-space rows (ascending); each triple's
+    user, positive and negative row, in the joined space and as positions
+    among those rows; and the margin of every (granularity, layer) term
+    computed so far."""
+
+    batch: TripleBatch  # a copy, to tell the batch again
+    rows: np.ndarray
+    joined: tuple[np.ndarray, np.ndarray, np.ndarray]
+    at: tuple[np.ndarray, np.ndarray, np.ndarray]
+    margins: dict
+
+
+def _batch_terms(out, batch) -> _BatchTerms:
+    """The batch's rows and margins, kept on ``out`` for the last batch, so
+    that the loss and the backward pass of one step share them."""
+    terms = out._batch_cache
+    if terms is None or not all(np.array_equal(a, b) for a, b in zip(terms.batch, batch)):
+        b = len(batch)
+        joined = np.concatenate([batch.users, out.num_users + batch.pos_items,
+                                 out.num_users + batch.neg_items])
+        rows, at = np.unique(joined, return_inverse=True)
+        terms = _BatchTerms(TripleBatch(*(np.array(a) for a in batch)), rows,
+                            (joined[:b], joined[b:2 * b], joined[2 * b:]),
+                            (at[:b], at[b:2 * b], at[2 * b:]), {})
+        out._batch_cache = terms
+    return terms
+
+
+def _block(out, terms, k, l, deferred=None):
+    """A block of rows of layer ``l`` of granularity ``k`` that holds the
+    batch's, and each triple's user, positive and negative row in it: the
+    whole layer when it is there, else the deferred layer's rows at the
+    batch's rows (see ``PropagationOutput.rows``; ``deferred`` takes them)."""
+    if out.chains[k][l] is not None:
+        return out.chains[k][l], terms.joined
+    return out.rows(k, l, terms.rows, deferred), terms.at
+
+
+def _gather(sub, at, out):
+    """``sub[at]`` into ``out``: the same rows, copied without a temporary."""
+    return np.take(sub, at, axis=0, mode="clip", out=out)
+
+
+def _per_granularity(out, active, work, output_shape, scratch, side_scratch=None):
+    """``work(k, output, space)`` for each k in ``active``, in order.
+
+    ``space`` is a dict of arrays of the shapes in ``scratch``, one per
+    thread that runs work.  When the work runs side by side (see
+    :func:`graph.fans_out`), ``output`` is a new array of ``output_shape``
+    per granularity and ``space`` also holds arrays of the shapes in
+    ``side_scratch``; otherwise ``output`` is None, and the work makes its
+    own with products that may split.  Every array is made on the calling
+    thread (see :func:`graph.side_by_side`).
+    """
+    width = out.layer(active[0], 0).shape[1]
+    if not fans_out(len(active), [(matrix, width) for matrix in out.matrices]):
+        space = {name: np.empty(shape) for name, shape in scratch.items()}
+        return [work(k, None, space) for k in active]
+    shapes = {**scratch, **(side_scratch or {})}
+    return side_by_side((partial(work, k, np.empty(output_shape)) for k in active),
+                        lambda: {name: np.empty(shape) for name, shape in shapes.items()})
 
 
 class _RowScatter:
@@ -243,23 +314,37 @@ def separated_bpr_loss(
     ``full_matrix_reg`` it is the squared Frobenius norm of the whole
     selected-layer matrices.  Only the batch's rows of each layer are
     read (:meth:`PropagationOutput.rows`), unless ``full_matrix_reg``
-    needs the whole of it.
+    needs the whole of it.  The granularities' terms are computed side by
+    side when no hop splits and added in (granularity, layer) order; their
+    margins are kept on ``out`` for :func:`backward` of the same batch.
     """
     active = _check_active(out, active_granularities)
-    rows, at_u, at_i, at_j = _batch_rows(out, batch)
-    total = 0.0
-    reg = 0.0
-    for k in active:
+    terms = _batch_terms(out, batch)
+
+    def granularity(k, deferred, space):
+        parts = []
         for l in (out.layers.l_odd, out.layers.l_even):
             if full_matrix_reg:  # before rows(), which then reads this layer
                 emb = out.layer(k, l)
-                reg += float((emb * emb).sum())
-            sub = out.rows(k, l, rows)
-            e_u, e_i, e_j = sub[at_u], sub[at_i], sub[at_j]
+                norm = float((emb * emb).sum())
+            sub, at = _block(out, terms, k, l, deferred)
+            e_u, e_i, e_j = (_gather(sub, at, space[name]) for name, at in zip("uij", at))
             margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
-            total += float(np.logaddexp(0.0, -margin).sum())
-            if not full_matrix_reg:
-                reg += float((e_u * e_u).sum() + (e_i * e_i).sum() + (e_j * e_j).sum())
+            terms.margins[(k, l)] = margin
+            if not full_matrix_reg:  # squared in place: the rows are not read again
+                norm = float(sum(np.multiply(e, e, out=e).sum() for e in (e_u, e_i, e_j)))
+            parts.append((float(np.logaddexp(0.0, -margin).sum()), norm))
+        return parts
+
+    width = out.layer(active[0], 0).shape[1]
+    batch_shape = (len(batch), width)
+    total = 0.0
+    reg = 0.0
+    for parts in _per_granularity(out, active, granularity, (terms.rows.size, width),
+                                  dict.fromkeys(("u", "i", "j"), batch_shape)):
+        for term, norm in parts:  # in (k, l) order, as one loop adds them
+            total += term
+            reg += norm
     if not full_matrix_reg:
         reg /= len(batch)
     return total + l2_coeff * reg
@@ -289,53 +374,90 @@ def backward(
     rows only.  With ``full_matrix_reg`` the gradients are dense and the
     first hop is a full one.  Either way every sum is taken in the same
     order as the full-size computation, so the result is bit-identical.
+    The granularities are pulled back side by side when no hop splits,
+    and a shared table sums theirs in granularity order.  The margins
+    come from the loss of the same batch when it has run on ``out``.
     """
     active = _check_active(out, active_granularities)
     if transposed is None:
         transposed = {k: transpose(out.matrices[k]) for k in active}
-    rows, at_u, at_i, at_j = _batch_rows(out, batch)
-    to_u, to_i, to_j = (_RowScatter(at, rows.size) for at in (at_u, at_i, at_j))
-    # where a layer's gradient goes in a full-size one
-    at_rows = slice(None) if full_matrix_reg else rows
+    terms = _batch_terms(out, batch)
+    rows = terms.rows
+    to_u, to_i, to_j = (_RowScatter(at, rows.size) for at in terms.at)
     selected = (out.layers.l_odd, out.layers.l_even)
     top = out.layers.depth
     shape = out.layer(active[0], 0).shape
-    grads = [None] * (1 if out.shared_base else out.num_granularities)
-    for k in active:
-        inject = {}
-        for l in selected:
-            sub = out.rows(k, l, rows)
-            e_u, e_i, e_j = sub[at_u], sub[at_i], sub[at_j]
-            margin = np.einsum("bd,bd->b", e_u, e_i) - np.einsum("bd,bd->b", e_u, e_j)
-            weight = expit(-margin)[:, None]
-            grad = np.zeros((rows.size, shape[1]))
-            to_u.add(grad, -weight * (e_i - e_j))
-            to_i.add(grad, -weight * e_u)
-            to_j.add(grad, weight * e_u)
-            if full_matrix_reg:
-                dense = np.zeros(shape)
-                dense[rows] = grad
-                dense += (2.0 * l2_coeff) * out.layer(k, l)
-                grad = dense
-            else:
-                scale = 2.0 * l2_coeff / len(batch)
-                to_u.add(grad, scale * e_u)
-                to_i.add(grad, scale * e_i)
-                to_j.add(grad, scale * e_j)
-            inject[l] = grad
+
+    def layer_grad(k, l, space):
+        # The loss's gradient at layer l, at the batch's rows (dense with
+        # full_matrix_reg), in space["grad"].  Each batch-sized block is
+        # gathered into "a" or "b" and its product taken in place or into
+        # the other, with the operations and in the order of the textbook
+        # expressions.
+        sub, (at_u, at_i, at_j) = _block(out, terms, k, l)
+        a, b, grad = space["a"], space["b"], space["grad"]
+        margin = terms.margins.get((k, l))
+        if margin is None:
+            e_u = _gather(sub, at_u, a)
+            margin = (np.einsum("bd,bd->b", e_u, _gather(sub, at_i, b))
+                      - np.einsum("bd,bd->b", e_u, _gather(sub, at_j, b)))
+        weight = expit(-margin)[:, None]
+        grad.fill(0.0)
+        pair = np.subtract(_gather(sub, at_i, a), _gather(sub, at_j, b), out=a)
+        pair *= -weight
+        to_u.add(grad, pair)  # -w * (e_i - e_j)
+        e_u = _gather(sub, at_u, a)
+        to_i.add(grad, np.multiply(-weight, e_u, out=b))
+        to_j.add(grad, np.multiply(weight, e_u, out=b))
         if full_matrix_reg:
-            pulled = spmm(transposed[k], inject[top])
-        else:
-            pulled = np.asarray(out.operator_rows(k, rows).T @ inject[top])
-        for l in range(top - 1, 0, -1):  # pulled holds layer l here
-            if l in inject:
-                pulled[at_rows] += inject[l]
-            pulled = spmm(transposed[k], pulled)
+            dense = np.zeros(shape)
+            dense[rows] = grad
+            dense += (2.0 * l2_coeff) * out.layer(k, l)
+            return dense
+        scale = 2.0 * l2_coeff / len(batch)
+        to_u.add(grad, np.multiply(scale, e_u, out=b))
+        for scatter, at in ((to_i, at_i), (to_j, at_j)):
+            e = _gather(sub, at, b)
+            e *= scale
+            scatter.add(grad, e)
+        return grad
+
+    def hop(matrix, dense, buffer):
+        if buffer is not None:
+            return product_into(buffer, matrix, dense)
+        return spmm(matrix, dense) if isinstance(matrix, SparseMatrix) else matrix @ dense
+
+    def pull_back(k, pulled_out, space):
+        # Alongside other granularities, the hops alternate between two
+        # buffers so that the last one lands in pulled_out.  The lower
+        # selected layer's gradient is made once the top one's is read.
+        buffers = [None, None]
+        if pulled_out is not None:
+            buffers = [pulled_out, space["pulled"]][::1 if top % 2 else -1]
+        first = transposed[k] if full_matrix_reg else out.operator_rows(k, rows).T
+        pulled = hop(first, layer_grad(k, top, space), buffers[0])
+        for step, l in enumerate(range(top - 1, 0, -1), start=1):  # pulled holds layer l
+            if l in selected and full_matrix_reg:
+                pulled += layer_grad(k, l, space)
+            elif l in selected:  # pulled[rows] += grad, bit for bit
+                to_rows.add(pulled, layer_grad(k, l, space))
+            pulled = hop(transposed[k], pulled, buffers[step % 2])
+        return pulled
+
+    # adds a compact gradient into its rows of a full-size one
+    to_rows = _RowScatter(rows, shape[0])
+    grads = [None] * (1 if out.shared_base else out.num_granularities)
+    pulled = _per_granularity(
+        out, active, pull_back, shape,
+        {"a": (len(batch), shape[1]), "b": (len(batch), shape[1]), "grad": (rows.size, shape[1])},
+        {"pulled": shape},
+    )
+    for k, grad in zip(active, pulled):
         table = 0 if out.shared_base else k
         if grads[table] is None:
-            grads[table] = pulled
-        else:
-            grads[table] += pulled
+            grads[table] = grad
+        else:  # a shared table sums its granularities in k order
+            grads[table] += grad
     return [np.zeros(shape) if grad is None else grad for grad in grads]
 
 
@@ -375,12 +497,12 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
     it is NaN or inf if an entry is, and it is positive only if an
     entry is nonzero.  Only a sum that is not finite (an overflow, or
     bad entries to count) or zero (perhaps an underflow) is checked
-    again entry by entry.
+    again entry by entry.  The sums, and then the updates, of the tables
+    run side by side on the process's cores; every sum is checked, in
+    table order, before any update starts.
     """
-    squares = []
-    for idx, grad in enumerate(grads):
-        flat = grad.ravel()
-        total = float(flat @ flat)
+    squares = side_by_side(partial(_sum_of_squares, grad) for grad in grads)
+    for idx, (grad, total) in enumerate(zip(grads, squares)):
         if not math.isfinite(total):
             bad = int(np.count_nonzero(~np.isfinite(grad)))
             if bad:
@@ -388,42 +510,58 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
                     f"non-finite gradient for table {idx} ({bad} bad entries) "
                     f"at optimizer step {state.step + 1}"
                 )
-        squares.append(total)
     state.step += 1
+    width = params.embed_dim
     if cfg.optimizer == "sgd":
-        for table, grad in zip(params.base_embeddings, grads):
-            table -= cfg.learning_rate * grad
+        tasks = [partial(_descend, table, grad, cfg.learning_rate)
+                 for table, grad in zip(params.base_embeddings, grads)]
+        shape = (len(params.base_embeddings[0]), width)
+    else:
+        bias1 = 1.0 - cfg.adam_beta1 ** state.step
+        bias2 = 1.0 - cfg.adam_beta2 ** state.step
+        tasks = [partial(_adam_update, table, grad, total, m, v, cfg, bias1, bias2)
+                 for table, grad, total, m, v in zip(params.base_embeddings, grads, squares,
+                                                     state.first_moment, state.second_moment)]
+        shape = (2, max(1, _ADAM_BLOCK // width), width)
+    side_by_side(tasks, lambda: np.empty(shape))
+
+
+def _sum_of_squares(grad) -> float:
+    flat = grad.ravel()
+    return float(flat @ flat)
+
+
+def _descend(table, grad, learning_rate, scratch):
+    table -= np.multiply(learning_rate, grad, out=scratch)
+
+
+def _adam_update(table, grad, total, m, v, cfg, bias1, bias2, scratch):
+    """One table's adaptive update in place (see :func:`optimizer_step`),
+    with ``scratch`` a (2, rows, width) array for a block of rows."""
+    if total == 0 and not grad.any() and not m.any() and not v.any():
         return
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    bias1 = 1.0 - b1 ** state.step
-    bias2 = 1.0 - b2 ** state.step
-    for table, grad, total, m, v in zip(
-        params.base_embeddings, grads, squares, state.first_moment, state.second_moment
-    ):
-        if total == 0 and not grad.any() and not m.any() and not v.any():
-            continue
-        rows = max(1, _ADAM_BLOCK // table.shape[1])
-        scratch = np.empty((2, rows, table.shape[1]))
-        for lo in range(0, len(table), rows):
-            t, g, mb, vb = (a[lo:lo + rows] for a in (table, grad, m, v))
-            step, denom = scratch[:, :len(t)]
-            # m = b1 * m + (1 - b1) * grad
-            mb *= b1
-            np.multiply(g, 1.0 - b1, out=step)
-            mb += step
-            # v = b2 * v + (1 - b2) * grad * grad
-            vb *= b2
-            np.multiply(g, 1.0 - b2, out=step)
-            step *= g
-            vb += step
-            # table -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(mb, bias1, out=step)
-            step *= cfg.learning_rate
-            np.divide(vb, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += cfg.adam_eps
-            step /= denom
-            t -= step
+    rows = scratch.shape[1]
+    for lo in range(0, len(table), rows):
+        t, g, mb, vb = (a[lo:lo + rows] for a in (table, grad, m, v))
+        step, denom = scratch[:, :len(t)]
+        # m = b1 * m + (1 - b1) * grad
+        mb *= b1
+        np.multiply(g, 1.0 - b1, out=step)
+        mb += step
+        # v = b2 * v + (1 - b2) * grad * grad
+        vb *= b2
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        vb += step
+        # table -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(mb, bias1, out=step)
+        step *= cfg.learning_rate
+        np.divide(vb, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_eps
+        step /= denom
+        t -= step
 
 
 def train(

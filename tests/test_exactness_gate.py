@@ -68,3 +68,20 @@ def test_tie_section_repeats_for_every_worker_count(tmp_path, monkeypatch):
     assert set(reports) == {f"workers={w}" for w in gate.WORKERS}
     assert reports["workers=1"] == reports["workers=2"]
     assert [r["k"] for r in reports["workers=1"]] == list(gate.CUTOFFS)
+
+
+def test_one_planted_configuration_is_the_same_at_one_and_three_cores(tmp_path, monkeypatch):
+    gate = load_gate(monkeypatch)
+    graph = gate.jmpgcf.graph
+    configs = gate.PLANTED_CONFIGS[:1]
+    documents = []
+    for cores in (1, 3):
+        monkeypatch.setattr(graph, "_cores", lambda: cores)
+        monkeypatch.setattr(graph, "_pool", None)  # a pool of this many cores
+        try:
+            part = gate.planted_steps(str(tmp_path / f"cores{cores}"), configs)
+        finally:
+            if graph._pool is not None:
+                graph._pool.shutdown()
+        documents.append(json.dumps(part, sort_keys=True))
+    assert documents[0] == documents[1]

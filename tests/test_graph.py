@@ -310,6 +310,31 @@ class TestParallelSpmm:
         assert 69_000 * 64 < graph.PARALLEL_WORK <= 1_691_471 * 64
 
 
+class TestProductInto:
+    """product_into writes the product into a given array with the bits of
+    scipy's own product, for CSR and CSC matrices alike."""
+
+    @pytest.mark.parametrize("form", ["csr", "csc", "SparseMatrix"])
+    def test_equals_scipy_product_in_a_used_buffer(self, form):
+        rng = np.random.default_rng(29)
+        mat = _random_csr(rng, 40, 30, 0.2)
+        scipy_form = mat.to_scipy().tocsc() if form == "csc" else mat.to_scipy()
+        matrix = mat if form == "SparseMatrix" else scipy_form
+        dense = rng.normal(size=(30, 6))
+        out = rng.normal(size=(40, 6))  # stale values are overwritten, not added to
+        got = graph.product_into(out, matrix, dense)
+        want = scipy_form @ dense
+        assert got is out and got.tobytes() == want.tobytes()
+
+    def test_rejects_a_buffer_it_cannot_fill(self):
+        rng = np.random.default_rng(30)
+        mat = _random_csr(rng, 10, 8, 0.3)
+        dense = rng.normal(size=(8, 4))
+        for out in (np.empty((10, 8))[:, :4], np.empty((9, 4))):
+            with pytest.raises(ValueError):
+                graph.product_into(out, mat, dense)
+
+
 class TestTranspose:
     def test_symmetric_base_matrix_is_fixed_point(self):
         rng = np.random.default_rng(7)

@@ -1,7 +1,11 @@
 import itertools
 import logging
 import math
+import os
 import re
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 from scipy.stats import chisquare
 
+from jmpgcf import graph
 from jmpgcf import (
     InteractionDataset,
     ModelParameters,
@@ -354,6 +359,14 @@ def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_m
     """Losses, gradients, tables and moments over steps through the three
     phases, with sampled batches (users and items repeat) and a batch
     that touches every row, compare == with the full-row step."""
+    assert_step_matches_reference(layers, shared_base, full_matrix_reg, optimizer)
+
+
+STEP_CONFIGURATIONS = list(itertools.product(
+    [(3, 4), (1, 2), (3, 2), (1, 4)], [False, True], [False, True], ["adam", "sgd"]))
+
+
+def assert_step_matches_reference(layers, shared_base, full_matrix_reg, optimizer):
     num_users, num_items = 12, 10
     ds = make_random_dataset(np.random.default_rng(31), num_users, num_items, max_degree=5)
     pop = PopularityConfig()
@@ -396,6 +409,159 @@ def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_m
         for ours, theirs in zip(state.first_moment + state.second_moment,
                                 ref_state.first_moment + ref_state.second_moment):
             np.testing.assert_array_equal(ours, theirs)
+
+
+class PoolSpy:
+    """Stands in for graph's pool and records, for every submission, the
+    submitted function's name and the functions on the submitting stack."""
+
+    def __init__(self, workers):
+        self.pool = ThreadPoolExecutor(workers)
+        self.submissions = []
+
+    def submit(self, fn, *args):
+        callers, frame = [], sys._getframe(1)
+        while frame is not None:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        self.submissions.append((fn.__name__, callers))
+        return self.pool.submit(fn, *args)
+
+    def shutdown(self):
+        self.pool.shutdown()
+
+    def fan_outs_from(self):
+        """The stages that handed tasks to the pool."""
+        stages = {"propagate", "separated_bpr_loss", "backward", "optimizer_step"}
+        return {stage for name, callers in self.submissions if name == "drain"
+                for stage in stages & set(callers)}
+
+    def nested(self):
+        """Submissions made from inside a task that the pool or the calling
+        thread was running."""
+        return [name for name, callers in self.submissions if "drain" in callers]
+
+
+def small_train(seed=50, layers=SelectedLayers(3, 4), optimizer="adam", epochs=1):
+    """train() over the three phases, with per-epoch evaluation, on a
+    small dataset; returns its records with floats as float.hex, and the
+    bytes of its tables."""
+    ds = make_random_dataset(np.random.default_rng(seed), 30, 24, max_degree=6, with_test=True)
+    params = init_parameters(30, 24, 8, PopularityConfig(), seed=seed)
+    cfg = TrainConfig(batch_size=16, seed=seed, optimizer=optimizer, learning_rate=0.01)
+    _, records = train(ds, params, PhaseSchedule.uniform(2, epochs), cfg, layers,
+                       eval_ds=ds, eval_every=1, eval_topk=5)
+    hexed = [{key: value.hex() if isinstance(value, float) else value
+              for key, value in record.items() if key != "wallclock_s"} for record in records]
+    return hexed, [table.tobytes() for table in params.base_embeddings]
+
+
+class TestSideBySide:
+    """Per-granularity work runs side by side on graph's pool when no hop
+    of it splits by rows, with the same bits at every core count."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(graph, "_cores", lambda: request.param)
+        monkeypatch.setattr(graph, "_pool", None)  # a pool of this many cores
+        yield request.param
+        if graph._pool is not None:
+            graph._pool.shutdown()
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        spy = PoolSpy(max(1, graph._cores() - 1))
+        monkeypatch.setattr(graph, "_pool", spy)
+        yield spy
+        spy.shutdown()
+
+    def test_step_configurations_at_every_core_count(self, cores):
+        for configuration in STEP_CONFIGURATIONS:
+            assert_step_matches_reference(*configuration)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_train_is_bitwise_equal_at_every_core_count(self, cores, optimizer, monkeypatch):
+        got = small_train(optimizer=optimizer)
+        with monkeypatch.context() as serial:
+            serial.setattr(graph, "_cores", lambda: 1)
+            assert small_train(optimizer=optimizer) == got
+
+    def test_train_is_bitwise_equal_when_hops_split(self, split, monkeypatch):
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        got = small_train()
+        assert split.blocks  # every hop took the row split
+        monkeypatch.setattr(graph, "_cores", lambda: 1)
+        assert small_train() == got
+
+    def test_pool_sees_each_stage_fan_out(self, cores, spy):
+        small_train()
+        if cores == 1:
+            assert spy.submissions == []
+        else:
+            assert spy.fan_outs_from() == {"propagate", "separated_bpr_loss", "backward",
+                                           "optimizer_step"}
+            assert {name for name, _ in spy.submissions} == {"drain"}
+        assert spy.nested() == []
+
+    def test_split_hops_run_one_granularity_at_a_time(self, split, monkeypatch, spy):
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        small_train()
+        # the optimizer runs no sparse product, so it fans out still
+        assert spy.fan_outs_from() == {"optimizer_step"}
+        assert "block" in {name for name, _ in spy.submissions}
+        assert spy.nested() == []
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_nonfinite_gradient_changes_nothing(self, cores, optimizer):
+        ds = make_random_dataset(np.random.default_rng(51), 12, 10, max_degree=5)
+        pop = PopularityConfig()
+        mats = propagation_matrices(ds, pop)
+        params = init_parameters(12, 10, 4, pop, seed=51)
+        cfg = TrainConfig(optimizer=optimizer)
+        state = init_optimizer_state(params)
+        batch = TripleSampler(ds).sample(16, np.random.default_rng(52))
+        out = propagate(params, mats, SelectedLayers(3, 4))
+        optimizer_step(params, backward(out, batch, {0, 1, 2}, cfg.l2_coeff), state, cfg)
+        grads = backward(out, batch, {0, 1, 2}, cfg.l2_coeff)
+        grads[1][3, 2] = np.nan
+        grads[1][5, 0] = np.inf
+        grads[2][0, 0] = np.nan
+        before = [a.copy() for a in (*params.base_embeddings, *state.first_moment,
+                                     *state.second_moment)]
+        message = r"^non-finite gradient for table 1 \(2 bad entries\) at optimizer step 2$"
+        with pytest.raises(TrainingDivergedError, match=message):
+            optimizer_step(params, grads, state, cfg)
+        assert state.step == 1
+        after = (*params.base_embeddings, *state.first_moment, *state.second_moment)
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_trains(self, monkeypatch):
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        monkeypatch.setattr(graph, "_pool", None)
+        want = small_train()
+        assert graph._pool is not None  # the parent's pool has a thread
+        pid = os.fork()
+        if pid == 0:  # child: only os._exit leaves it
+            code = 1
+            try:
+                fresh = graph._pool is None
+                code = 0 if fresh and small_train() == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish training")
+            time.sleep(0.01)
+        graph._pool.shutdown()
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def bits(array):
