@@ -216,7 +216,8 @@ def propagate(
     the schedule never read the finer chains); other chains are present
     but empty.  The chains are computed side by side when no hop splits
     by rows (:func:`graph.fans_out`), each hop into a buffer made on the
-    calling thread; every hop gives the same bits either way.
+    calling thread (one per kept layer and chain, and two per thread for
+    the others); every hop gives the same bits either way.
     """
     count = params.popularity.num_granularities
     if len(matrices) != count:
@@ -232,21 +233,18 @@ def propagate(
     if not retain_chain:
         factor = np.empty((params.num_users + params.num_items, 2 * len(wanted) * dim))
 
-    # layers whose hop results a chain keeps as they are (not copied into the factor)
-    kept = keep if retain_chain else set()
-
-    def chain_of(k, buffers=None):
-        # ``buffers``, when given, take the hops' results: a hop writes into the
-        # last one, and the layer it read goes back on the list unless it is kept
+    def chain_of(k, outputs=None, spare=None):
+        # Side by side, a hop writes into outputs[l] when the chain keeps
+        # layer l as it is, and otherwise into the one of its thread's two
+        # spare buffers that the layer it reads is not in.
         current = params.base_for(k)
         chain = [current]
         for l in range(1, computed + 1):
-            if buffers is None:
+            if outputs is None:
                 current = spmm(matrices[k], current)
             else:
-                previous, current = current, product_into(buffers.pop(), matrices[k], current)
-                if l > 1 and l - 1 not in kept:
-                    buffers.append(previous)
+                target = outputs[l] if l in outputs else spare[l % 2]
+                current = product_into(target, matrices[k], current)
             if l not in keep:
                 chain.append(None)
             elif retain_chain:
@@ -259,17 +257,12 @@ def propagate(
         return chain + [None] * (depth - computed)
 
     if fans_out(len(wanted), [(matrices[k], dim) for k in wanted]):
-        # each chain's hop buffers are made here, on the calling thread (see
-        # side_by_side): as many as its kept layers and the two it alternates need
-        live = need = 0
-        for l in range(1, computed + 1):
-            live += 1
-            need = max(need, live)
-            if l > 1 and l - 1 not in kept:
-                live -= 1
+        # every buffer is made here, on the calling thread (see side_by_side)
         shape = (params.num_users + params.num_items, dim)
-        built = side_by_side(partial(chain_of, k, [np.empty(shape) for _ in range(need)])
-                             for k in wanted)
+        kept = [l for l in range(1, computed + 1) if retain_chain and l in keep]
+        built = side_by_side(
+            (partial(chain_of, k, {l: np.empty(shape) for l in kept}) for k in wanted),
+            (lambda: (np.empty(shape), np.empty(shape))) if len(kept) < computed else None)
     else:
         built = [chain_of(k) for k in wanted]
     built = dict(zip(wanted, built))
