@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 import threading
@@ -308,6 +309,62 @@ class TestParallelSpmm:
         # the planted benchmark graph's hop (69k entries x 64 columns) stays
         # serial; the Gowalla-shaped one (1.7M entries x 64) is split
         assert 69_000 * 64 < graph.PARALLEL_WORK <= 1_691_471 * 64
+
+
+class TestSideBySide:
+    def run_bounded(self, call):
+        """``call()`` on a thread that must finish within a minute."""
+        box = {}
+
+        def target():
+            try:
+                box["result"] = call()
+            except Exception as exc:  # handed to the test below
+                box["error"] = exc
+
+        thread = threading.Thread(target=target)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        return box
+
+    def test_every_task_runs_once_and_results_keep_their_order(self, monkeypatch):
+        """More threads than cores, switching every microsecond: each task is
+        taken by exactly one thread, and a failing task's exception is the
+        first in order and comes once every task has ended."""
+        monkeypatch.setattr(graph, "_cores", lambda: 8)
+        monkeypatch.setattr(graph, "_pool", None)
+        ran = []
+
+        def task(i, space):
+            ran.append(i)  # list.append is atomic
+            space += 1
+            return float(np.full(200, i).sum())
+
+        try:
+            tasks = [functools.partial(task, i) for i in range(300)]
+            box = self.run_bounded(lambda: graph.side_by_side(tasks, lambda: np.zeros(1)))
+            assert box["result"] == [200.0 * i for i in range(300)]
+            assert sorted(ran) == list(range(300))
+
+            def failing(i):
+                ran.append(i)
+                if i in (7, 11):
+                    raise ValueError(f"task {i}")
+                return i
+
+            ran.clear()
+            box = self.run_bounded(
+                lambda: graph.side_by_side(functools.partial(failing, i) for i in range(40)))
+            assert str(box["error"]) == "task 7"
+            assert sorted(ran) == list(range(40))
+        finally:
+            graph._pool.shutdown()
 
 
 class TestProductInto:
