@@ -36,7 +36,11 @@ __all__ = [
     "build_adjacency",
     "build_normalized_adjacency",
     "degrees",
+    "fans_out",
+    "product_into",
     "propagation_matrices",
+    "side_by_side",
+    "splits",
     "spmm",
     "transpose",
 ]
