@@ -29,9 +29,9 @@ from .model import (
     init_parameters,
     load_checkpoint,
     propagate,
-    score_all_items,
+    score_users,
 )
-from .evaluation import evaluate_cutoffs, format_report, rank_user, report_as_dict
+from .evaluation import _chunk_of, evaluate_cutoffs, format_report, rank_user, report_as_dict
 from .training import PhaseSchedule, TrainConfig, TrainingDivergedError, train
 
 __all__ = ["RunConfig", "main", "entrypoint"]
@@ -398,7 +398,10 @@ def cmd_predict(cfg, args) -> int:
         raise ConfigError(f"user {args.user} outside [0, {ds.num_users})")
     ckpt = _load_checkpoint_for(cfg, ds, args.checkpoint)
     out = _propagated(ckpt.params, ds, ckpt.layers)
-    scores = score_all_items(out, args.user)
+    # the user's row of the GEMM evaluate scores them in, so that the two
+    # rank the same bits
+    chunk = _chunk_of(ds, args.user)
+    scores = score_users(out, chunk)[chunk.index(args.user)]
     topk = rank_user(scores, ds.train[args.user], cfg.topk)
     if topk.size == 0:
         print(f"warning: user {args.user} interacted with every item", file=sys.stderr)

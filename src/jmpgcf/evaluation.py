@@ -22,13 +22,12 @@ case of the same ranking.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import InteractionDataset
-from .graph import _cores
+from .graph import _cores, side_by_side
 from .model import PropagationOutput, score_users, weight_runs
 
 # scores ranked per partition: a block of at most 512 KiB per worker, or one row
@@ -171,9 +170,10 @@ def evaluate_cutoffs(
     :func:`rank_user` gives) orders by descending score and then ascending
     item index.  The chunk's users are ranked, and their metrics computed,
     with whole-array operations, not one user at a time.  At most ``workers``
-    threads score chunks, and never more than there are chunks or cores
-    in the process's CPU affinity: each thread holds one chunk's score
-    buffers, and a thread beyond the cores adds only memory.
+    threads score chunks (:func:`graph.side_by_side`), and never more than
+    there are chunks or cores in the process's CPU affinity: each thread
+    holds one chunk's score buffers, reused for every chunk it scores, and
+    a thread beyond the cores adds only memory.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise ValueError(f"cutoffs must be >= 1, got {cutoffs}")
@@ -181,7 +181,7 @@ def evaluate_cutoffs(
         weights = (
             params.popularity.granularity_weights if params is not None else out.default_weights
         )
-    evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
+    evaluable = _evaluable(ds)
     if not evaluable:
         raise ValueError("no user has held-out items to evaluate")
     recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
@@ -195,9 +195,11 @@ def evaluate_cutoffs(
     ideal = np.cumsum(discounts)
     block_rows = max(1, _BLOCK_ELEMENTS // ds.num_items)
 
-    def run_chunk(start, buffers=None):
+    def run_chunk(start, result, scratch):
         users = evaluable[start:start + chunk_size]
         rows = np.arange(len(users))
+        # into the chunk's rows of its thread's score buffers
+        buffers = [None if b is None else b[:len(users)] for b in (result, scratch)]
         scores = score_users(out, users, weights=weights, buffers=buffers)
         # the chunk owns its scores: mask every training item in place
         excluded = [ds.train[u] for u in users]
@@ -223,32 +225,37 @@ def evaluate_cutoffs(
             ndcgs[c, start:start + len(users)] = dcg[:, at] / ideal[np.minimum(sizes, k) - 1]
 
     starts = range(0, len(evaluable), chunk_size)
-    threads = min(workers, len(starts), _cores())
-    if threads > 1:
-        # A worker's chunk buffers are made here, on the calling thread, and
-        # at most one chunk per thread is in flight.  Made by the worker,
-        # they would come from its thread's malloc arena, and glibc keeps an
-        # arena's free memory resident, even after its thread has gone,
-        # until it exceeds the trim threshold (twice the largest mmapped
-        # block freed so far).
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            running = []
-            for start in starts:
-                if len(running) == threads:
-                    running.pop(0).result()
-                shape = (min(chunk_size, len(evaluable) - start), ds.num_items)
-                buffers = (np.empty(shape), np.empty(shape) if several_runs else None)
-                running.append(pool.submit(run_chunk, start, buffers))
-                del buffers
-            for future in running:
-                future.result()
-    else:
-        for start in starts:
-            run_chunk(start)
+    unclaimed = iter(starts)  # each next() is atomic under the GIL
+    shape = (min(chunk_size, len(evaluable)), ds.num_items)
+
+    def score_chunks(buffers):
+        # a thread scores every chunk it claims into the same buffers, made
+        # on the calling thread (see graph.side_by_side)
+        for start in unclaimed:
+            run_chunk(start, *buffers)
+
+    threads = max(1, min(workers, len(starts), _cores()))
+    side_by_side([score_chunks] * threads,
+                 lambda: (np.empty(shape), np.empty(shape) if several_runs else None))
     return [
         MetricsReport(k, float(recalls[c].mean()), float(ndcgs[c].mean()), len(evaluable))
         for c, k in enumerate(cutoffs)
     ]
+
+
+def _evaluable(ds: InteractionDataset) -> list[int]:
+    return [u for u in range(ds.num_users) if len(ds.test[u])]
+
+
+def _chunk_of(ds: InteractionDataset, user: int, chunk_size: int = 256) -> list[int]:
+    """The users that :func:`evaluate_cutoffs` scores in one GEMM with
+    ``user`` at the same ``chunk_size``: its chunk of the users with
+    held-out items, or ``[user]`` alone for a user it does not evaluate."""
+    if not len(ds.test[user]):
+        return [user]
+    evaluable = _evaluable(ds)
+    start = evaluable.index(user) // chunk_size * chunk_size
+    return evaluable[start:start + chunk_size]
 
 
 def report_as_dict(report: MetricsReport) -> dict:

@@ -8,10 +8,13 @@ rescales the right-hand degree normalization so that high-degree
     norm_adj_k[i][j] = (d_i+1)^{-1/2} * (A+I)[i][j] * (d_j+1)^{-1/2 + k*unit}
 
 Granularity 0 is the standard symmetric normalization.  All matrices are
-row-sorted CSR; multiplies go through scipy.sparse, and a large one
-(:func:`spmm`) is split by rows across the process's cores.  Work of
-several granularities whose products are too small to split runs side
-by side on the same cores instead (:func:`side_by_side`).
+row-sorted CSR.  Every sparse x dense product goes through :func:`spmm`,
+which runs scipy's own kernel into a given or new array and splits a
+large CSR product by rows across the process's cores.  Every parallel
+job runs through :func:`side_by_side` on one pool and the calling
+thread: the row blocks of a split product, the work of several
+granularities whose products are too small to split
+(:func:`fans_out`), the optimizer's tables and the evaluation's chunks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +41,6 @@ __all__ = [
     "build_normalized_adjacency",
     "degrees",
     "fans_out",
-    "product_into",
     "propagation_matrices",
     "side_by_side",
     "splits",
@@ -300,14 +303,14 @@ def _get_pool():
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="jmpgcf-spmm")
+            _pool = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="jmpgcf")
         return _pool
 
 
-def splits(matrix: SparseMatrix, width: int) -> bool:
-    """Whether :func:`spmm` splits ``matrix`` times ``width`` dense columns
-    by rows: the product is at least ``PARALLEL_WORK`` and the process has
-    more than one core."""
+def splits(matrix, width: int) -> bool:
+    """Whether :func:`spmm` splits a CSR ``matrix`` times ``width`` dense
+    columns by rows: the product is at least ``PARALLEL_WORK`` and the
+    process has more than one core."""
     return matrix.nnz * width >= PARALLEL_WORK and _cores() >= 2
 
 
@@ -324,7 +327,7 @@ def fans_out(count: int, hops=()) -> bool:
 
 
 def side_by_side(tasks, workspace=None) -> list:
-    """Run ``tasks`` side by side on :func:`spmm`'s pool and on the calling
+    """Run ``tasks`` side by side on the process's pool and on the calling
     thread, and return their results in order.
 
     Each thread takes the next task not yet taken until none is left (one
@@ -347,7 +350,7 @@ def side_by_side(tasks, workspace=None) -> list:
     def drain(space):
         while (i := next(claim)) < len(tasks):
             try:
-                results[i] = tasks[i]() if space is None else tasks[i](space)
+                results[i] = tasks[i]() if workspace is None else tasks[i](space)
             except BaseException as exc:  # re-raised on the calling thread
                 errors[i] = exc
 
@@ -363,65 +366,54 @@ def side_by_side(tasks, workspace=None) -> list:
     return results
 
 
-def product_into(out: np.ndarray, matrix, dense: np.ndarray) -> np.ndarray:
-    """``matrix @ dense`` into ``out``, for a scipy CSR or CSC matrix or a
-    :class:`SparseMatrix`, on the calling thread: ``out`` is zero-filled
-    and scipy's own kernel for the format adds the product, as ``matrix @
-    dense`` does into the zeros it allocates, so the result is the same
-    bit for bit.  ``out`` is a C-contiguous float64 array of the result's
-    shape and ``dense`` a float64 one."""
+def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix @ dense``, bit for bit, for a :class:`SparseMatrix` or a
+    scipy CSR or CSC matrix and a 1-D or 2-D ``dense``: row i of the
+    result is sum_j M[i,j] * X[j].
+
+    The result goes into ``out`` when it is given (a C-contiguous float64
+    array of the product's shape, else ``ValueError``), else into a new
+    array: it is zero-filled, and scipy's own kernel for the format adds
+    the product, as ``matrix @ dense`` does into the zeros it allocates.
+    A 2-D CSR product that :func:`splits` is cut into one contiguous
+    block of output rows per core in the process's CPU affinity, of about
+    equal stored entries, run side by side (:func:`side_by_side`; the
+    kernel releases the GIL), each on a slice of the row offsets over the
+    full index and value arrays.  Every output row takes the same loop
+    over the same entries in the same order as in ``csr @ dense``, so the
+    result is the same bit for bit, whatever the core count.
+    """
     if isinstance(matrix, SparseMatrix):
         matrix = matrix.to_scipy()
-    if not out.flags.c_contiguous or out.shape != (matrix.shape[0], dense.shape[1]):
-        raise ValueError("out must be a C-contiguous array of the product's shape")
-    out.fill(0.0)
-    kernel = getattr(_sparsetools, f"{matrix.format}_matvecs")
-    kernel(*matrix.shape, dense.shape[1], matrix.indptr, matrix.indices, matrix.data,
-           np.ascontiguousarray(dense).ravel(), out.reshape(-1))
-    return out
-
-
-def spmm(matrix: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product; row i of the result is sum_j M[i,j] * X[j].
-
-    A product of at least ``PARALLEL_WORK`` entries x columns is split
-    into one contiguous block of output rows per core in the process's
-    CPU affinity, of about equal stored entries.  Each block runs scipy's
-    own CSR kernel (which releases the GIL) on a slice of the row
-    offsets, over the full index and value arrays, into its rows of one
-    result; the calling thread runs the first block.  Every output row
-    takes the same loop over the same entries in the same order as in
-    ``csr @ dense``, so the result is the same bit for bit, whatever the
-    core count.
-    """
-    dense = np.asarray(dense, dtype=np.float64)
-    if matrix.num_cols != dense.shape[0]:
+    dense = np.ascontiguousarray(dense, dtype=np.float64)
+    rows, cols = matrix.shape
+    if dense.ndim not in (1, 2) or dense.shape[0] != cols:
         raise ValueError(
-            f"dimension mismatch: matrix is {matrix.shape}, dense has {dense.shape[0]} rows"
+            f"dimension mismatch: matrix is {matrix.shape}, dense has shape {dense.shape}"
         )
-    csr = matrix.to_scipy()
-    if dense.ndim != 2 or not splits(matrix, dense.shape[1]):
-        return np.asarray(csr @ dense)
-    cores = _cores()
-    rows = matrix.num_rows
-    indptr = csr.indptr
-    dense = np.ascontiguousarray(dense)
-    result = np.zeros((rows, dense.shape[1]))
-    cuts = np.searchsorted(indptr, np.arange(1, cores) * (matrix.nnz / cores))
-    bounds = [0, *np.minimum(cuts, rows).tolist(), rows]
-
-    def block(lo, hi):
-        add_product(result[lo:hi], indptr[lo:hi + 1], csr.indices, csr.data, dense)
-
-    blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    pool = _get_pool()
-    futures = [pool.submit(block, lo, hi) for lo, hi in blocks[1:]]
-    try:
-        block(*blocks[0])
-    finally:
-        for future in futures:
-            future.result()
-    return result
+    shape = (rows, *dense.shape[1:])
+    if out is None:
+        out = np.zeros(shape)
+    elif out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != shape:
+        raise ValueError("out must be a C-contiguous float64 array of the product's shape")
+    else:
+        out.fill(0.0)
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    if dense.ndim == 1:
+        getattr(_sparsetools, f"{matrix.format}_matvec")(
+            rows, cols, indptr, indices, data, dense, out)
+    elif matrix.format == "csr":
+        bounds = [0, rows]
+        if splits(matrix, dense.shape[1]):
+            cores = _cores()
+            cuts = np.searchsorted(indptr, np.arange(1, cores) * (matrix.nnz / cores))
+            bounds = [0, *np.minimum(cuts, rows).tolist(), rows]
+        side_by_side(partial(add_product, out[lo:hi], indptr[lo:hi + 1], indices, data, dense)
+                     for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo)
+    else:
+        getattr(_sparsetools, f"{matrix.format}_matvecs")(
+            rows, cols, dense.shape[1], indptr, indices, data, dense.ravel(), out.reshape(-1))
+    return out
 
 
 def add_product(out, indptr, indices, data, dense):

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import PopularityConfig, SparseMatrix, fans_out, product_into, side_by_side, spmm
+from .graph import PopularityConfig, SparseMatrix, fans_out, side_by_side, spmm
 from .layers import SelectedLayers
 
 __all__ = [
@@ -174,15 +174,13 @@ class PropagationOutput:
         """``layer(k, l)[idx]``, bit for bit, without computing a deferred
         layer in full (its rows are kept like :meth:`operator_rows`).  The
         result may be shared: do not modify it.  Rows of a deferred layer
-        computed here go into ``out`` when it is given (a C-contiguous
-        float64 array of their shape; see :func:`graph.product_into`)."""
+        computed here go into ``out`` when it is given (see
+        :func:`graph.spmm`)."""
         if not self._is_pending(k, l):
             return self.layer(k, l)[idx]
         entry = self._row_entry(k, idx)
         if entry[2] is None:
-            operator, previous = SparseMatrix.from_scipy(entry[1]), self.chains[k][l - 1]
-            entry[2] = (spmm(operator, previous) if out is None
-                        else product_into(out, operator, previous))
+            entry[2] = spmm(entry[1], self.chains[k][l - 1], out)
         return entry[2]
 
     def _row_entry(self, k, idx):
@@ -192,6 +190,23 @@ class PropagationOutput:
             entry = [idx.copy(), self.matrices[k].to_scipy()[idx], None]
             self._row_cache[k] = entry
         return entry
+
+
+def _per_granularity(granularities, work, output, workspace, hops) -> list:
+    """``work(k, output(), space)`` for each k in ``granularities``, and
+    their results in order.
+
+    ``output`` makes one granularity's result arrays and ``workspace`` one
+    thread's scratch arrays, both on the calling thread (see
+    :func:`graph.side_by_side`).  The granularities run side by side when
+    :func:`graph.fans_out` allows it for ``hops``; otherwise one after
+    another on the calling thread with one workspace, each granularity's
+    output made as it starts.
+    """
+    if fans_out(len(granularities), hops):
+        return side_by_side((partial(work, k, output()) for k in granularities), workspace)
+    space = workspace()
+    return [work(k, output(), space) for k in granularities]
 
 
 def propagate(
@@ -216,8 +231,8 @@ def propagate(
     the schedule never read the finer chains); other chains are present
     but empty.  The chains are computed side by side when no hop splits
     by rows (:func:`graph.fans_out`), each hop into a buffer made on the
-    calling thread (one per kept layer and chain, and two per thread for
-    the others); every hop gives the same bits either way.
+    calling thread: one per kept layer and chain, and two per thread for
+    the others.
     """
     count = params.popularity.num_granularities
     if len(matrices) != count:
@@ -229,22 +244,20 @@ def propagate(
     keep = {*selected, depth - 1} if retain_chain else set(selected)
     computed = depth - 1 if retain_chain else depth
     dim = params.embed_dim
+    shape = (params.num_users + params.num_items, dim)
+    kept = [l for l in range(1, computed + 1) if retain_chain and l in keep]
     factor = None
     if not retain_chain:
-        factor = np.empty((params.num_users + params.num_items, 2 * len(wanted) * dim))
+        factor = np.empty((shape[0], 2 * len(wanted) * dim))
 
-    def chain_of(k, outputs=None, spare=None):
-        # Side by side, a hop writes into outputs[l] when the chain keeps
-        # layer l as it is, and otherwise into the one of its thread's two
-        # spare buffers that the layer it reads is not in.
+    def chain_of(k, outputs, spare):
+        # A hop writes into outputs[l] when the chain keeps layer l as it
+        # is, and otherwise into the one of its thread's two spare buffers
+        # that the layer it reads is not in.
         current = params.base_for(k)
         chain = [current]
         for l in range(1, computed + 1):
-            if outputs is None:
-                current = spmm(matrices[k], current)
-            else:
-                target = outputs[l] if l in outputs else spare[l % 2]
-                current = product_into(target, matrices[k], current)
+            current = spmm(matrices[k], current, outputs[l] if l in outputs else spare[l % 2])
             if l not in keep:
                 chain.append(None)
             elif retain_chain:
@@ -256,15 +269,10 @@ def propagate(
                 chain.append(block)
         return chain + [None] * (depth - computed)
 
-    if fans_out(len(wanted), [(matrices[k], dim) for k in wanted]):
-        # every buffer is made here, on the calling thread (see side_by_side)
-        shape = (params.num_users + params.num_items, dim)
-        kept = [l for l in range(1, computed + 1) if retain_chain and l in keep]
-        built = side_by_side(
-            (partial(chain_of, k, {l: np.empty(shape) for l in kept}) for k in wanted),
-            (lambda: (np.empty(shape), np.empty(shape))) if len(kept) < computed else None)
-    else:
-        built = [chain_of(k) for k in wanted]
+    built = _per_granularity(
+        wanted, chain_of, lambda: {l: np.empty(shape) for l in kept},
+        lambda: (np.empty(shape), np.empty(shape)) if len(kept) < computed else (),
+        [(matrices[k], dim) for k in wanted])
     built = dict(zip(wanted, built))
     chains = [built.get(k, [None] * (depth + 1)) for k in range(count)]
     return PropagationOutput(

@@ -45,18 +45,15 @@ from scipy.special import expit
 
 from . import evaluation
 from .data import InteractionDataset, train_matrix
-from .graph import (
-    SparseMatrix,
-    add_product,
-    fans_out,
-    product_into,
-    propagation_matrices,
-    side_by_side,
-    spmm,
-    transpose,
-)
+from .graph import add_product, propagation_matrices, side_by_side, spmm, transpose
 from .layers import SelectedLayers
-from .model import ModelParameters, PropagationOutput, propagate, save_checkpoint
+from .model import (
+    ModelParameters,
+    PropagationOutput,
+    _per_granularity,
+    propagate,
+    save_checkpoint,
+)
 
 __all__ = [
     "OptimizerState",
@@ -253,26 +250,6 @@ def _gather(sub, at, out):
     return np.take(sub, at, axis=0, mode="clip", out=out)
 
 
-def _per_granularity(out, active, work, output_shape, scratch, side_scratch=None):
-    """``work(k, output, space)`` for each k in ``active``, in order.
-
-    ``space`` is a dict of arrays of the shapes in ``scratch``, one per
-    thread that runs work.  When the work runs side by side (see
-    :func:`graph.fans_out`), ``output`` is a new array of ``output_shape``
-    per granularity and ``space`` also holds arrays of the shapes in
-    ``side_scratch``; otherwise ``output`` is None, and the work makes its
-    own with products that may split.  Every array is made on the calling
-    thread (see :func:`graph.side_by_side`).
-    """
-    width = out.layer(active[0], 0).shape[1]
-    if not fans_out(len(active), [(matrix, width) for matrix in out.matrices]):
-        space = {name: np.empty(shape) for name, shape in scratch.items()}
-        return [work(k, None, space) for k in active]
-    shapes = {**scratch, **(side_scratch or {})}
-    return side_by_side((partial(work, k, np.empty(output_shape)) for k in active),
-                        lambda: {name: np.empty(shape) for name, shape in shapes.items()})
-
-
 class _RowScatter:
     """Adds the rows of batch-sized blocks into a compact gradient, as
     numpy's ``add.at(grad, at, values)`` does, bit for bit.
@@ -337,11 +314,12 @@ def separated_bpr_loss(
         return parts
 
     width = out.layer(active[0], 0).shape[1]
-    batch_shape = (len(batch), width)
     total = 0.0
     reg = 0.0
-    for parts in _per_granularity(out, active, granularity, (terms.rows.size, width),
-                                  dict.fromkeys(("u", "i", "j"), batch_shape)):
+    for parts in _per_granularity(
+            active, granularity, lambda: np.empty((terms.rows.size, width)),
+            lambda: {name: np.empty((len(batch), width)) for name in "uij"},
+            [(matrix, width) for matrix in out.matrices]):
         for term, norm in parts:  # in (k, l) order, as one loop adds them
             total += term
             reg += norm
@@ -422,36 +400,30 @@ def backward(
             scatter.add(grad, e)
         return grad
 
-    def hop(matrix, dense, buffer):
-        if buffer is not None:
-            return product_into(buffer, matrix, dense)
-        return spmm(matrix, dense) if isinstance(matrix, SparseMatrix) else matrix @ dense
-
     def pull_back(k, pulled_out, space):
-        # Alongside other granularities, the hops alternate between two
-        # buffers so that the last one lands in pulled_out.  The lower
-        # selected layer's gradient is made once the top one's is read.
-        buffers = [None, None]
-        if pulled_out is not None:
-            buffers = [pulled_out, space["pulled"]][::1 if top % 2 else -1]
+        # The hops alternate between two buffers so that the last one lands
+        # in pulled_out.  The lower selected layer's gradient is made once
+        # the top one's is read.
+        buffers = [pulled_out, space["pulled"]][::1 if top % 2 else -1]
         first = transposed[k] if full_matrix_reg else out.operator_rows(k, rows).T
-        pulled = hop(first, layer_grad(k, top, space), buffers[0])
+        pulled = spmm(first, layer_grad(k, top, space), buffers[0])
         for step, l in enumerate(range(top - 1, 0, -1), start=1):  # pulled holds layer l
             if l in selected and full_matrix_reg:
                 pulled += layer_grad(k, l, space)
             elif l in selected:  # pulled[rows] += grad, bit for bit
                 to_rows.add(pulled, layer_grad(k, l, space))
-            pulled = hop(transposed[k], pulled, buffers[step % 2])
+            pulled = spmm(transposed[k], pulled, buffers[step % 2])
         return pulled
 
     # adds a compact gradient into its rows of a full-size one
     to_rows = _RowScatter(rows, shape[0])
     grads = [None] * (1 if out.shared_base else out.num_granularities)
+    scratch = {"a": (len(batch), shape[1]), "b": (len(batch), shape[1]),
+               "grad": (rows.size, shape[1]), "pulled": shape}
     pulled = _per_granularity(
-        out, active, pull_back, shape,
-        {"a": (len(batch), shape[1]), "b": (len(batch), shape[1]), "grad": (rows.size, shape[1])},
-        {"pulled": shape},
-    )
+        active, pull_back, lambda: np.empty(shape),
+        lambda: {name: np.empty(size) for name, size in scratch.items()},
+        [(matrix, shape[1]) for matrix in out.matrices])
     for k, grad in zip(active, pulled):
         table = 0 if out.shared_base else k
         if grads[table] is None:

@@ -140,7 +140,9 @@ def assert_near_term_by_term(got, out, users, items=None, weights=None, granular
 
 class RecordingKernels:
     """Stands in for scipy's ``_sparsetools`` and records the row count of
-    every block the split path hands to the CSR kernel."""
+    every block handed to the CSR kernel: each block of a split product,
+    an unsplit CSR product as one block, and each row scatter.  Every
+    other kernel is scipy's, unrecorded."""
 
     def __init__(self):
         self.blocks = []
@@ -148,6 +150,9 @@ class RecordingKernels:
     def csr_matvecs(self, *args):
         self.blocks.append(args[0])
         return _sparsetools.csr_matvecs(*args)
+
+    def __getattr__(self, name):
+        return getattr(_sparsetools, name)
 
 
 @pytest.fixture

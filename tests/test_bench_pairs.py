@@ -1,8 +1,11 @@
 """``tools/bench_pairs.py`` summarises paired benchmark runs: medians,
-quartiles, wins in the metric's direction (ties for neither side)."""
+quartiles, wins in the metric's direction (ties for neither side), and
+the modes of a bimodal metric; it runs both sides from trees of equal
+path length."""
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -72,3 +75,76 @@ def test_section_pairs_runs_by_side():
     assert metric["parent"]["runs"] == [6.0, 7.0]
     assert metric["change"]["runs"] == [4.0, 7.5]
     assert metric["change_better_in"] == "1/2"
+
+
+def test_gowalla_rss_runs_are_labelled_by_mode():
+    def line(rss):
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"},
+                            "setup_s": {"value": 1.0, "unit": "s"}}}
+
+    results = [{"parent": line(p), "change": line(c)}
+               for p, c in ((1351.2, 1383.0), (1352.9, 1350.7), (1380.4, 1353.1))]
+    got = bench_pairs.section(results, {"peak_rss_mb": "lower", "setup_s": "lower"},
+                              bench_pairs.MODES["gowalla"])
+    assert got["metrics"]["peak_rss_mb"]["modes"] == {
+        "parent": {"runs": ["~1352", "~1352", "~1382"], "counts": {"~1352": 2, "~1382": 1}},
+        "change": {"runs": ["~1382", "~1352", "~1352"], "counts": {"~1352": 2, "~1382": 1}},
+    }
+    assert "modes" not in got["metrics"]["setup_s"]
+    assert "modes" not in bench_pairs.section(results, {"peak_rss_mb": "lower",
+                                                        "setup_s": "lower"})["metrics"]["peak_rss_mb"]
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A git repository with two commits of ``a.txt`` ("v1", "v2"), then an
+    uncommitted edit ("v3"), an untracked file and an ignored one; the
+    working directory is its root."""
+    root = tmp_path / "repo"
+    root.mkdir()
+    monkeypatch.chdir(root)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (root / ".gitignore").write_text("ignored.txt\n")
+    (root / "sub").mkdir()
+    for version in ("v1", "v2"):
+        (root / "sub" / "a.txt").write_text(version)
+        git("add", "-A")
+        git("commit", "-q", "-m", version)
+    (root / "sub" / "a.txt").write_text("v3")
+    (root / "new.txt").write_text("untracked")
+    (root / "ignored.txt").write_text("ignored")
+    return root
+
+
+def read_tree(tree):
+    return {os.path.relpath(os.path.join(d, f), tree): open(os.path.join(d, f)).read()
+            for d, _, files in os.walk(tree) for f in files}
+
+
+def test_working_tree_snapshot_beside_the_parent(repo, tmp_path):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    trees, sources = bench_pairs.make_trees(str(scratch), "HEAD~1")
+    assert len(trees["parent"]) == len(trees["change"])
+    assert os.path.dirname(trees["parent"]) == os.path.dirname(trees["change"]) == str(scratch)
+    assert read_tree(trees["parent"]) == {".gitignore": "ignored.txt\n", "sub/a.txt": "v1"}
+    assert read_tree(trees["change"]) == {".gitignore": "ignored.txt\n", "sub/a.txt": "v3",
+                                          "new.txt": "untracked"}
+    assert sources["change"] == "working tree"
+    assert sorted(os.listdir(scratch)) == ["change", "parent"]  # no archive left behind
+
+
+def test_aa_and_change_revision(repo, tmp_path):
+    for name, kwargs, want in (("aa", {"aa": True}, "v1"), ("rev", {"change": "HEAD"}, "v2")):
+        scratch = tmp_path / name
+        scratch.mkdir()
+        trees, sources = bench_pairs.make_trees(str(scratch), "HEAD~1", **kwargs)
+        assert read_tree(trees["parent"])["sub/a.txt"] == "v1"
+        assert read_tree(trees["change"]) == {".gitignore": "ignored.txt\n", "sub/a.txt": want}
+        assert (sources["change"] == sources["parent"]) == kwargs.get("aa", False)

@@ -11,15 +11,20 @@ import pytest
 import jmpgcf.evaluation
 import jmpgcf.training
 from jmpgcf import (
+    InteractionDataset,
     LayerSelectionConfig,
     PhaseSchedule,
     PopularityConfig,
+    SelectedLayers,
     TrainConfig,
     evaluate,
+    init_parameters,
     load_checkpoint,
     load_dataset,
     propagate,
     propagation_matrices,
+    rank_user,
+    save_checkpoint,
     save_dataset,
 )
 from jmpgcf.cli import ConfigError, RunConfig, _build_parser, _resolve_config, main
@@ -544,6 +549,50 @@ class TestPredictCommand:
         # user 3 lives in the first block: items 0..49
         in_block = [i for i in items if i < 50]
         assert len(in_block) >= 8
+
+    def test_ranks_the_scores_evaluate_ranked(self, tmp_path, capsys, monkeypatch):
+        """Items 10..39 have no training interactions and base rows equal
+        to within 1e-15, so their scores are near-ties whose order depends
+        on the last bits of the product.  predict lists the user's row of
+        the chunk GEMM that evaluate scored, ranked as evaluate ranks it."""
+        train = [[u % 10, (u + 3) % 10] for u in range(20)]
+        test = [[10 + (7 * u + 5 * j) % 30 for j in range(3)] for u in range(20)]
+        test[4] = []  # not evaluated: the chunk holds the other 19 users
+        save_dataset(InteractionDataset.from_lists(20, 40, train, test),
+                     tmp_path / "train.txt", tmp_path / "test.txt")
+        params = init_parameters(20, 40, 8, PopularityConfig(), seed=3)
+        rng = np.random.default_rng(4)
+        for table in params.base_embeddings:
+            table[30:] = rng.normal(size=8) + 1e-15 * rng.normal(size=(30, 8))
+        layers = SelectedLayers(1, 2)
+        save_checkpoint(tmp_path / "ties.ckpt", params, layers, 3, 1)
+
+        ds = load_dataset(tmp_path / "train.txt", tmp_path / "test.txt")
+        ckpt = load_checkpoint(tmp_path / "ties.ckpt")
+        out = propagate(ckpt.params, propagation_matrices(ds, ckpt.params.popularity), layers,
+                        retain_chain=False)
+        scored = {}
+        score = jmpgcf.evaluation.score_users
+
+        def spying_score(out, users, **kwargs):
+            scores = score(out, users, **kwargs)
+            scored.update(zip(users, scores.copy()))
+            return scores
+
+        monkeypatch.setattr(jmpgcf.evaluation, "score_users", spying_score)
+        evaluate(ckpt.params, out, ds, k=10)
+        for user in (0, 7, 19):
+            want = rank_user(scored[user], ds.train[user], 10)
+            top = np.sort(scored[user][want])
+            assert np.any(np.diff(top) <= 1e-12 * np.abs(top).max())  # near-ties
+            capsys.readouterr()
+            rc = run(
+                "predict", "--data-dir", tmp_path, "--output-dir", tmp_path,
+                "--checkpoint", tmp_path / "ties.ckpt", "--user", user, "--topk", "10",
+            )
+            assert rc == 0
+            rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+            assert [int(r[0]) for r in rows] == want.tolist()
 
     def test_saturated_user_warns_empty(self, tmp_path, capsys):
         (tmp_path / "train.txt").write_text("0 0 1 2\n1 0\n")

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from jmpgcf import (
     rank_user,
     recall_at_k,
 )
-from jmpgcf import evaluation
+from jmpgcf import evaluation, graph
 from jmpgcf.evaluation import MetricsReport, format_report, report_as_dict
 from jmpgcf.model import score_users
 
@@ -45,15 +47,24 @@ def cores(monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The ``max_workers`` of every pool evaluate_cutoffs starts, in order."""
+    """The number of threads of every ``side_by_side`` call evaluate_cutoffs
+    makes, in order: the runner makes one workspace per thread."""
     sizes = []
-    executor = evaluation.ThreadPoolExecutor
+    runner = evaluation.side_by_side
 
-    def spying_executor(max_workers):
-        sizes.append(max_workers)
-        return executor(max_workers=max_workers)
+    def spying_runner(tasks, workspace):
+        made = []
 
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", spying_executor)
+        def counted():
+            made.append(workspace())
+            return made[-1]
+
+        try:
+            return runner(tasks, counted)
+        finally:
+            sizes.append(len(made))
+
+    monkeypatch.setattr(evaluation, "side_by_side", spying_runner)
     return sizes
 
 
@@ -287,7 +298,7 @@ class TestEvaluate:
         b = evaluate(None, out, ds, k=5)
         c = evaluate(None, out, ds, k=5, workers=4, chunk_size=7)
         assert a == b == c
-        assert pool_sizes == [4]
+        assert pool_sizes == [1, 1, 4]
 
     def test_threads_capped_by_cores_and_chunks(self, cores, pool_sizes):
         """Eight workers on two cores run two threads, and on one chunk
@@ -298,9 +309,75 @@ class TestEvaluate:
         single = evaluate_cutoffs(None, out, ds, (1, 5), workers=1, chunk_size=3)
         cores(2)
         assert evaluate_cutoffs(None, out, ds, (1, 5), workers=8, chunk_size=3) == single
-        assert pool_sizes == [2]
+        assert pool_sizes == [1, 2]
         assert evaluate_cutoffs(None, out, ds, (1, 5), workers=8, chunk_size=256) == single
-        assert pool_sizes == [2]
+        assert pool_sizes == [1, 2, 1]
+
+    def test_threads_beyond_the_cores_score_every_chunk_once(self, cores, pool_sizes,
+                                                              monkeypatch):
+        """Eight threads on chunks of one user, switching every microsecond:
+        each chunk is claimed by exactly one thread, and the reports are
+        those of one thread."""
+        cores(8)
+        monkeypatch.setattr(graph, "_pool", None)  # a pool of seven threads
+        ds = make_random_dataset(np.random.default_rng(10), 60, 30, max_degree=6,
+                                 with_test=True)
+        out = manual_output([[np.random.default_rng(11).normal(size=(90, 4))] * 3],
+                            num_users=60)
+        single = evaluate_cutoffs(None, out, ds, (1, 5), workers=1, chunk_size=1)
+        scored, box = [], {}
+        score = evaluation.score_users
+
+        def spying_score(out, users, **kwargs):
+            scored.extend(users)  # list.extend is atomic
+            return score(out, users, **kwargs)
+
+        def call():
+            box["reports"] = evaluate_cutoffs(None, out, ds, (1, 5), workers=8, chunk_size=1)
+
+        monkeypatch.setattr(evaluation, "score_users", spying_score)
+        thread = threading.Thread(target=call)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            graph._pool.shutdown()
+        assert not thread.is_alive()
+        assert box["reports"] == single and pool_sizes == [1, 8]
+        assert sorted(scored) == [u for u in range(60) if len(ds.test[u])]
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.5)])
+    def test_score_buffers_made_once_per_thread(self, cores, pool_sizes, weights, monkeypatch):
+        """Two threads score 14 chunks into two sets of score buffers (a
+        result and, under unequal weights, a scratch array), each thread
+        reusing its own for every chunk it scores."""
+        cores(2)
+        ds = make_random_dataset(np.random.default_rng(8), 40, 30, max_degree=6, with_test=True)
+        rng = np.random.default_rng(9)
+        out = manual_output([[rng.normal(size=(70, 4)) for _ in range(3)] for _ in range(2)],
+                            num_users=40, weights=weights)
+        single = evaluate_cutoffs(None, out, ds, (1, 5), workers=1, chunk_size=3)
+        used = []
+        score = evaluation.score_users
+
+        def spying_score(out, users, *, weights, buffers):
+            used.append([None if b is None else b.base for b in buffers])
+            return score(out, users, weights=weights, buffers=buffers)
+
+        monkeypatch.setattr(evaluation, "score_users", spying_score)
+        assert evaluate_cutoffs(None, out, ds, (1, 5), workers=2, chunk_size=3) == single
+        evaluable = sum(1 for u in range(40) if len(ds.test[u]))
+        assert pool_sizes == [1, 2] and len(used) == -(-evaluable // 3) > 2
+        results, scratches = zip(*used)
+        if weights[0] == weights[1]:  # one run: no scratch array
+            assert all(base is None for base in scratches)
+            scratches = ()
+        for column in (results, scratches):
+            assert len({id(base) for base in column}) <= 2
+            assert all(base is not None and base.shape == (3, 30) for base in column)
 
     def test_propagated_output_worker_invariant(self, cores):
         """Threads score a propagated output as one thread does; a training

@@ -303,7 +303,7 @@ class TestParallelSpmm:
         rng = np.random.default_rng(28)
         mat = _random_csr(rng, 100, 100, 0.1)
         _assert_serial_bits(mat, rng.normal(size=(100, 64)))
-        assert kernels.blocks == []
+        assert kernels.blocks == [100]  # one block of every row
 
     def test_threshold_between_planted_and_gowalla_hops(self):
         # the planted benchmark graph's hop (69k entries x 64 columns) stays
@@ -367,29 +367,57 @@ class TestSideBySide:
             graph._pool.shutdown()
 
 
-class TestProductInto:
-    """product_into writes the product into a given array with the bits of
-    scipy's own product, for CSR and CSC matrices alike."""
+class TestSpmmInto:
+    """spmm(out=) writes the product into a given array with the bits of
+    scipy's own product, for CSR, CSC and SparseMatrix operands alike,
+    split by rows or not, at every core count."""
 
-    @pytest.mark.parametrize("form", ["csr", "csc", "SparseMatrix"])
-    def test_equals_scipy_product_in_a_used_buffer(self, form):
-        rng = np.random.default_rng(29)
+    FORMS = ["csr", "csc", "SparseMatrix"]
+
+    @staticmethod
+    def operands(form, seed):
+        rng = np.random.default_rng(seed)
         mat = _random_csr(rng, 40, 30, 0.2)
         scipy_form = mat.to_scipy().tocsc() if form == "csc" else mat.to_scipy()
-        matrix = mat if form == "SparseMatrix" else scipy_form
+        return mat if form == "SparseMatrix" else scipy_form, scipy_form, rng
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("split_by_rows", [False, True])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_equals_scipy_product_in_a_used_buffer(self, form, split_by_rows, cores, request,
+                                                   monkeypatch):
+        kernels = request.getfixturevalue("split") if split_by_rows else RecordingKernels()
+        monkeypatch.setattr(graph, "_sparsetools", kernels)
+        monkeypatch.setattr(graph, "_cores", lambda: cores)
+        matrix, scipy_form, rng = self.operands(form, 29)
         dense = rng.normal(size=(30, 6))
         out = rng.normal(size=(40, 6))  # stale values are overwritten, not added to
-        got = graph.product_into(out, matrix, dense)
+        got = spmm(matrix, dense, out)
         want = scipy_form @ dense
         assert got is out and got.tobytes() == want.tobytes()
+        if form == "csc":  # a CSC product is never split
+            assert kernels.blocks == []
+        else:  # one block per core when split, else one of every row
+            assert len(kernels.blocks) == (cores if split_by_rows else 1)
+            assert sum(kernels.blocks) == 40
 
-    def test_rejects_a_buffer_it_cannot_fill(self):
-        rng = np.random.default_rng(30)
-        mat = _random_csr(rng, 10, 8, 0.3)
-        dense = rng.normal(size=(8, 4))
-        for out in (np.empty((10, 8))[:, :4], np.empty((9, 4))):
-            with pytest.raises(ValueError):
-                graph.product_into(out, mat, dense)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_vector(self, form):
+        matrix, scipy_form, rng = self.operands(form, 31)
+        vector = rng.normal(size=30)
+        out = rng.normal(size=40)
+        want = scipy_form @ vector
+        assert spmm(matrix, vector).tobytes() == want.tobytes()
+        assert spmm(matrix, vector, out) is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_rejects_a_buffer_it_cannot_fill(self, form):
+        matrix, _, rng = self.operands(form, 30)
+        dense = rng.normal(size=(30, 4))
+        for out in (np.empty((40, 8))[:, :4], np.empty((39, 4)), np.empty((40, 4), np.float32),
+                    np.empty(40)):
+            with pytest.raises(ValueError, match="out must be"):
+                spmm(matrix, dense, out)
 
 
 class TestTranspose:

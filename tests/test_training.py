@@ -431,10 +431,16 @@ class PoolSpy:
         self.pool.shutdown()
 
     def fan_outs_from(self):
-        """The stages that handed tasks to the pool."""
+        """The stages that handed their own tasks to the pool (not the row
+        blocks of a split product)."""
         stages = {"propagate", "separated_bpr_loss", "backward", "optimizer_step"}
-        return {stage for name, callers in self.submissions if name == "drain"
+        return {stage for name, callers in self.submissions
+                if name == "drain" and "spmm" not in callers
                 for stage in stages & set(callers)}
+
+    def split_products(self):
+        """Submissions of a split product's row blocks."""
+        return [name for name, callers in self.submissions if "spmm" in callers]
 
     def nested(self):
         """Submissions made from inside a task that the pool or the calling
@@ -508,7 +514,7 @@ class TestSideBySide:
         small_train()
         # the optimizer runs no sparse product, so it fans out still
         assert spy.fan_outs_from() == {"optimizer_step"}
-        assert "block" in {name for name, _ in spy.submissions}
+        assert spy.split_products()
         assert spy.nested() == []
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

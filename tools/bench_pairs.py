@@ -6,18 +6,27 @@ Run from the root of a checkout::
         --seed 1 --pairs 10 --out BENCH_10.json
 
 Each pair runs the unchanged ``perfbench/run.py --workload W --seed S
---seconds T`` once in a ``git archive`` export of the parent revision and
-once in the working tree (uncommitted edits included), each in a fresh
-process, one after the other: even pairs (counting from 0) run the
-parent first, odd pairs the change first.  The file named by ``--out``
-gets, under ``workloads[W]``, both sides' environment blocks and a
-``seed S`` section: the order of each pair, ``failed``/``attempted``/
-``correct`` of every run, and per metric both sides' median, quartiles
-and runs, ``change_better_in`` (pairs where the change reads better in
-the metric's direction; ties count for neither side), ``median_ratio``
-(change median / parent median) and ``parent_iqr``.  Other workloads and
-keys already in the file are kept, and the file is rewritten after every
-pair, so an interrupted series keeps its finished pairs.
+--seconds T`` once on each side, each in a fresh process with
+``PYTHONDONTWRITEBYTECODE=1``, one after the other: even pairs (counting
+from 0) run the parent first, odd pairs the change first.  The two sides
+run from sibling directories of equal name length under one temporary
+directory, so that their paths differ in nothing but the side's name: the
+parent side is a ``git archive`` export of ``--parent``, and the change
+side a copy of the working tree's files (tracked and untracked, minus
+ignored ones; uncommitted edits included), or an export of ``--change
+REV``, or with ``--aa`` a second export of ``--parent`` (an A/A series
+that measures the tool's own side bias).  The file named by ``--out``
+gets, under ``workloads[W]``, both sides' environment blocks and a ``seed
+S`` section: the order of each pair, ``failed``/``attempted``/``correct``
+of every run, and per metric both sides' median, quartiles and runs,
+``change_better_in`` (pairs where the change reads better in the
+metric's direction; ties count for neither side), ``median_ratio``
+(change median / parent median) and ``parent_iqr``.  A gowalla
+``peak_rss_mb`` run is also labelled by the mode it falls in (the metric
+is bimodal on the same code, at ~1,352 and ~1,382 MB), with the count of
+each mode per side.  Other workloads and keys already in the file are
+kept, and the file is rewritten after every pair, so an interrupted
+series keeps its finished pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -33,6 +43,9 @@ import tempfile
 import numpy as np
 
 ORDER = ("parent first", "change first")
+SIDES = ("parent", "change")  # names of equal length for the two trees
+# the modes of peak_rss_mb per workload (MB): each run is labelled by the nearest
+MODES = {"gowalla": {"peak_rss_mb": (1352, 1382)}}
 METHOD = (
     "Alternating parent/change pairs, run one after another (even pairs parent first, "
     "odd pairs change first), each run in a fresh process. Quartiles are numpy "
@@ -78,6 +91,7 @@ def run_bench(tree, workload, seed, seconds):
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -86,41 +100,82 @@ def run_bench(tree, workload, seed, seconds):
     return env, json.loads(lines[-1])
 
 
-def section(results, directions):
+def label_modes(runs, modes):
+    """Each run's nearest mode as ``"~M"``, and how many runs fall in each."""
+    labels = [f"~{min(modes, key=lambda mode: abs(run - mode))}" for run in runs]
+    return {"runs": labels, "counts": {f"~{mode}": labels.count(f"~{mode}") for mode in modes}}
+
+
+def section(results, directions, modes=None):
     """The ``seed S`` section from paired results: ``results`` is a list of
-    per-pair {"parent": final line, "change": final line}."""
+    per-pair {"parent": final line, "change": final line}; ``modes`` maps a
+    metric to the modes its runs are labelled by."""
     out = {
         "pairs": len(results),
         "order": [ORDER[p % 2] for p in range(len(results))],
     }
     for key in ("failed", "attempted", "correct"):
-        out[key] = {side: [r[side][key] for r in results] for side in ("parent", "change")}
+        out[key] = {side: [r[side][key] for r in results] for side in SIDES}
     metrics = {}
     for name, metric in results[0]["parent"]["metrics"].items():
-        runs = {side: [r[side]["metrics"][name]["value"] for r in results]
-                for side in ("parent", "change")}
+        runs = {side: [r[side]["metrics"][name]["value"] for r in results] for side in SIDES}
         metrics[name] = {"unit": metric["unit"], "better": directions[name],
                          **summarize(runs["parent"], runs["change"], directions[name])}
+        if name in (modes or {}):
+            metrics[name]["modes"] = {side: label_modes(runs[side], modes[name])
+                                      for side in SIDES}
     out["metrics"] = metrics
     return out
 
 
-def export(rev, directory):
-    """Extract ``git archive rev`` into ``directory/parent``; returns the
+def export(rev, tree):
+    """Extract ``git archive rev`` into the directory ``tree``; returns the
     commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
                             capture_output=True, text=True, check=True).stdout.strip()
-    archive = os.path.join(directory, "tree.tar")
+    archive = tree + ".tar"
     subprocess.run(["git", "archive", "--output", archive, commit], check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(os.path.join(directory, "parent"), filter="data")
+        tar.extractall(tree, filter="data")
     os.remove(archive)
     return commit
+
+
+def snapshot(tree):
+    """Copy the working tree's files, tracked and untracked but not ignored,
+    as they are on disk, into the directory ``tree``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            capture_output=True, check=True).stdout.decode()
+    for name in listed.split("\0"):
+        if name and os.path.isfile(name):  # a deleted tracked file is still listed
+            target = os.path.join(tree, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(name, target)
+
+
+def make_trees(scratch, parent, change=None, aa=False):
+    """Both sides' trees in sibling directories of ``scratch``, named by
+    :data:`SIDES`: the parent revision's export, and the change revision's
+    (``change``), the parent's again (``aa``) or a snapshot of the working
+    tree.  Returns the trees and what each side holds."""
+    trees = {side: os.path.join(scratch, side) for side in SIDES}
+    sources = {"parent": export(parent, trees["parent"])}
+    if aa or change is not None:
+        sources["change"] = export(parent if aa else change, trees["change"])
+    else:
+        snapshot(trees["change"])
+        sources["change"] = "working tree"
+    return trees, sources
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    change = parser.add_mutually_exclusive_group()
+    change.add_argument("--change", metavar="REV",
+                        help="git revision of the change side (default: the working tree)")
+    change.add_argument("--aa", action="store_true",
+                        help="run the parent revision on both sides")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
@@ -140,19 +195,22 @@ def main(argv=None):
         with open(args.out, encoding="utf-8") as fh:
             document = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        commit = export(args.parent, scratch)
-        trees = {"parent": os.path.join(scratch, "parent"), "change": os.getcwd()}
+        trees, sources = make_trees(scratch, args.parent, args.change, args.aa)
         document.update(
-            parent=commit,
+            parent=sources["parent"],
+            change=sources["change"],
             command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}, "
-                    "each run in a fresh process; the parent from a git archive export, "
-                    "the change from the working tree",
+                    "each run in a fresh process with PYTHONDONTWRITEBYTECODE=1; the parent "
+                    "from a git archive export, the change from "
+                    + ("a snapshot of the working tree" if sources["change"] == "working tree"
+                       else "a git archive export")
+                    + ", in sibling directories of equal name length",
             method=METHOD,
         )
         workload = document.setdefault("workloads", {}).setdefault(args.workload, {})
         results = []
         for pair in range(args.pairs):
-            sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            sides = SIDES if pair % 2 == 0 else SIDES[::-1]
             result = {}
             for side in sides:
                 env, result[side] = run_bench(trees[side], args.workload, args.seed, seconds)
@@ -162,7 +220,8 @@ def main(argv=None):
                                   for k, v in result[side]["metrics"].items()),
                       flush=True)
             results.append(result)
-            workload[f"seed {args.seed}"] = section(results, directions)
+            workload[f"seed {args.seed}"] = section(results, directions,
+                                                     MODES.get(args.workload))
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(document, fh, indent=1)
                 fh.write("\n")
