@@ -32,6 +32,8 @@ from .model import PropagationOutput, score_users, weight_runs
 
 # scores ranked per partition: a block of at most 512 KiB per worker, or one row
 _BLOCK_ELEMENTS = 1 << 16
+# users scored per GEMM; a user's scores can depend on the chunk it is in
+CHUNK_SIZE = 256
 
 __all__ = [
     "MetricsReport",
@@ -148,7 +150,7 @@ def evaluate(
     k: int = 20,
     weights=None,
     workers: int = 1,
-    chunk_size: int = 256,
+    chunk_size: int = CHUNK_SIZE,
 ) -> MetricsReport:
     """Mean Recall@k / NDCG@k over all users with held-out items."""
     return evaluate_cutoffs(params, out, ds, (k,), weights, workers, chunk_size)[0]
@@ -161,7 +163,7 @@ def evaluate_cutoffs(
     cutoffs,
     weights=None,
     workers: int = 1,
-    chunk_size: int = 256,
+    chunk_size: int = CHUNK_SIZE,
 ) -> list[MetricsReport]:
     """:func:`evaluate` at each of ``cutoffs`` from one scoring pass.
 
@@ -247,7 +249,7 @@ def _evaluable(ds: InteractionDataset) -> list[int]:
     return [u for u in range(ds.num_users) if len(ds.test[u])]
 
 
-def _chunk_of(ds: InteractionDataset, user: int, chunk_size: int = 256) -> list[int]:
+def _chunk_of(ds: InteractionDataset, user: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
     """The users that :func:`evaluate_cutoffs` scores in one GEMM with
     ``user`` at the same ``chunk_size``: its chunk of the users with
     held-out items, or ``[user]`` alone for a user it does not evaluate."""

@@ -116,10 +116,9 @@ class PropagationOutput:
     A training output (``retain_chain=True``) keeps the base, the
     selected layers and layer depth - 1, and defers its deepest layer:
     for each granularity in ``deferred``, ``chains[k][depth]`` stays None
-    until :meth:`layer` computes and caches it.  :meth:`rows` reads rows
-    of that layer without it, as ``A_k[idx] @ chains[k][depth - 1]``; a
-    training step reads only its batch's rows, and its loss and backward
-    pass share one extraction of ``A_k[idx]`` (:meth:`operator_rows`).
+    until :meth:`layer` computes and caches it.  A training step reads
+    that layer only at its batch's rows, as ``A_k[rows] @ chains[k][depth
+    - 1]``, without computing it in full (see :mod:`training`).
 
     An eager output (``retain_chain=False``) keeps the base and the
     selected layers.  ``factor`` holds the selected layers of the
@@ -139,9 +138,7 @@ class PropagationOutput:
     deferred: frozenset[int] = frozenset()
     factor: np.ndarray | None = field(default=None, repr=False)
     stacked_granularities: tuple[int, ...] = ()
-    # k -> [idx, A_k[idx], deferred-layer rows at idx or None]; the last idx only
-    _row_cache: dict = field(default_factory=dict, repr=False)
-    # the training step's rows and margins of the last batch (training._batch_terms)
+    # what a training step computed for its last batch (training._batch_terms)
     _batch_cache: object = field(default=None, repr=False)
 
     @property
@@ -164,32 +161,6 @@ class PropagationOutput:
         if mat is None:
             raise RuntimeError(f"layer {l} of granularity {k} was not retained")
         return mat
-
-    def operator_rows(self, k: int, idx: np.ndarray):
-        """Rows ``idx`` of granularity ``k``'s propagation matrix (scipy
-        CSR), kept until a call with a different ``idx``."""
-        return self._row_entry(k, idx)[1]
-
-    def rows(self, k: int, l: int, idx: np.ndarray, out=None) -> np.ndarray:
-        """``layer(k, l)[idx]``, bit for bit, without computing a deferred
-        layer in full (its rows are kept like :meth:`operator_rows`).  The
-        result may be shared: do not modify it.  Rows of a deferred layer
-        computed here go into ``out`` when it is given (see
-        :func:`graph.spmm`)."""
-        if not self._is_pending(k, l):
-            return self.layer(k, l)[idx]
-        entry = self._row_entry(k, idx)
-        if entry[2] is None:
-            entry[2] = spmm(entry[1], self.chains[k][l - 1], out)
-        return entry[2]
-
-    def _row_entry(self, k, idx):
-        idx = np.asarray(idx)
-        entry = self._row_cache.get(k)
-        if entry is None or not np.array_equal(entry[0], idx):
-            entry = [idx.copy(), self.matrices[k].to_scipy()[idx], None]
-            self._row_cache[k] = entry
-        return entry
 
 
 def _per_granularity(granularities, work, output, workspace, hops) -> list:
@@ -224,7 +195,7 @@ def propagate(
     reads it later.  With ``retain_chain=True`` (training) those are the
     selected layers and the layer below the deepest; the deepest layer
     itself is deferred: it is computed on first read, or only at the
-    rows asked for (see :class:`PropagationOutput`).  With
+    batch's rows (see :class:`PropagationOutput`).  With
     ``retain_chain=False`` every selected layer is computed here, into
     its block of the stacked factor; only such an output can be scored.
     ``granularities`` restricts the work to a subset (phases early in

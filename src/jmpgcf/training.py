@@ -36,7 +36,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -209,19 +209,20 @@ def _check_active(out, active_granularities):
 class _BatchTerms:
     """A batch's distinct joined-space rows (ascending); each triple's
     user, positive and negative row, in the joined space and as positions
-    among those rows; and the margin of every (granularity, layer) term
-    computed so far."""
+    among those rows; and what the step has computed for the batch so far."""
 
     batch: TripleBatch  # a copy, to tell the batch again
     rows: np.ndarray
     joined: tuple[np.ndarray, np.ndarray, np.ndarray]
     at: tuple[np.ndarray, np.ndarray, np.ndarray]
-    margins: dict
+    margins: dict = field(default_factory=dict)  # (k, l) -> the triples' margins
+    matrix_rows: dict = field(default_factory=dict)  # k -> A_k[rows], scipy CSR
+    deep_rows: dict = field(default_factory=dict)  # k -> A_k[rows] @ chains[k][depth - 1]
 
 
 def _batch_terms(out, batch) -> _BatchTerms:
-    """The batch's rows and margins, kept on ``out`` for the last batch, so
-    that the loss and the backward pass of one step share them."""
+    """The batch's terms, kept on ``out`` for the last batch, so that the
+    loss and the backward pass of one step share them."""
     terms = out._batch_cache
     if terms is None or not all(np.array_equal(a, b) for a, b in zip(terms.batch, batch)):
         b = len(batch)
@@ -230,19 +231,32 @@ def _batch_terms(out, batch) -> _BatchTerms:
         rows, at = np.unique(joined, return_inverse=True)
         terms = _BatchTerms(TripleBatch(*(np.array(a) for a in batch)), rows,
                             (joined[:b], joined[b:2 * b], joined[2 * b:]),
-                            (at[:b], at[b:2 * b], at[2 * b:]), {})
+                            (at[:b], at[b:2 * b], at[2 * b:]))
         out._batch_cache = terms
     return terms
+
+
+def _matrix_rows(out, terms, k):
+    """``A_k[rows]``, extracted on the first call for the batch."""
+    sub = terms.matrix_rows.get(k)
+    if sub is None:
+        sub = terms.matrix_rows[k] = out.matrices[k].to_scipy()[terms.rows]
+    return sub
 
 
 def _block(out, terms, k, l, deferred=None):
     """A block of rows of layer ``l`` of granularity ``k`` that holds the
     batch's, and each triple's user, positive and negative row in it: the
-    whole layer when it is there, else the deferred layer's rows at the
-    batch's rows (see ``PropagationOutput.rows``; ``deferred`` takes them)."""
-    if out.chains[k][l] is not None:
-        return out.chains[k][l], terms.joined
-    return out.rows(k, l, terms.rows, deferred), terms.at
+    whole layer, or for the deferred layer its rows at the batch's rows,
+    ``A_k[rows] @ chains[k][l - 1]`` (bit for bit the same rows), computed
+    on the first call for the batch, into ``deferred`` when it is given."""
+    if not out._is_pending(k, l):  # raises for a layer that was not kept
+        return out.layer(k, l), terms.joined
+    sub = terms.deep_rows.get(k)
+    if sub is None:
+        sub = terms.deep_rows[k] = spmm(
+            _matrix_rows(out, terms, k), out.chains[k][l - 1], deferred)
+    return sub, terms.at
 
 
 def _gather(sub, at, out):
@@ -289,11 +303,12 @@ def separated_bpr_loss(
     By default L2 covers the propagated rows of the batch's users and
     items at the selected layers, scaled by 1/batch; with
     ``full_matrix_reg`` it is the squared Frobenius norm of the whole
-    selected-layer matrices.  Only the batch's rows of each layer are
-    read (:meth:`PropagationOutput.rows`), unless ``full_matrix_reg``
-    needs the whole of it.  The granularities' terms are computed side by
-    side when no hop splits and added in (granularity, layer) order; their
-    margins are kept on ``out`` for :func:`backward` of the same batch.
+    selected-layer matrices.  The deferred deepest layer is computed only
+    at the batch's rows, unless ``full_matrix_reg`` needs the whole of it.
+    The granularities' terms are computed side by side when no hop splits
+    and added in (granularity, layer) order.  Their margins, and the
+    batch's rows of each propagation matrix and of the deferred layer,
+    are kept on ``out`` for :func:`backward` of the same batch.
     """
     active = _check_active(out, active_granularities)
     terms = _batch_terms(out, batch)
@@ -301,7 +316,7 @@ def separated_bpr_loss(
     def granularity(k, deferred, space):
         parts = []
         for l in (out.layers.l_odd, out.layers.l_even):
-            if full_matrix_reg:  # before rows(), which then reads this layer
+            if full_matrix_reg:  # before _block, which then reads this layer
                 emb = out.layer(k, l)
                 norm = float((emb * emb).sum())
             sub, at = _block(out, terms, k, l, deferred)
@@ -405,7 +420,7 @@ def backward(
         # in pulled_out.  The lower selected layer's gradient is made once
         # the top one's is read.
         buffers = [pulled_out, space["pulled"]][::1 if top % 2 else -1]
-        first = transposed[k] if full_matrix_reg else out.operator_rows(k, rows).T
+        first = transposed[k] if full_matrix_reg else _matrix_rows(out, terms, k).T
         pulled = spmm(first, layer_grad(k, top, space), buffers[0])
         for step, l in enumerate(range(top - 1, 0, -1), start=1):  # pulled holds layer l
             if l in selected and full_matrix_reg:

@@ -1,9 +1,10 @@
 """``tools/bench_pairs.py`` summarises paired benchmark runs: medians,
 quartiles, wins in the metric's direction (ties for neither side), and
 the modes of a bimodal metric; it runs both sides from trees of equal
-path length."""
+path length, and keeps an A/A series beside the claim it qualifies."""
 
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -148,3 +149,55 @@ def test_aa_and_change_revision(repo, tmp_path):
         assert read_tree(trees["parent"])["sub/a.txt"] == "v1"
         assert read_tree(trees["change"]) == {".gitignore": "ignored.txt\n", "sub/a.txt": want}
         assert (sources["change"] == sources["parent"]) == kwargs.get("aa", False)
+
+
+def test_aa_series_is_kept_beside_the_claim(repo, monkeypatch):
+    """An A/A series leaves the claim's header and section as they are,
+    goes into ``aa seed S``, and gives each claim metric its median ratio,
+    whichever of the two series runs first."""
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "planted-schedule"}],
+        "end_to_end": [{"name": "schedule_s", "better": "lower"}], "per_layer": []}))
+    # a run reads its tree's sub/a.txt: v1 at the parent commit, v3 in the
+    # working tree; the change side reads 5% slower on the same code
+    seconds = {"v1": 10.0, "v3": 8.0}
+
+    def fake_run(tree, workload, seed, run_seconds):
+        with open(os.path.join(tree, "sub", "a.txt")) as fh:
+            value = seconds[fh.read()] * (1.05 if os.path.basename(tree) == "change" else 1.0)
+        return ({"tree": os.path.basename(tree)},
+                {"correct": True, "attempted": 1, "failed": 0,
+                 "metrics": {"schedule_s": {"value": value, "unit": "s"}}})
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    claim_args = ["--parent", "HEAD~1", "--workload", "planted-schedule", "--seed", "1",
+                  "--pairs", "2", "--out", "bench.json"]
+
+    def run(*extra):
+        assert bench_pairs.main(claim_args + list(extra)) == 0
+        with open("bench.json") as fh:
+            return json.load(fh)
+
+    claim = run()
+    assert "aa_median_ratio" not in claim["workloads"]["planted-schedule"]["seed 1"]["metrics"][
+        "schedule_s"]
+    both = run("--aa")
+    parent = subprocess.run(["git", "rev-parse", "HEAD~1"], capture_output=True, text=True,
+                            check=True).stdout.strip()
+    for key in ("parent", "change", "command", "method"):
+        assert both[key] == claim[key]
+    assert both["parent"] == parent and both["change"] == "working tree"
+    workload = both["workloads"]["planted-schedule"]
+    assert workload["environment"] == {"parent": {"tree": "parent"}, "change": {"tree": "change"}}
+    aa = workload["aa seed 1"]
+    assert aa["revision"] == parent
+    assert aa["environment"] == workload["environment"]
+    assert aa["metrics"]["schedule_s"]["median_ratio"] == 1.05
+    assert aa["metrics"]["schedule_s"]["change"]["runs"] == [10.5, 10.5]
+    assert workload["seed 1"]["metrics"]["schedule_s"].pop("aa_median_ratio") == 1.05
+    assert workload["seed 1"] == claim["workloads"]["planted-schedule"]["seed 1"]
+    # a claim run after the A/A series keeps it and its ratio
+    again = run()["workloads"]["planted-schedule"]
+    assert again["aa seed 1"] == aa
+    assert again["seed 1"]["metrics"]["schedule_s"]["aa_median_ratio"] == 1.05
+    assert again["seed 1"]["metrics"]["schedule_s"]["median_ratio"] == 0.84

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import sys
@@ -584,3 +585,10 @@ def test_report_formats():
     text = format_report(report)
     assert "recall@20" in text and "0.250000" in text
     assert text.splitlines()[-1].split() == ["users_evaluated", "7"]
+
+
+def test_one_default_chunk_size():
+    """``predict`` scores a user in the chunk ``evaluate`` scores it in
+    only while the defaults agree."""
+    for fn in (evaluation.evaluate, evaluation.evaluate_cutoffs, evaluation._chunk_of):
+        assert inspect.signature(fn).parameters["chunk_size"].default == evaluation.CHUNK_SIZE

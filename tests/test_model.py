@@ -23,7 +23,8 @@ from jmpgcf import (
     separated_bpr_loss,
     spmm,
 )
-from jmpgcf import graph, model
+from jmpgcf import model
+from jmpgcf import training as training_module
 from jmpgcf.model import score_users, weight_runs
 
 from conftest import (
@@ -169,41 +170,6 @@ class TestDeferredLayer:
             np.testing.assert_array_equal(deep, eager.layer(k, layers.depth))
             assert training.layer(k, layers.depth) is deep  # computed once
 
-    def test_rows_equal_layer_rows(self):
-        params, mats = self.make()
-        training = propagate(params, mats, SelectedLayers(3, 4))
-        unsorted_repeated = np.array([19, 0, 7, 7, 12, 0, 3, 19])
-        for k in range(3):
-            full = [params.base_for(k)]
-            for _ in range(4):
-                full.append(spmm(mats[k], full[-1]))
-            for idx in (unsorted_repeated, np.arange(2, 20, 3), unsorted_repeated):
-                for l in (0, 3, 4):
-                    np.testing.assert_array_equal(training.rows(k, l, idx), full[l][idx])
-                np.testing.assert_array_equal(
-                    training.operator_rows(k, idx).toarray(), mats[k].toarray()[idx]
-                )
-            # the deepest layer's rows did not need the whole layer
-            assert training.chains[k][4] is None
-            np.testing.assert_array_equal(training.layer(k, 4), full[4])
-
-    def test_deferred_rows_take_the_split_path(self, split, monkeypatch):
-        """Above the work threshold (here 0) the deferred layer's rows go
-        through spmm's row split, and still equal the layer's rows."""
-        monkeypatch.setattr(graph, "_cores", lambda: 2)
-        params, mats = self.make()
-        training = propagate(params, mats, SelectedLayers(3, 4))
-        idx = np.array([19, 0, 7, 7, 12, 0, 3, 19])
-        for k in range(3):
-            full = params.base_for(k)
-            for _ in range(4):
-                full = mats[k].to_scipy() @ full
-            split.blocks.clear()
-            rows = training.rows(k, 4, idx)
-            assert len(split.blocks) == 2 and sum(split.blocks) == idx.size
-            assert rows.tobytes() == full[idx].tobytes()
-            assert training.chains[k][4] is None
-
     def test_eager_output_has_every_selected_layer(self):
         _, eager = self.outputs(layers=SelectedLayers(1, 4))
         assert eager.deferred == frozenset()
@@ -215,8 +181,6 @@ class TestDeferredLayer:
         assert training.deferred == {1, 2}
         with pytest.raises(RuntimeError):
             training.layer(0, 4)
-        with pytest.raises(RuntimeError):
-            training.rows(0, 4, np.array([0]))
 
 
 class TestKeptLayers:
@@ -276,20 +240,27 @@ class TestKeptLayers:
     def test_full_matrix_reg_computes_the_deferred_layer_once(self, made, layers, monkeypatch):
         ds, params, mats = made
         out = propagate(params, mats, layers)
-        hops = []
-        spmm = model.spmm
+        hops = {model: [], training_module: []}
 
-        def counting(matrix, dense):
-            hops.append(matrix.num_rows)
-            return spmm(matrix, dense)
+        def counting(module):
+            spmm = module.spmm
 
-        monkeypatch.setattr(model, "spmm", counting)
+            def hop(matrix, dense, out=None):
+                hops[module].append(matrix.shape[0])
+                return spmm(matrix, dense, out)
+            return hop
+
+        for module in hops:
+            monkeypatch.setattr(module, "spmm", counting(module))
         batch = TripleSampler(ds).sample(8, np.random.default_rng(51))
         for _ in range(2):
             separated_bpr_loss(out, batch, {0, 1, 2}, 0.1, full_matrix_reg=True)
             backward(out, batch, {0, 1, 2}, 0.1, full_matrix_reg=True)
-        # one full hop per granularity, and no row-restricted one
-        assert hops == [20] * 3
+        # one full forward hop per granularity, and no row-restricted hop:
+        # the loss and backward take only the full pull-back hops
+        assert hops[model] == [20] * 3
+        assert len(hops[training_module]) == 2 * 3 * layers.depth
+        assert set(hops[training_module]) == {20}
         for k in range(3):
             assert out.chains[k][layers.depth] is not None
 

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 from scipy.stats import chisquare
 
-from jmpgcf import graph
+from jmpgcf import graph, training
 from jmpgcf import (
     InteractionDataset,
     ModelParameters,
@@ -34,7 +34,7 @@ from jmpgcf import (
     train,
     transpose,
 )
-from jmpgcf.training import TripleBatch, _RowScatter
+from jmpgcf.training import TripleBatch, _batch_terms, _block, _matrix_rows, _RowScatter
 
 from conftest import make_random_dataset, manual_output
 
@@ -671,6 +671,111 @@ class TestRowScatter:
         ref_grads = reference_backward(ref_out, batch, active, 0.1, full_matrix_reg, transposed)
         for ours, theirs in zip(grads, ref_grads):
             assert np.array_equal(bits(ours), bits(theirs))
+
+
+class TestBatchRows:
+    """A step reads the deferred deepest layer at its batch's rows, as
+    ``A_k[rows] @ chains[k][depth - 1]``, bit for bit the layer's rows,
+    without computing the layer; its loss and backward pass share one
+    extraction of ``A_k[rows]`` and one such product per granularity."""
+
+    def make(self):
+        ds = make_random_dataset(np.random.default_rng(30), 9, 11)
+        cfg = PopularityConfig()
+        return ds, init_parameters(9, 11, 3, cfg, seed=30), propagation_matrices(ds, cfg)
+
+    def test_deferred_rows_equal_layer_rows(self):
+        ds, params, mats = self.make()
+        out = propagate(params, mats, SelectedLayers(3, 4))
+        full = [[params.base_for(k)] for k in range(3)]
+        for k, chain in enumerate(full):
+            for _ in range(4):
+                chain.append(spmm(mats[k], chain[-1]))
+        sampler, rng = TripleSampler(ds), np.random.default_rng(31)
+        first, second = sampler.sample(5, rng), sampler.sample(7, rng)
+        for batch in (first, second, first):  # each a new batch on the output
+            terms = _batch_terms(out, batch)
+            for k in range(3):
+                for l in (0, 3, 4):
+                    sub, at = _block(out, terms, k, l)
+                    for rows, joined in zip(at, terms.joined):
+                        np.testing.assert_array_equal(sub[rows], full[k][l][joined])
+                deep, _ = _block(out, terms, k, 4)
+                assert deep.tobytes() == full[k][4][terms.rows].tobytes()
+                np.testing.assert_array_equal(_matrix_rows(out, terms, k).toarray(),
+                                              mats[k].toarray()[terms.rows])
+        for k in range(3):
+            # the deepest layer's rows did not need the whole layer
+            assert out.chains[k][4] is None
+            np.testing.assert_array_equal(out.layer(k, 4), full[k][4])
+
+    def test_deferred_rows_take_the_split_path(self, split, monkeypatch):
+        """Above the work threshold (here 0) the deferred layer's rows go
+        through spmm's row split, and still equal the layer's rows."""
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        ds, params, mats = self.make()
+        out = propagate(params, mats, SelectedLayers(3, 4))
+        terms = _batch_terms(out, TripleSampler(ds).sample(8, np.random.default_rng(32)))
+        for k in range(3):
+            full = params.base_for(k)
+            for _ in range(4):
+                full = mats[k].to_scipy() @ full
+            split.blocks.clear()
+            rows, _ = _block(out, terms, k, 4)
+            assert len(split.blocks) == 2 and sum(split.blocks) == terms.rows.size
+            assert rows.tobytes() == full[terms.rows].tobytes()
+            assert out.chains[k][4] is None
+
+    def test_granularity_not_propagated_raises(self):
+        ds, params, mats = self.make()
+        out = propagate(params, mats, SelectedLayers(3, 4), granularities={1, 2})
+        terms = _batch_terms(out, TripleSampler(ds).sample(4, np.random.default_rng(33)))
+        for l in (0, 3, 4):
+            with pytest.raises(RuntimeError, match=f"layer {l} of granularity 0"):
+                _block(out, terms, 0, l)
+
+    def test_loss_and_backward_share_the_batch_rows(self, monkeypatch):
+        """Per active granularity, one extraction of ``A_k[rows]`` and one
+        row-restricted product serve the loss and backward of a batch; a
+        new batch computes both again, and so does backward alone."""
+        ds, params, mats = self.make()
+        active = {1, 2}
+        out = propagate(params, mats, SelectedLayers(3, 4), granularities=active)
+        transposed = {k: transpose(m) for k, m in enumerate(mats)}
+        sampler, rng = TripleSampler(ds), np.random.default_rng(34)
+        first, second = sampler.sample(6, rng), sampler.sample(6, rng)
+        extractions, products = [], []
+        getitem, product = sp.csr_matrix.__getitem__, training.spmm
+
+        def extracting(matrix, key):
+            extractions.append(matrix.shape)
+            return getitem(matrix, key)
+
+        def hop(matrix, dense, out=None):
+            if isinstance(matrix, sp.csr_matrix):  # rows of a matrix, not a full hop
+                products.append(matrix.shape)
+            return product(matrix, dense, out)
+
+        monkeypatch.setattr(sp.csr_matrix, "__getitem__", extracting)
+        monkeypatch.setattr(training, "spmm", hop)
+
+        def loss(batch):
+            separated_bpr_loss(out, batch, active, 0.1)
+
+        def grads(batch):
+            backward(out, batch, active, 0.1, transposed=transposed)
+
+        def counted(*calls):
+            extractions.clear()
+            products.clear()
+            for stage, batch in calls:
+                stage(batch)
+            return len(extractions), len(products)
+
+        assert counted((loss, first), (grads, first)) == (2, 2)
+        assert counted((loss, first), (grads, first)) == (0, 0)
+        assert counted((loss, second), (grads, second)) == (2, 2)
+        assert counted((grads, first)) == (2, 2)
 
 
 class TestOptimizer:

@@ -24,9 +24,14 @@ metric's direction; ties count for neither side), ``median_ratio``
 (change median / parent median) and ``parent_iqr``.  A gowalla
 ``peak_rss_mb`` run is also labelled by the mode it falls in (the metric
 is bimodal on the same code, at ~1,352 and ~1,382 MB), with the count of
-each mode per side.  Other workloads and keys already in the file are
-kept, and the file is rewritten after every pair, so an interrupted
-series keeps its finished pairs.
+each mode per side.  An A/A series goes instead into an ``aa seed S``
+section, with the revision it ran and its own environment blocks, and
+leaves the file's ``parent``/``change`` and the ``seed S`` section as
+they are.  When both sections are there, each metric of ``seed S`` also
+gets ``aa_median_ratio``, the A/A series' ``median_ratio``: the ratio
+that the tool's side bias alone gives.  Other workloads and keys already
+in the file are kept, and the file is rewritten after every pair, so an
+interrupted series keeps its finished pairs.
 """
 
 from __future__ import annotations
@@ -128,6 +133,18 @@ def section(results, directions, modes=None):
     return out
 
 
+def compare_to_aa(workload, seed):
+    """Give each metric of ``workload``'s ``seed S`` section the
+    ``median_ratio`` of the same metric in its ``aa seed S`` section, as
+    ``aa_median_ratio``, when both sections are there."""
+    claim, aa = workload.get(f"seed {seed}"), workload.get(f"aa seed {seed}")
+    if claim is None or aa is None:
+        return
+    for name, metric in claim["metrics"].items():
+        if name in aa["metrics"]:
+            metric["aa_median_ratio"] = aa["metrics"][name]["median_ratio"]
+
+
 def export(rev, tree):
     """Extract ``git archive rev`` into the directory ``tree``; returns the
     commit id."""
@@ -196,32 +213,42 @@ def main(argv=None):
             document = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         trees, sources = make_trees(scratch, args.parent, args.change, args.aa)
-        document.update(
-            parent=sources["parent"],
-            change=sources["change"],
-            command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}, "
-                    "each run in a fresh process with PYTHONDONTWRITEBYTECODE=1; the parent "
-                    "from a git archive export, the change from "
-                    + ("a snapshot of the working tree" if sources["change"] == "working tree"
-                       else "a git archive export")
-                    + ", in sibling directories of equal name length",
-            method=METHOD,
-        )
+        header = {
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}, "
+                       "each run in a fresh process with PYTHONDONTWRITEBYTECODE=1; the parent "
+                       "from a git archive export, the change from "
+                       + ("a snapshot of the working tree" if sources["change"] == "working tree"
+                          else "a git archive export")
+                       + ", in sibling directories of equal name length",
+            "method": METHOD,
+        }
         workload = document.setdefault("workloads", {}).setdefault(args.workload, {})
+        if args.aa:  # the claim's header stays as it is
+            for key, value in header.items():
+                document.setdefault(key, value)
+            environment = {}
+        else:
+            document.update(parent=sources["parent"], change=sources["change"], **header)
+            environment = workload.setdefault("environment", {})
         results = []
         for pair in range(args.pairs):
             sides = SIDES if pair % 2 == 0 else SIDES[::-1]
             result = {}
             for side in sides:
-                env, result[side] = run_bench(trees[side], args.workload, args.seed, seconds)
-                workload.setdefault("environment", {})[side] = env
+                environment[side], result[side] = run_bench(trees[side], args.workload,
+                                                            args.seed, seconds)
                 print(f"pair {pair + 1}/{args.pairs} {side}: failed {result[side]['failed']}, "
                       + ", ".join(f"{k} {v['value']:.6g}"
                                   for k, v in result[side]["metrics"].items()),
                       flush=True)
             results.append(result)
-            workload[f"seed {args.seed}"] = section(results, directions,
-                                                     MODES.get(args.workload))
+            summary = section(results, directions, MODES.get(args.workload))
+            if args.aa:
+                workload[f"aa seed {args.seed}"] = {
+                    "revision": sources["parent"], "environment": environment, **summary}
+            else:
+                workload[f"seed {args.seed}"] = summary
+            compare_to_aa(workload, args.seed)
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(document, fh, indent=1)
                 fh.write("\n")
