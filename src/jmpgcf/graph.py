@@ -9,10 +9,11 @@ rescales the right-hand degree normalization so that high-degree
 
 Granularity 0 is the standard symmetric normalization.  All matrices are
 row-sorted CSR.  Every sparse x dense product goes through :func:`spmm`,
-which runs scipy's own kernel into a given or new array and splits a
-large CSR product by rows across the process's cores.  Every parallel
-job runs through :func:`side_by_side` on one pool and the calling
-thread: the row blocks of a split product, the work of several
+which runs scipy's own kernel into a given or new array and cuts a large
+CSR product into blocks of rows, each about ``PARALLEL_WORK`` and at
+least one per core, that the process's cores take one after another.
+Every parallel job runs through :func:`side_by_side` on one pool and the
+calling thread: the row blocks of a split product, the work of several
 granularities whose products are too small to split
 (:func:`fans_out`), the optimizer's tables and the evaluation's chunks.
 """
@@ -272,10 +273,15 @@ def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[
 
 
 # Work (stored entries x dense columns) from which spmm splits a product
-# across cores.  Measured on a 2-vCPU VM: a 69k-entry matrix times 64
-# columns (4.4M, in cache) took 1.17 ms serial and 1.28 ms split, while a
-# 1.7M-entry matrix times 4 columns (6.8M) took 10.3 ms serial and 5.9 ms
-# split, and times 64 columns (108M) 0.12 s serial and 0.065 s split.
+# across cores, and about the work of each of its row blocks.  Measured on
+# a 2-vCPU VM: a 69k-entry matrix times 64 columns (4.4M, in cache) took
+# 1.17 ms serial and 1.28 ms split, and a 1.7M-entry matrix times 4
+# columns (6.8M) 10.3 ms serial and 5.9 ms split.  Times 64 columns
+# (108M), cut into one block per core after the calling thread had
+# zero-filled the whole 36 MB result (5-6 ms), it took a median of 109 to
+# 153 ms over five runs on a loaded host; cut into 12 blocks, each
+# zero-filled by the thread that runs it, 72 to 125 ms in the run beside
+# each, as a thread that ends a block early takes the next one.
 PARALLEL_WORK = 1 << 23
 
 _pool = None
@@ -375,12 +381,16 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     array of the product's shape, else ``ValueError``), else into a new
     array: it is zero-filled, and scipy's own kernel for the format adds
     the product, as ``matrix @ dense`` does into the zeros it allocates.
-    A 2-D CSR product that :func:`splits` is cut into one contiguous
-    block of output rows per core in the process's CPU affinity, of about
-    equal stored entries, run side by side (:func:`side_by_side`; the
-    kernel releases the GIL), each on a slice of the row offsets over the
-    full index and value arrays.  Every output row takes the same loop
-    over the same entries in the same order as in ``csr @ dense``, so the
+    A 2-D CSR product that :func:`splits` is cut into contiguous blocks of
+    output rows of about equal stored entries: max(cores, stored entries x
+    columns // ``PARALLEL_WORK``) of them, with the cores counted in the
+    process's CPU affinity, so that a core that finishes a cheap block
+    takes the next one.  The blocks run side by side (:func:`side_by_side`;
+    the kernel releases the GIL), each on a slice of the row offsets over
+    the full index and value arrays, and each task zero-fills its own
+    block's rows of a given ``out`` before it adds into them (a new array
+    is made zero-filled).  Every output row takes the same loop over the
+    same entries in the same order from 0.0 as in ``csr @ dense``, so the
     result is the same bit for bit, whatever the core count.
     """
     if isinstance(matrix, SparseMatrix):
@@ -393,27 +403,45 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         )
     shape = (rows, *dense.shape[1:])
     if out is None:
-        out = np.zeros(shape)
+        out, zeroed = np.zeros(shape), True
     elif out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != shape:
         raise ValueError("out must be a C-contiguous float64 array of the product's shape")
     else:
-        out.fill(0.0)
+        zeroed = False
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    if dense.ndim == 2 and matrix.format == "csr":
+        width = dense.shape[1]
+        bounds = _row_bounds(indptr, width) if splits(matrix, width) else [0, rows]
+        block = add_product if zeroed else _zero_and_add
+        side_by_side(partial(block, out[lo:hi], indptr[lo:hi + 1], indices, data, dense)
+                     for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo)
+        return out
+    if not zeroed:
+        out.fill(0.0)
     if dense.ndim == 1:
         getattr(_sparsetools, f"{matrix.format}_matvec")(
             rows, cols, indptr, indices, data, dense, out)
-    elif matrix.format == "csr":
-        bounds = [0, rows]
-        if splits(matrix, dense.shape[1]):
-            cores = _cores()
-            cuts = np.searchsorted(indptr, np.arange(1, cores) * (matrix.nnz / cores))
-            bounds = [0, *np.minimum(cuts, rows).tolist(), rows]
-        side_by_side(partial(add_product, out[lo:hi], indptr[lo:hi + 1], indices, data, dense)
-                     for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo)
     else:
         getattr(_sparsetools, f"{matrix.format}_matvecs")(
             rows, cols, dense.shape[1], indptr, indices, data, dense.ravel(), out.reshape(-1))
     return out
+
+
+def _row_bounds(indptr: np.ndarray, width: int) -> list:
+    """The row bounds ``[0, ..., rows]`` of a split product's blocks:
+    max(cores, entries x ``width`` // ``PARALLEL_WORK``) blocks of about
+    equal stored entries (a block may be empty)."""
+    rows, nnz = len(indptr) - 1, int(indptr[-1])
+    blocks = max(_cores(), nnz * width // PARALLEL_WORK)
+    cuts = np.searchsorted(indptr, np.arange(1, blocks) * (nnz / blocks))
+    return [0, *np.minimum(cuts, rows).tolist(), rows]
+
+
+def _zero_and_add(out, indptr, indices, data, dense):
+    """Zero-fill ``out``, the rows of one of :func:`spmm`'s blocks, then
+    add the block's product into it (:func:`add_product`)."""
+    out.fill(0.0)
+    add_product(out, indptr, indices, data, dense)
 
 
 def add_product(out, indptr, indices, data, dense):

@@ -141,15 +141,30 @@ def assert_near_term_by_term(got, out, users, items=None, weights=None, granular
 class RecordingKernels:
     """Stands in for scipy's ``_sparsetools`` and records the row count of
     every block handed to the CSR kernel: each block of a split product,
-    an unsplit CSR product as one block, and each row scatter.  Every
-    other kernel is scipy's, unrecorded."""
+    an unsplit CSR product as one block, and each row scatter.  It also
+    keeps, in ``outputs``, the output each block was written into (a view
+    into the product's result).  Every other kernel is scipy's,
+    unrecorded."""
 
     def __init__(self):
         self.blocks = []
+        self.outputs = []
 
     def csr_matvecs(self, *args):
         self.blocks.append(args[0])
+        self.outputs.append(args[-1])
         return _sparsetools.csr_matvecs(*args)
+
+    def row_ranges(self, result):
+        """The ``(first, end)`` rows of ``result`` that each recorded block
+        wrote, in row order; blocks written into other arrays are left out."""
+        ranges = []
+        for rows, written in zip(self.blocks, self.outputs):
+            if np.shares_memory(written, result):
+                offset = written.ctypes.data - result.ctypes.data
+                first = offset // result.strides[0]
+                ranges.append((first, first + rows))
+        return sorted(ranges)
 
     def __getattr__(self, name):
         return getattr(_sparsetools, name)
@@ -157,9 +172,12 @@ class RecordingKernels:
 
 @pytest.fixture
 def split(monkeypatch):
-    """Every product takes the split path, on a fresh pool."""
+    """Every product takes the split path, on a fresh pool: ``graph.splits``
+    holds whenever the process has more than one core, whatever the
+    product's size.  ``PARALLEL_WORK`` is left as it is, so a small product
+    is cut into one block per core."""
     kernels = RecordingKernels()
-    monkeypatch.setattr(graph, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(graph, "splits", lambda matrix, width: graph._cores() >= 2)
     monkeypatch.setattr(graph, "_pool", None)
     monkeypatch.setattr(graph, "_sparsetools", kernels)
     yield kernels

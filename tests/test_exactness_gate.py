@@ -85,3 +85,18 @@ def test_one_planted_configuration_is_the_same_at_one_and_three_cores(tmp_path, 
                 graph._pool.shutdown()
         documents.append(json.dumps(part, sort_keys=True))
     assert documents[0] == documents[1]
+
+
+def test_hop_section_is_the_same_at_every_core_count(tmp_path, monkeypatch):
+    gate = load_gate(monkeypatch)
+    graph = gate.jmpgcf.graph
+    # the planted graph's hops are cut into many blocks at 2 and 3 cores
+    monkeypatch.setattr(graph, "PARALLEL_WORK", 1 << 16)
+    cores, pool = graph._cores, graph._pool
+    result = gate.hops(str(tmp_path), gate.gen.planted_lists)
+    assert graph._cores is cores and graph._pool is pool
+    assert list(result) == ["cores=1", "cores=2", "cores=3"]
+    granularities = gate.POPULARITY.num_granularities
+    assert sorted(result["cores=1"]) == sorted(
+        f"A_{k}{side}" for k in range(granularities) for side in ("", "^T"))
+    assert result["cores=1"] == result["cores=2"] == result["cores=3"]

@@ -239,6 +239,8 @@ class TestParallelSpmm:
         rng = np.random.default_rng(25)
         mat = _random_csr(rng, 70, 50, 0.2)
         _assert_serial_bits(mat, rng.normal(size=(50, 1)))
+        # far less work than one block's PARALLEL_WORK: one block per core
+        assert mat.nnz < graph.PARALLEL_WORK
         assert len(split.blocks) == min(cores, 70)
         assert sum(split.blocks) == 70
 
@@ -305,10 +307,47 @@ class TestParallelSpmm:
         _assert_serial_bits(mat, rng.normal(size=(100, 64)))
         assert kernels.blocks == [100]  # one block of every row
 
-    def test_threshold_between_planted_and_gowalla_hops(self):
+    def test_threshold_between_planted_and_gowalla_hops(self, monkeypatch):
         # the planted benchmark graph's hop (69k entries x 64 columns) stays
         # serial; the Gowalla-shaped one (1.7M entries x 64) is split
         assert 69_000 * 64 < graph.PARALLEL_WORK <= 1_691_471 * 64
+        # into 12 blocks of rows on two cores, none of them empty
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        row_offsets = np.round(np.linspace(0, 1_691_471, 70_840)).astype(np.int64)
+        bounds = graph._row_bounds(row_offsets, 64)
+        assert len(bounds) - 1 == 1_691_471 * 64 // graph.PARALLEL_WORK == 12
+        assert all(hi > lo for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_large_products_take_more_blocks_than_cores(self, cores, monkeypatch):
+        """Above a lowered threshold, a product with a dense row and empty
+        leading and trailing rows is cut into more blocks than cores; they
+        are contiguous and cover every row once, and each block zero-fills
+        its own rows of a used result."""
+        monkeypatch.setattr(graph, "_cores", lambda: cores)
+        monkeypatch.setattr(graph, "_pool", None)
+        kernels = RecordingKernels()
+        monkeypatch.setattr(graph, "_sparsetools", kernels)
+        rng = np.random.default_rng(32)
+        dense = rng.normal(size=(120, 400)) * (rng.random((120, 400)) < 0.02)
+        dense[:7] = 0
+        dense[-9:] = 0
+        dense[50] = rng.normal(size=400)
+        mat = sp.csr_matrix(dense)
+        x = rng.normal(size=(400, 6))
+        want = (mat @ x).tobytes()
+        # about four blocks' work per core
+        monkeypatch.setattr(graph, "PARALLEL_WORK", mat.nnz * 6 // (4 * cores))
+        out = np.full((120, 6), np.nan)
+        try:
+            assert spmm(mat, x, out) is out and out.tobytes() == want
+            assert spmm(mat, x).tobytes() == want
+        finally:
+            graph._pool.shutdown()
+        ranges = kernels.row_ranges(out)
+        assert len(ranges) > cores
+        assert ranges[0][0] == 0 and ranges[-1][1] == 120
+        assert all(end == first for (_, end), (first, _) in zip(ranges[:-1], ranges[1:]))
 
 
 class TestSideBySide:
@@ -397,7 +436,9 @@ class TestSpmmInto:
         assert got is out and got.tobytes() == want.tobytes()
         if form == "csc":  # a CSC product is never split
             assert kernels.blocks == []
-        else:  # one block per core when split, else one of every row
+        else:  # far less than one block's work: one block per core when
+            # split, else one of every row
+            assert matrix.nnz * 6 < graph.PARALLEL_WORK
             assert len(kernels.blocks) == (cores if split_by_rows else 1)
             assert sum(kernels.blocks) == 40
 

@@ -710,8 +710,9 @@ class TestBatchRows:
             np.testing.assert_array_equal(out.layer(k, 4), full[k][4])
 
     def test_deferred_rows_take_the_split_path(self, split, monkeypatch):
-        """Above the work threshold (here 0) the deferred layer's rows go
-        through spmm's row split, and still equal the layer's rows."""
+        """On the split path (forced here) the deferred layer's rows go
+        through spmm's row split, one block per core since the product is
+        far below ``PARALLEL_WORK``, and still equal the layer's rows."""
         monkeypatch.setattr(graph, "_cores", lambda: 2)
         ds, params, mats = self.make()
         out = propagate(params, mats, SelectedLayers(3, 4))
@@ -722,6 +723,7 @@ class TestBatchRows:
                 full = mats[k].to_scipy() @ full
             split.blocks.clear()
             rows, _ = _block(out, terms, k, 4)
+            assert mats[k].nnz * full.shape[1] < graph.PARALLEL_WORK
             assert len(split.blocks) == 2 and sum(split.blocks) == terms.rows.size
             assert rows.tobytes() == full[terms.rows].tobytes()
             assert out.chains[k][4] is None

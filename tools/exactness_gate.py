@@ -25,6 +25,12 @@ the parent commit and the change.  The document holds:
   reports for the trained output with its selected layers rounded to
   multiples of 0.25, whose scores have many ties (at k=20,
   a tie straddles the cutoff for about one user in five).
+* ``hops``: on ``gowalla_lists(1)``, the SHA-256 of every full hop,
+  ``spmm(A_k, X)`` and ``spmm(A_k^T, X)`` for each granularity k and a
+  seeded normal X of 64 columns, into one reused buffer (first filled
+  with NaN) as in training, with ``graph._cores`` patched to 1, 2 and 3
+  (on a fresh pool each time), so that a hop split into any number of row
+  blocks is compared bit for bit.
 * ``setup``: for ``gowalla_lists(1)`` and ``planted_lists(1)``, read back
   from their files, the SHA-256 of the loaded train and test lists (with
   their lengths), of the ``row_offsets``, ``col_indices`` and ``values``
@@ -97,6 +103,7 @@ PLANTED_CONFIGS = list(itertools.product(
     ["adam", "sgd"], [False, True], [False, True],
 ))
 SETUP_GRAPHS = {"gowalla": gen.gowalla_lists, "planted": gen.planted_lists}
+HOP_CORES = (1, 2, 3)
 
 
 def _sha(arrays) -> str:
@@ -166,6 +173,30 @@ def gowalla(directory):
     return result
 
 
+def hops(directory, make=gen.gowalla_lists):
+    """The SHA-256 of each full hop and pull-back hop of ``make``'s graph,
+    per patched core count."""
+    ds, matrices, transposed = _graph(make, directory)
+    dense = np.random.default_rng(SEED).normal(size=(matrices[0].num_cols, EMBED_DIM))
+    graph = jmpgcf.graph
+    cores, pool = graph._cores, graph._pool
+    result = {}
+    for count in HOP_CORES:
+        graph._cores, graph._pool = (lambda count=count: count), None
+        buffer = np.full(dense.shape, np.nan)  # reused by every hop, as in training
+        try:
+            result[f"cores={count}"] = {
+                f"A_{k}{side}": _sha([graph.spmm(operator, dense, buffer)])
+                for k in range(len(matrices))
+                for side, operator in (("", matrices[k]), ("^T", transposed[k]))
+            }
+        finally:
+            if graph._pool is not None:
+                graph._pool.shutdown()
+            graph._cores, graph._pool = cores, pool
+    return result
+
+
 def planted_steps(directory, configs=PLANTED_CONFIGS):
     ds, matrices, transposed = _graph(gen.planted_lists, directory)
     result = {}
@@ -224,8 +255,8 @@ def setup(directory, graphs=SETUP_GRAPHS):
 
 def main():
     document = {}
-    for name, part in (("setup", setup), ("gowalla", gowalla), ("planted_steps", planted_steps),
-                       ("planted_train", planted_train)):
+    for name, part in (("setup", setup), ("hops", hops), ("gowalla", gowalla),
+                       ("planted_steps", planted_steps), ("planted_train", planted_train)):
         with tempfile.TemporaryDirectory(prefix="exactness-gate-") as directory:
             document[name] = part(directory)
     json.dump(document, sys.stdout, indent=1, sort_keys=True)
