@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import InteractionDataset
-from .graph import _cores, side_by_side
+from .graph import side_by_side
 from .model import PropagationOutput, score_users, weight_runs
 
 # scores ranked per partition: a block of at most 512 KiB per worker, or one row
@@ -171,11 +172,12 @@ def evaluate_cutoffs(
     list is a prefix of that ranking, because the ranking (the one
     :func:`rank_user` gives) orders by descending score and then ascending
     item index.  The chunk's users are ranked, and their metrics computed,
-    with whole-array operations, not one user at a time.  At most ``workers``
-    threads score chunks (:func:`graph.side_by_side`), and never more than
-    there are chunks or cores in the process's CPU affinity: each thread
-    holds one chunk's score buffers, reused for every chunk it scores, and
-    a thread beyond the cores adds only memory.
+    with whole-array operations, not one user at a time.  Each chunk is one
+    task of :func:`graph.side_by_side` on at most ``workers`` threads, and
+    never more than there are chunks or cores in the process's CPU
+    affinity: each thread holds one chunk's score buffers, made on the
+    calling thread and reused for every chunk it scores, and a thread
+    beyond the cores would add only memory.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise ValueError(f"cutoffs must be >= 1, got {cutoffs}")
@@ -197,11 +199,11 @@ def evaluate_cutoffs(
     ideal = np.cumsum(discounts)
     block_rows = max(1, _BLOCK_ELEMENTS // ds.num_items)
 
-    def run_chunk(start, result, scratch):
+    def run_chunk(start, buffers):
         users = evaluable[start:start + chunk_size]
         rows = np.arange(len(users))
         # into the chunk's rows of its thread's score buffers
-        buffers = [None if b is None else b[:len(users)] for b in (result, scratch)]
+        buffers = [None if b is None else b[:len(users)] for b in buffers]
         scores = score_users(out, users, weights=weights, buffers=buffers)
         # the chunk owns its scores: mask every training item in place
         excluded = [ds.train[u] for u in users]
@@ -226,19 +228,10 @@ def evaluate_cutoffs(
             recalls[c, start:start + len(users)] = found[:, at] / sizes
             ndcgs[c, start:start + len(users)] = dcg[:, at] / ideal[np.minimum(sizes, k) - 1]
 
-    starts = range(0, len(evaluable), chunk_size)
-    unclaimed = iter(starts)  # each next() is atomic under the GIL
     shape = (min(chunk_size, len(evaluable)), ds.num_items)
-
-    def score_chunks(buffers):
-        # a thread scores every chunk it claims into the same buffers, made
-        # on the calling thread (see graph.side_by_side)
-        for start in unclaimed:
-            run_chunk(start, *buffers)
-
-    threads = max(1, min(workers, len(starts), _cores()))
-    side_by_side([score_chunks] * threads,
-                 lambda: (np.empty(shape), np.empty(shape) if several_runs else None))
+    side_by_side((partial(run_chunk, start) for start in range(0, len(evaluable), chunk_size)),
+                 lambda: (np.empty(shape), np.empty(shape) if several_runs else None),
+                 max(1, workers))
     return [
         MetricsReport(k, float(recalls[c].mean()), float(ndcgs[c].mean()), len(evaluable))
         for c, k in enumerate(cutoffs)

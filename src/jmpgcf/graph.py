@@ -13,9 +13,10 @@ which runs scipy's own kernel into a given or new array and cuts a large
 CSR product into blocks of rows, each about ``PARALLEL_WORK`` and at
 least one per core, that the process's cores take one after another.
 Every parallel job runs through :func:`side_by_side` on one pool and the
-calling thread: the row blocks of a split product, the work of several
-granularities whose products are too small to split
-(:func:`fans_out`), the optimizer's tables and the evaluation's chunks.
+calling thread: the row blocks of a split product, the granularities of
+a training stage (on one thread when a hop of the stage splits, see
+:func:`stage_threads`), the optimizer's tables and the evaluation's
+chunks.  A task may itself call :func:`side_by_side`.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ __all__ = [
     "build_adjacency",
     "build_normalized_adjacency",
     "degrees",
-    "fans_out",
     "propagation_matrices",
     "side_by_side",
     "splits",
     "spmm",
+    "stage_threads",
     "transpose",
 ]
 
@@ -320,35 +321,42 @@ def splits(matrix, width: int) -> bool:
     return matrix.nnz * width >= PARALLEL_WORK and _cores() >= 2
 
 
-def fans_out(count: int, hops=()) -> bool:
-    """Whether :func:`side_by_side` runs ``count`` tasks side by side: the
-    process has more than one core, and no sparse product a task runs splits.
+def stage_threads(matrices, width: int):
+    """The thread cap of a stage whose tasks multiply ``matrices`` by
+    ``width`` dense columns: 1 when one of those products :func:`splits`,
+    which then uses every core itself, else None (no cap).
 
-    ``hops`` lists the largest products a task runs, as ``(matrix, width)``
-    pairs.  One that :func:`splits` already uses every core, and a task
-    that submitted its blocks to the pool could wait on a block that no
-    free thread is left to run; so such work runs one task after another.
+    Running such a stage's tasks side by side would give each thread its
+    own spare hop buffers: on the Gowalla-size benchmark graph, on a 2-vCPU
+    VM, that raised the peak resident memory from 1,351 to 1,432 MB (a
+    second thread's two 36 MB buffers) with no gain in speed.
     """
-    return count > 1 and _cores() >= 2 and not any(splits(m, width) for m, width in hops)
+    return 1 if any(splits(matrix, width) for matrix in matrices) else None
 
 
-def side_by_side(tasks, workspace=None) -> list:
+def side_by_side(tasks, workspace=None, threads=None) -> list:
     """Run ``tasks`` side by side on the process's pool and on the calling
     thread, and return their results in order.
 
-    Each thread takes the next task not yet taken until none is left (one
-    thread runs them all if the process has one core).  With ``workspace``,
-    a callable, the calling thread makes one workspace per thread before
-    any task starts, and each task is called with its thread's: large
-    arrays made on the calling thread come from its malloc arena, while
-    glibc keeps a worker thread's arena's freed memory resident.  Without
-    it, a task is called without arguments.  A task must not submit to the
-    pool (see :func:`fans_out`).  If tasks raise, the first of them in
-    order re-raises its exception here, once every task has ended.
+    Each thread takes the next task not yet taken until none is left.  At
+    most ``threads`` threads run (None: no cap), and never more than there
+    are tasks or cores; with one, the calling thread runs every task.
+    With ``workspace``, a callable, the calling thread makes one workspace
+    per thread before any task starts, and each task is called with its
+    thread's: large arrays made on the calling thread come from its malloc
+    arena, while glibc keeps a worker thread's arena's freed memory
+    resident.  Without it, a task is called without arguments.
+
+    Once the calling thread finds no task left, it cancels each helper
+    that has not started and waits only for those that have, which finish
+    the tasks they hold.  So a task may call :func:`side_by_side` itself:
+    a nested call never waits for a pool thread that is busy.  If tasks
+    raise, the first of them in order re-raises its exception here, once
+    every task has ended.
     """
     tasks = list(tasks)
-    helpers = max(0, min(len(tasks), _cores()) - 1)
-    spaces = [workspace() for _ in range(helpers + 1)] if workspace else [None] * (helpers + 1)
+    count = max(1, min(len(tasks), _cores(), threads or len(tasks)))
+    spaces = [workspace() for _ in range(count)] if workspace else [None] * count
     results = [None] * len(tasks)
     errors = [None] * len(tasks)
     claim = itertools.count()  # each next() is atomic under the GIL
@@ -365,7 +373,8 @@ def side_by_side(tasks, workspace=None) -> list:
         drain(spaces[0])
     finally:
         for future in futures:
-            future.result()
+            if not future.cancel():
+                future.result()
     for error in errors:
         if error is not None:
             raise error
@@ -374,8 +383,8 @@ def side_by_side(tasks, workspace=None) -> list:
 
 def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``matrix @ dense``, bit for bit, for a :class:`SparseMatrix` or a
-    scipy CSR or CSC matrix and a 1-D or 2-D ``dense``: row i of the
-    result is sum_j M[i,j] * X[j].
+    scipy CSR or CSC matrix and a 2-D ``dense`` (else ``ValueError``): row
+    i of the result is sum_j M[i,j] * X[j].
 
     The result goes into ``out`` when it is given (a C-contiguous float64
     array of the product's shape, else ``ValueError``), else into a new
@@ -397,11 +406,12 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         matrix = matrix.to_scipy()
     dense = np.ascontiguousarray(dense, dtype=np.float64)
     rows, cols = matrix.shape
-    if dense.ndim not in (1, 2) or dense.shape[0] != cols:
+    if dense.ndim != 2 or dense.shape[0] != cols:
         raise ValueError(
             f"dimension mismatch: matrix is {matrix.shape}, dense has shape {dense.shape}"
         )
-    shape = (rows, *dense.shape[1:])
+    width = dense.shape[1]
+    shape = (rows, width)
     if out is None:
         out, zeroed = np.zeros(shape), True
     elif out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != shape:
@@ -409,8 +419,7 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     else:
         zeroed = False
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    if dense.ndim == 2 and matrix.format == "csr":
-        width = dense.shape[1]
+    if matrix.format == "csr":
         bounds = _row_bounds(indptr, width) if splits(matrix, width) else [0, rows]
         block = add_product if zeroed else _zero_and_add
         side_by_side(partial(block, out[lo:hi], indptr[lo:hi + 1], indices, data, dense)
@@ -418,12 +427,8 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         return out
     if not zeroed:
         out.fill(0.0)
-    if dense.ndim == 1:
-        getattr(_sparsetools, f"{matrix.format}_matvec")(
-            rows, cols, indptr, indices, data, dense, out)
-    else:
-        getattr(_sparsetools, f"{matrix.format}_matvecs")(
-            rows, cols, dense.shape[1], indptr, indices, data, dense.ravel(), out.reshape(-1))
+    getattr(_sparsetools, f"{matrix.format}_matvecs")(
+        rows, cols, width, indptr, indices, data, dense.ravel(), out.reshape(-1))
     return out
 
 

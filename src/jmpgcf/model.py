@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import PopularityConfig, SparseMatrix, fans_out, side_by_side, spmm
+from .graph import PopularityConfig, SparseMatrix, side_by_side, spmm, stage_threads
 from .layers import SelectedLayers
 
 __all__ = [
@@ -163,23 +163,6 @@ class PropagationOutput:
         return mat
 
 
-def _per_granularity(granularities, work, output, workspace, hops) -> list:
-    """``work(k, output(), space)`` for each k in ``granularities``, and
-    their results in order.
-
-    ``output`` makes one granularity's result arrays and ``workspace`` one
-    thread's scratch arrays, both on the calling thread (see
-    :func:`graph.side_by_side`).  The granularities run side by side when
-    :func:`graph.fans_out` allows it for ``hops``; otherwise one after
-    another on the calling thread with one workspace, each granularity's
-    output made as it starts.
-    """
-    if fans_out(len(granularities), hops):
-        return side_by_side((partial(work, k, output()) for k in granularities), workspace)
-    space = workspace()
-    return [work(k, output(), space) for k in granularities]
-
-
 def propagate(
     params: ModelParameters,
     matrices,
@@ -200,10 +183,10 @@ def propagate(
     its block of the stacked factor; only such an output can be scored.
     ``granularities`` restricts the work to a subset (phases early in
     the schedule never read the finer chains); other chains are present
-    but empty.  The chains are computed side by side when no hop splits
-    by rows (:func:`graph.fans_out`), each hop into a buffer made on the
-    calling thread: one per kept layer and chain, and two per thread for
-    the others.
+    but empty.  The chains are computed side by side, or on one thread
+    when a hop splits by rows (:func:`graph.stage_threads`), each hop into
+    a buffer made on the calling thread before any chain starts: one per
+    kept layer and chain, and two per thread for the others.
     """
     count = params.popularity.num_granularities
     if len(matrices) != count:
@@ -240,10 +223,10 @@ def propagate(
                 chain.append(block)
         return chain + [None] * (depth - computed)
 
-    built = _per_granularity(
-        wanted, chain_of, lambda: {l: np.empty(shape) for l in kept},
+    built = side_by_side(
+        (partial(chain_of, k, {l: np.empty(shape) for l in kept}) for k in wanted),
         lambda: (np.empty(shape), np.empty(shape)) if len(kept) < computed else (),
-        [(matrices[k], dim) for k in wanted])
+        stage_threads([matrices[k] for k in wanted], dim))
     built = dict(zip(wanted, built))
     chains = [built.get(k, [None] * (depth + 1)) for k in range(count)]
     return PropagationOutput(

@@ -23,11 +23,11 @@ bit-identical to it.
 
 The granularities meet only in sums, so each stage of a step (the
 propagation, the loss, the pull-back and the update of each table) runs
-its granularities side by side on the process's cores
-(:func:`graph.side_by_side`), unless a sparse product of the stage is
-large enough to be split by rows itself (:func:`graph.fans_out`).  The
-parts are combined in granularity order, so the results do not depend on
-the core count.
+its granularities as tasks of one runner, :func:`graph.side_by_side`,
+on the process's cores.  A stage whose sparse products are large enough
+to be split by rows themselves runs its tasks on one thread
+(:func:`graph.stage_threads`).  The parts are combined in granularity
+order, so the results do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -45,15 +45,9 @@ from scipy.special import expit
 
 from . import evaluation
 from .data import InteractionDataset, train_matrix
-from .graph import add_product, propagation_matrices, side_by_side, spmm, transpose
+from .graph import add_product, propagation_matrices, side_by_side, spmm, stage_threads, transpose
 from .layers import SelectedLayers
-from .model import (
-    ModelParameters,
-    PropagationOutput,
-    _per_granularity,
-    propagate,
-    save_checkpoint,
-)
+from .model import ModelParameters, PropagationOutput, propagate, save_checkpoint
 
 __all__ = [
     "OptimizerState",
@@ -305,10 +299,11 @@ def separated_bpr_loss(
     ``full_matrix_reg`` it is the squared Frobenius norm of the whole
     selected-layer matrices.  The deferred deepest layer is computed only
     at the batch's rows, unless ``full_matrix_reg`` needs the whole of it.
-    The granularities' terms are computed side by side when no hop splits
-    and added in (granularity, layer) order.  Their margins, and the
-    batch's rows of each propagation matrix and of the deferred layer,
-    are kept on ``out`` for :func:`backward` of the same batch.
+    The granularities' terms are computed side by side, or on one thread
+    when a hop splits (:func:`graph.stage_threads`), and added in
+    (granularity, layer) order.  Their margins, and the batch's rows of
+    each propagation matrix and of the deferred layer, are kept on
+    ``out`` for :func:`backward` of the same batch.
     """
     active = _check_active(out, active_granularities)
     terms = _batch_terms(out, batch)
@@ -331,10 +326,10 @@ def separated_bpr_loss(
     width = out.layer(active[0], 0).shape[1]
     total = 0.0
     reg = 0.0
-    for parts in _per_granularity(
-            active, granularity, lambda: np.empty((terms.rows.size, width)),
+    for parts in side_by_side(
+            (partial(granularity, k, np.empty((terms.rows.size, width))) for k in active),
             lambda: {name: np.empty((len(batch), width)) for name in "uij"},
-            [(matrix, width) for matrix in out.matrices]):
+            stage_threads(out.matrices, width)):
         for term, norm in parts:  # in (k, l) order, as one loop adds them
             total += term
             reg += norm
@@ -367,9 +362,10 @@ def backward(
     rows only.  With ``full_matrix_reg`` the gradients are dense and the
     first hop is a full one.  Either way every sum is taken in the same
     order as the full-size computation, so the result is bit-identical.
-    The granularities are pulled back side by side when no hop splits,
-    and a shared table sums theirs in granularity order.  The margins
-    come from the loss of the same batch when it has run on ``out``.
+    The granularities are pulled back side by side, or on one thread when
+    a hop splits (:func:`graph.stage_threads`), and a shared table sums
+    theirs in granularity order.  The margins come from the loss of the
+    same batch when it has run on ``out``.
     """
     active = _check_active(out, active_granularities)
     if transposed is None:
@@ -435,10 +431,10 @@ def backward(
     grads = [None] * (1 if out.shared_base else out.num_granularities)
     scratch = {"a": (len(batch), shape[1]), "b": (len(batch), shape[1]),
                "grad": (rows.size, shape[1]), "pulled": shape}
-    pulled = _per_granularity(
-        active, pull_back, lambda: np.empty(shape),
+    pulled = side_by_side(
+        (partial(pull_back, k, np.empty(shape)) for k in active),
         lambda: {name: np.empty(size) for name, size in scratch.items()},
-        [(matrix, shape[1]) for matrix in out.matrices])
+        stage_threads(out.matrices, shape[1]))
     for k, grad in zip(active, pulled):
         table = 0 if out.shared_base else k
         if grads[table] is None:

@@ -53,7 +53,7 @@ def pool_sizes(monkeypatch):
     sizes = []
     runner = evaluation.side_by_side
 
-    def spying_runner(tasks, workspace):
+    def spying_runner(tasks, workspace, threads=None):
         made = []
 
         def counted():
@@ -61,7 +61,7 @@ def pool_sizes(monkeypatch):
             return made[-1]
 
         try:
-            return runner(tasks, counted)
+            return runner(tasks, counted, threads)
         finally:
             sizes.append(len(made))
 

@@ -70,21 +70,22 @@ def test_tie_section_repeats_for_every_worker_count(tmp_path, monkeypatch):
     assert [r["k"] for r in reports["workers=1"]] == list(gate.CUTOFFS)
 
 
-def test_one_planted_configuration_is_the_same_at_one_and_three_cores(tmp_path, monkeypatch):
+def test_cores_section_is_the_same_at_every_core_count(tmp_path, monkeypatch):
+    """The first planted configuration's steps and a planted train() run's
+    records repeat at 1, 2 and 3 cores, and the process's own core count
+    and pool are put back."""
     gate = load_gate(monkeypatch)
     graph = gate.jmpgcf.graph
-    configs = gate.PLANTED_CONFIGS[:1]
-    documents = []
-    for cores in (1, 3):
-        monkeypatch.setattr(graph, "_cores", lambda: cores)
-        monkeypatch.setattr(graph, "_pool", None)  # a pool of this many cores
-        try:
-            part = gate.planted_steps(str(tmp_path / f"cores{cores}"), configs)
-        finally:
-            if graph._pool is not None:
-                graph._pool.shutdown()
-        documents.append(json.dumps(part, sort_keys=True))
-    assert documents[0] == documents[1]
+    cores, pool = graph._cores, graph._pool
+    result = gate.cores(str(tmp_path))
+    assert graph._cores is cores and graph._pool is pool
+    assert list(result) == ["cores=1", "cores=2", "cores=3"]
+    assert result["cores=1"] == result["cores=2"] == result["cores=3"]
+    (steps,) = result["cores=1"]["steps"].values()
+    assert len(steps["losses"]) == gate.PLANTED_STEPS_PER_PHASE * gate.POPULARITY.num_granularities
+    records = result["cores=1"]["records"]
+    assert [r["phase"] for r in records] == list(range(1, gate.POPULARITY.num_granularities + 1))
+    assert all(f"recall@{gate.TOPK}" in r for r in records)
 
 
 def test_hop_section_is_the_same_at_every_core_count(tmp_path, monkeypatch):

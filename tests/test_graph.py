@@ -351,8 +351,19 @@ class TestParallelSpmm:
 
 
 class TestSideBySide:
+    @pytest.fixture(params=[2, 3])
+    def cores(self, request, monkeypatch):
+        """A fresh pool of this many cores."""
+        monkeypatch.setattr(graph, "_cores", lambda: request.param)
+        monkeypatch.setattr(graph, "_pool", None)
+        yield request.param
+        if graph._pool is not None:
+            graph._pool.shutdown()
+
     def run_bounded(self, call):
-        """``call()`` on a thread that must finish within a minute."""
+        """``call()`` on a daemon thread that must finish within a minute.
+        If it does not, the pool's queued work is cancelled, which ends any
+        wait on it, and the test fails instead of hanging."""
         box = {}
 
         def target():
@@ -361,7 +372,7 @@ class TestSideBySide:
             except Exception as exc:  # handed to the test below
                 box["error"] = exc
 
-        thread = threading.Thread(target=target)
+        thread = threading.Thread(target=target, daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -369,7 +380,10 @@ class TestSideBySide:
             thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not thread.is_alive()
+        if thread.is_alive():
+            if graph._pool is not None:
+                graph._pool.shutdown(wait=False, cancel_futures=True)
+            pytest.fail("side_by_side did not return within a minute")
         return box
 
     def test_every_task_runs_once_and_results_keep_their_order(self, monkeypatch):
@@ -404,6 +418,89 @@ class TestSideBySide:
             assert sorted(ran) == list(range(40))
         finally:
             graph._pool.shutdown()
+
+    def test_tasks_may_call_side_by_side(self, cores):
+        """Six outer tasks of five inner tasks each, on as many threads as
+        there are cores: every result comes back, in order."""
+
+        def outer(i):
+            return graph.side_by_side(functools.partial(lambda i, j: 10 * i + j, i, j)
+                                      for j in range(5))
+
+        box = self.run_bounded(
+            lambda: graph.side_by_side(functools.partial(outer, i) for i in range(6)))
+        assert box["result"] == [[10 * i + j for j in range(5)] for i in range(6)]
+
+    def test_nested_error_reaches_the_caller_in_order(self, cores):
+        """A nested task's exception is its outer task's, and the caller gets
+        the first failing outer task's."""
+
+        def inner(i, j):
+            if (i, j) in {(2, 3), (2, 4), (4, 1)}:
+                raise ValueError(f"task {i}.{j}")
+            return j
+
+        def outer(i):
+            return graph.side_by_side(functools.partial(inner, i, j) for j in range(5))
+
+        box = self.run_bounded(
+            lambda: graph.side_by_side(functools.partial(outer, i) for i in range(6)))
+        assert str(box["error"]) == "task 2.3"
+
+    def test_a_busy_pool_leaves_the_tasks_to_the_caller(self, monkeypatch):
+        """With the pool's only thread held, a 3-task call returns on the
+        calling thread alone, and its helper, cancelled before it started,
+        runs no task once the thread is free."""
+        monkeypatch.setattr(graph, "_cores", lambda: 2)
+        monkeypatch.setattr(graph, "_pool", None)
+        release = threading.Event()
+        held = graph._get_pool().submit(release.wait)
+        ran = []
+
+        def task(i):
+            ran.append((i, threading.current_thread().name))
+            return i
+
+        def call():
+            result = graph.side_by_side(functools.partial(task, i) for i in range(3))
+            return result, threading.current_thread().name
+
+        try:
+            box = self.run_bounded(call)
+        finally:
+            release.set()
+            held.result(timeout=60)
+            graph._pool.shutdown()  # waits for anything still queued
+        result, caller = box["result"]
+        assert result == [0, 1, 2]
+        assert ran == [(i, caller) for i in range(3)]
+
+    @pytest.mark.parametrize("threads, spaces", [(1, 1), (2, 2)])
+    def test_threads_caps_the_workspaces_and_threads(self, threads, spaces, monkeypatch):
+        """At three cores, ``threads=1`` makes one workspace and runs every
+        task on the calling thread, and ``threads=2`` makes two."""
+        monkeypatch.setattr(graph, "_cores", lambda: 3)
+        monkeypatch.setattr(graph, "_pool", None)
+        made, names = [], []
+
+        def workspace():
+            made.append(len(made))
+            return made[-1]
+
+        def task(i, space):
+            names.append(threading.current_thread().name)
+            return i
+
+        try:
+            result = graph.side_by_side((functools.partial(task, i) for i in range(6)),
+                                        workspace, threads)
+        finally:
+            if graph._pool is not None:
+                graph._pool.shutdown()
+        assert result == list(range(6)) and len(made) == spaces
+        if threads == 1:
+            assert graph._pool is None  # nothing was submitted
+            assert names == [threading.current_thread().name] * 6
 
 
 class TestSpmmInto:
@@ -443,13 +540,12 @@ class TestSpmmInto:
             assert sum(kernels.blocks) == 40
 
     @pytest.mark.parametrize("form", FORMS)
-    def test_vector(self, form):
-        matrix, scipy_form, rng = self.operands(form, 31)
+    def test_rejects_a_vector(self, form):
+        matrix, _, rng = self.operands(form, 31)
         vector = rng.normal(size=30)
-        out = rng.normal(size=40)
-        want = scipy_form @ vector
-        assert spmm(matrix, vector).tobytes() == want.tobytes()
-        assert spmm(matrix, vector, out) is out and out.tobytes() == want.tobytes()
+        for out in (None, rng.normal(size=40)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                spmm(matrix, vector, out)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_rejects_a_buffer_it_cannot_fill(self, form):

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -413,11 +414,13 @@ def assert_step_matches_reference(layers, shared_base, full_matrix_reg, optimize
 
 class PoolSpy:
     """Stands in for graph's pool and records, for every submission, the
-    submitted function's name and the functions on the submitting stack."""
+    submitted function's name and the functions on the submitting stack,
+    and the threads the submissions came from."""
 
     def __init__(self, workers):
-        self.pool = ThreadPoolExecutor(workers)
+        self.pool = ThreadPoolExecutor(workers, thread_name_prefix="jmpgcf")
         self.submissions = []
+        self.submitters = []
 
     def submit(self, fn, *args):
         callers, frame = [], sys._getframe(1)
@@ -425,6 +428,7 @@ class PoolSpy:
             callers.append(frame.f_code.co_name)
             frame = frame.f_back
         self.submissions.append((fn.__name__, callers))
+        self.submitters.append(threading.current_thread().name)
         return self.pool.submit(fn, *args)
 
     def shutdown(self):
@@ -443,9 +447,11 @@ class PoolSpy:
         return [name for name, callers in self.submissions if "spmm" in callers]
 
     def nested(self):
-        """Submissions made from inside a task that the pool or the calling
-        thread was running."""
-        return [name for name, callers in self.submissions if "drain" in callers]
+        """Submissions made from a pool thread, that is from inside a task
+        that a helper was running (a task on the calling thread runs inside
+        its ``drain`` frame too, so the stack cannot tell them apart)."""
+        return [name for (name, _), thread in zip(self.submissions, self.submitters)
+                if thread.startswith("jmpgcf")]
 
 
 def small_train(seed=50, layers=SelectedLayers(3, 4), optimizer="adam", epochs=1):
@@ -510,11 +516,14 @@ class TestSideBySide:
         assert spy.nested() == []
 
     def test_split_hops_run_one_granularity_at_a_time(self, split, monkeypatch, spy):
+        """When hops split, a stage runs its tasks on the calling thread, so
+        no stage task runs on a helper, and the hops still split."""
         monkeypatch.setattr(graph, "_cores", lambda: 2)
         small_train()
         # the optimizer runs no sparse product, so it fans out still
         assert spy.fan_outs_from() == {"optimizer_step"}
         assert spy.split_products()
+        # a stage task on a helper would submit its hops' blocks from there
         assert spy.nested() == []
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

@@ -31,6 +31,11 @@ the parent commit and the change.  The document holds:
   with NaN) as in training, with ``graph._cores`` patched to 1, 2 and 3
   (on a fresh pool each time), so that a hop split into any number of row
   blocks is compared bit for bit.
+* ``cores``: on ``planted_lists(1)``, the step driver's losses and table
+  SHA-256 in the first ``planted_steps`` configuration, and the records of
+  a ``train()`` run over the planted schedule, with ``graph._cores``
+  patched to 1, 2 and 3 (on a fresh pool each time), so that every stage
+  is compared whether it runs on one thread or side by side.
 * ``setup``: for ``gowalla_lists(1)`` and ``planted_lists(1)``, read back
   from their files, the SHA-256 of the loaded train and test lists (with
   their lengths), of the ``row_offsets``, ``col_indices`` and ``values``
@@ -45,6 +50,7 @@ and about 2 GB of memory (the Gowalla-size graph).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -103,7 +109,7 @@ PLANTED_CONFIGS = list(itertools.product(
     ["adam", "sgd"], [False, True], [False, True],
 ))
 SETUP_GRAPHS = {"gowalla": gen.gowalla_lists, "planted": gen.planted_lists}
-HOP_CORES = (1, 2, 3)
+CORES = (1, 2, 3)
 
 
 def _sha(arrays) -> str:
@@ -173,27 +179,49 @@ def gowalla(directory):
     return result
 
 
+@contextlib.contextmanager
+def _at_cores(count):
+    """``graph._cores`` patched to ``count``, on a fresh pool that is shut
+    down on leaving; the process's own count and pool are then put back."""
+    graph = jmpgcf.graph
+    cores, pool = graph._cores, graph._pool
+    graph._cores, graph._pool = (lambda: count), None
+    try:
+        yield
+    finally:
+        if graph._pool is not None:
+            graph._pool.shutdown()
+        graph._cores, graph._pool = cores, pool
+
+
 def hops(directory, make=gen.gowalla_lists):
     """The SHA-256 of each full hop and pull-back hop of ``make``'s graph,
     per patched core count."""
     ds, matrices, transposed = _graph(make, directory)
     dense = np.random.default_rng(SEED).normal(size=(matrices[0].num_cols, EMBED_DIM))
-    graph = jmpgcf.graph
-    cores, pool = graph._cores, graph._pool
     result = {}
-    for count in HOP_CORES:
-        graph._cores, graph._pool = (lambda count=count: count), None
+    for count in CORES:
         buffer = np.full(dense.shape, np.nan)  # reused by every hop, as in training
-        try:
+        with _at_cores(count):
             result[f"cores={count}"] = {
-                f"A_{k}{side}": _sha([graph.spmm(operator, dense, buffer)])
+                f"A_{k}{side}": _sha([jmpgcf.graph.spmm(operator, dense, buffer)])
                 for k in range(len(matrices))
                 for side, operator in (("", matrices[k]), ("^T", transposed[k]))
             }
-        finally:
-            if graph._pool is not None:
-                graph._pool.shutdown()
-            graph._cores, graph._pool = cores, pool
+    return result
+
+
+def cores(directory):
+    """The first planted configuration's steps and a planted ``train()``
+    run's records, per patched core count."""
+    result = {}
+    for count in CORES:
+        run = os.path.join(directory, f"cores={count}")
+        with _at_cores(count):
+            result[f"cores={count}"] = {
+                "steps": planted_steps(run, PLANTED_CONFIGS[:1]),
+                "records": _planted_run(run)[1],
+            }
     return result
 
 
@@ -208,7 +236,10 @@ def planted_steps(directory, configs=PLANTED_CONFIGS):
     return result
 
 
-def planted_train(directory):
+def _planted_run(directory):
+    """A ``train()`` run over the planted schedule: ``(params, records, ds,
+    matrices)``, the records' floats as ``float.hex`` and without
+    ``wallclock_s``."""
     ds, matrices, _ = _graph(gen.planted_lists, directory)
     params = init_parameters(ds.num_users, ds.num_items, EMBED_DIM, POPULARITY, SEED)
     params, records = train(ds, params, PhaseSchedule.uniform(POPULARITY.max_granularity, 1),
@@ -216,12 +247,15 @@ def planted_train(directory):
                             eval_ds=ds, eval_every=1, eval_topk=TOPK,
                             metrics_path=os.path.join(directory, "metrics.jsonl"),
                             checkpoint_dir=directory)
-    result = {
-        "records": [{key: value.hex() if isinstance(value, float) else value
-                     for key, value in record.items() if key != "wallclock_s"}
-                    for record in records],
-        "tables": _sha(params.base_embeddings),
-    }
+    records = [{key: value.hex() if isinstance(value, float) else value
+                for key, value in record.items() if key != "wallclock_s"}
+               for record in records]
+    return params, records, ds, matrices
+
+
+def planted_train(directory):
+    params, records, ds, matrices = _planted_run(directory)
+    result = {"records": records, "tables": _sha(params.base_embeddings)}
     result.update(_evaluation(params, matrices, PLANTED_LAYERS, ds))
     result["ties"] = _tie_evaluation(params, matrices, PLANTED_LAYERS, ds)
     return result
@@ -256,7 +290,8 @@ def setup(directory, graphs=SETUP_GRAPHS):
 def main():
     document = {}
     for name, part in (("setup", setup), ("hops", hops), ("gowalla", gowalla),
-                       ("planted_steps", planted_steps), ("planted_train", planted_train)):
+                       ("planted_steps", planted_steps), ("planted_train", planted_train),
+                       ("cores", cores)):
         with tempfile.TemporaryDirectory(prefix="exactness-gate-") as directory:
             document[name] = part(directory)
     json.dump(document, sys.stdout, indent=1, sort_keys=True)
