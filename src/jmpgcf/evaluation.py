@@ -5,8 +5,8 @@ candidate; training items are excluded from the ranking.  Users with
 no held-out items are skipped and do not enter the averages.
 
 Users are scored in chunks, one :func:`score_users` call per chunk: one
-GEMM of the chunk's rows of the stacked factor against its item rows
-(one per run of equal granularity weights).  Its result is the chunk's
+GEMM of the chunk's rows of the stacked factor, scaled by the
+granularity weights, against its item rows.  Its result is the chunk's
 own array, so the chunk masks every training item to -inf in it with
 one assignment and ranks it a small block of rows at a time: one
 partition of a copy of the block gives each row's threshold, one pass
@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import InteractionDataset
 from .graph import side_by_side
-from .model import PropagationOutput, score_users, weight_runs
+from .model import PropagationOutput, score_users
 
 # scores ranked per partition: a block of at most 512 KiB per worker, or one row
 _BLOCK_ELEMENTS = 1 << 16
@@ -175,7 +175,7 @@ def evaluate_cutoffs(
     with whole-array operations, not one user at a time.  Each chunk is one
     task of :func:`graph.side_by_side` on at most ``workers`` threads, and
     never more than there are chunks or cores in the process's CPU
-    affinity: each thread holds one chunk's score buffers, made on the
+    affinity: each thread holds one chunk's score array, made on the
     calling thread and reused for every chunk it scores, and a thread
     beyond the cores would add only memory.
     """
@@ -190,8 +190,7 @@ def evaluate_cutoffs(
         raise ValueError("no user has held-out items to evaluate")
     recalls, ndcgs = np.zeros((2, len(cutoffs), len(evaluable)))
     deepest = max(cutoffs)
-    # raises here, before any worker starts, for an output that cannot be scored
-    several_runs = len(weight_runs(out, weights, range(out.num_granularities))) > 1
+    out.stacked_factor()  # raises here, before any worker starts, for an unscorable output
 
     width = min(deepest, ds.num_items)
     # ndcg_at_k's terms 1 / log2(position + 2), and the ideal DCG of 1..width hits
@@ -199,12 +198,11 @@ def evaluate_cutoffs(
     ideal = np.cumsum(discounts)
     block_rows = max(1, _BLOCK_ELEMENTS // ds.num_items)
 
-    def run_chunk(start, buffers):
+    def run_chunk(start, result):
         users = evaluable[start:start + chunk_size]
         rows = np.arange(len(users))
-        # into the chunk's rows of its thread's score buffers
-        buffers = [None if b is None else b[:len(users)] for b in buffers]
-        scores = score_users(out, users, weights=weights, buffers=buffers)
+        # into the chunk's rows of its thread's score array
+        scores = score_users(out, users, weights=weights, result=result[:len(users)])
         # the chunk owns its scores: mask every training item in place
         excluded = [ds.train[u] for u in users]
         counts = np.array([len(items) for items in excluded])
@@ -230,8 +228,7 @@ def evaluate_cutoffs(
 
     shape = (min(chunk_size, len(evaluable)), ds.num_items)
     side_by_side((partial(run_chunk, start) for start in range(0, len(evaluable), chunk_size)),
-                 lambda: (np.empty(shape), np.empty(shape) if several_runs else None),
-                 max(1, workers))
+                 lambda: np.empty(shape), max(1, workers))
     return [
         MetricsReport(k, float(recalls[c].mean()), float(ndcgs[c].mean()), len(evaluable))
         for c, k in enumerate(cutoffs)

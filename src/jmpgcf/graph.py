@@ -70,8 +70,10 @@ class PopularityConfig:
     granularity_weights: tuple[float, ...] = None  # defaults to all ones
 
     def __post_init__(self):
-        if self.granularity_unit <= 0:
-            raise GraphConfigError(f"granularity_unit must be > 0, got {self.granularity_unit}")
+        if not 0 < self.granularity_unit < np.inf:
+            raise GraphConfigError(
+                f"granularity_unit must be finite and > 0, got {self.granularity_unit}"
+            )
         if self.max_granularity < 0:
             raise GraphConfigError(f"max_granularity must be >= 0, got {self.max_granularity}")
         if -0.5 + self.max_granularity * self.granularity_unit >= 0.5:
@@ -92,8 +94,8 @@ class PopularityConfig:
                 f"expected {self.max_granularity + 1} granularity weights, "
                 f"got {len(self.granularity_weights)}"
             )
-        if any(w <= 0 for w in self.granularity_weights):
-            raise GraphConfigError("granularity weights must be > 0")
+        if not all(0 < w < np.inf for w in self.granularity_weights):
+            raise GraphConfigError("granularity weights must be finite and > 0")
 
     @property
     def num_granularities(self) -> int:

@@ -9,12 +9,12 @@ no nonlinearities anywhere in the forward path.
 That sum is one inner product of stacked factors.  With the selected
 layers of every granularity side by side, ``[e^{k,odd} | e^{k,even}]``
 for k in order (``PropagationOutput.factor``), a user's row, each
-block scaled by its w_k, against an item's row gives the score.
-:func:`score_users` takes one GEMM over the stacked factor per run of
-equal weights, scaled once, which equals the term-by-term sum up to
-rounding.  Only :func:`propagate` with ``retain_chain=False`` lays that
-factor out, so only such an output can be scored; a training output
-keeps just the layers its loss and gradient read.
+block scaled by its w_k, against an item's row gives the score:
+:func:`score_users` scales the users' rows and takes one GEMM, which
+equals the term-by-term sum up to rounding.  Only :func:`propagate`
+with ``retain_chain=False`` lays that factor out, so only such an
+output can be scored; a training output keeps just the layers its loss
+and gradient read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "score_all_items",
     "score_pair",
     "score_users",
-    "weight_runs",
 ]
 
 CHECKPOINT_MAGIC = "JMPGCF1"
@@ -121,11 +120,11 @@ class PropagationOutput:
     - 1]``, without computing it in full (see :mod:`training`).
 
     An eager output (``retain_chain=False``) keeps the base and the
-    selected layers.  ``factor`` holds the selected layers of the
-    granularities in ``stacked_granularities`` side by side, one
-    (m+n, 2 * embed_dim) column block per granularity, odd layer first,
-    and each of those ``chains[k][l]`` is a view of its half block.  Only
-    an output with a factor can be scored (:func:`score_users`).
+    selected layers of every granularity.  ``factor`` holds them side by
+    side: granularity k's block is columns [2kd, 2(k+1)d) for d =
+    embed_dim, odd layer first, and each of those ``chains[k][l]`` is a
+    view of its half block.  Only an output with a factor can be scored
+    (:func:`score_users`).
     """
 
     num_users: int
@@ -137,7 +136,6 @@ class PropagationOutput:
     shared_base: bool
     deferred: frozenset[int] = frozenset()
     factor: np.ndarray | None = field(default=None, repr=False)
-    stacked_granularities: tuple[int, ...] = ()
     # what a training step computed for its last batch (training._batch_terms)
     _batch_cache: object = field(default=None, repr=False)
 
@@ -162,6 +160,15 @@ class PropagationOutput:
             raise RuntimeError(f"layer {l} of granularity {k} was not retained")
         return mat
 
+    def stacked_factor(self) -> np.ndarray:
+        """``factor``, or a RuntimeError for an output that cannot be scored."""
+        if self.factor is None:
+            raise RuntimeError(
+                "only an output of propagate(retain_chain=False) can be scored: "
+                "this one has no stacked factor"
+            )
+        return self.factor
+
 
 def propagate(
     params: ModelParameters,
@@ -179,20 +186,25 @@ def propagate(
     selected layers and the layer below the deepest; the deepest layer
     itself is deferred: it is computed on first read, or only at the
     batch's rows (see :class:`PropagationOutput`).  With
-    ``retain_chain=False`` every selected layer is computed here, into
-    its block of the stacked factor; only such an output can be scored.
-    ``granularities`` restricts the work to a subset (phases early in
-    the schedule never read the finer chains); other chains are present
-    but empty.  The chains are computed side by side, or on one thread
-    when a hop splits by rows (:func:`graph.stage_threads`), each hop into
-    a buffer made on the calling thread before any chain starts: one per
-    kept layer and chain, and two per thread for the others.
+    ``retain_chain=False`` every selected layer of every granularity is
+    computed here, into its block of the stacked factor (granularity k at
+    columns [2kd, 2(k+1)d)); only such an output can be scored.
+    ``granularities`` restricts a training output to a subset (phases
+    early in the schedule never read the finer chains); other chains are
+    present but empty.  An eager output takes no proper subset
+    (ValueError): scoring restricts the granularities itself.  The chains
+    are computed side by side, or on one thread when a hop splits by rows
+    (:func:`graph.stage_threads`), each hop into a buffer made on the
+    calling thread before any chain starts: one per kept layer and chain,
+    and two per thread for the others.
     """
     count = params.popularity.num_granularities
     if len(matrices) != count:
         raise ValueError(f"expected {count} matrices, got {len(matrices)}")
     chosen = set(range(count) if granularities is None else granularities)
     wanted = tuple(k for k in range(count) if k in chosen)
+    if not retain_chain and len(wanted) < count:
+        raise ValueError("propagate(retain_chain=False) stacks every granularity, not a subset")
     depth = layers.depth
     selected = (layers.l_odd, layers.l_even)
     keep = {*selected, depth - 1} if retain_chain else set(selected)
@@ -202,7 +214,7 @@ def propagate(
     kept = [l for l in range(1, computed + 1) if retain_chain and l in keep]
     factor = None
     if not retain_chain:
-        factor = np.empty((shape[0], 2 * len(wanted) * dim))
+        factor = np.empty((shape[0], 2 * count * dim))
 
     def chain_of(k, outputs, spare):
         # A hop writes into outputs[l] when the chain keeps layer l as it
@@ -217,7 +229,7 @@ def propagate(
             elif retain_chain:
                 chain.append(current)
             else:
-                start = (2 * wanted.index(k) + selected.index(l)) * dim
+                start = (2 * k + selected.index(l)) * dim
                 block = factor[:, start:start + dim]
                 block[...] = current
                 chain.append(block)
@@ -239,76 +251,39 @@ def propagate(
         shared_base=params.shared_base,
         deferred=frozenset(wanted) if retain_chain else frozenset(),
         factor=factor,
-        stacked_granularities=() if retain_chain else wanted,
     )
 
 
-def weight_runs(out: PropagationOutput, weights, granularities) -> list[tuple[float, slice]]:
-    """``(w, columns)`` per run of consecutive ``granularities`` of equal
-    weight whose blocks are adjacent in the stacked factor, in order."""
-    factor = out.factor
-    if factor is None:
-        raise RuntimeError(
-            "only an output of propagate(retain_chain=False) can be scored: "
-            "this one has no stacked factor"
-        )
-    order = out.stacked_granularities
-    runs = []
-    for k in granularities:
-        if k not in order:
-            raise RuntimeError(f"granularity {k} was not propagated")
-        width = factor.shape[1] // len(order)
-        start = order.index(k) * width
-        if runs and runs[-1][0] == weights[k] and runs[-1][2] == start:
-            runs[-1][2] = start + width
-        else:
-            runs.append([weights[k], start, start + width])
-    return [(w, slice(start, stop)) for w, start, stop in runs]
-
-
-def score_users(
-    out: PropagationOutput, users, items=None, weights=None, granularities=None, *, buffers=None
-):
+def score_users(out: PropagationOutput, users, items=None, weights=None, granularities=None,
+                *, result=None):
     """Preference scores of ``users`` against ``items`` (default: every item).
 
     The score sums w_k * <e_u^{k,l}, e_i^{k,l}> over granularities k and
-    the selected layers l.  It is taken as one GEMM of the stacked
-    factor's user rows against its item rows per run of equal weights
-    (:func:`weight_runs`; one run under equal weights), scaled once when
-    w != 1.0 and added in run order.  That equals the term-by-term sum
-    up to rounding.  The result's shape follows numpy indexing of
-    ``users`` and ``items`` (a scalar for one user and one item).
-
-    The first run's product is the result; each later one is written
-    into one scratch buffer, scaled there and added.  ``buffers``, a
-    float64 result array and a scratch one (or None: only several runs
-    need it), are used instead of new ones.
+    the selected layers l, which is <[w_k * e_u^k]_k, [e_i^k]_k> over the
+    stacked factor (:class:`PropagationOutput`).  A copy of the users'
+    rows has each granularity's block multiplied by w_k, or by 0.0 for a
+    granularity outside ``granularities`` (no multiply runs when every
+    factor is 1.0); one GEMM against the item rows then gives every
+    score, into ``result`` (a float64 array of the scores' shape) when
+    given.  That equals the term-by-term sum up to rounding.  The result's shape follows numpy
+    indexing of ``users`` and ``items`` (a scalar for one user and one
+    item).
     """
+    factor = out.stacked_factor()
     if weights is None:
         weights = out.default_weights
     if granularities is None:
         granularities = range(out.num_granularities)
-    runs = weight_runs(out, weights, granularities)
-    result, scratch = (None, None) if buffers is None else buffers
-    factor = out.factor
+    scale = np.zeros(out.num_granularities)
+    for k in granularities:
+        scale[k] += weights[k]
     m = out.num_users
     user_rows = factor[users]
+    if np.any(scale != 1.0):
+        # out of place: for one user, factor[users] is a view of the factor
+        user_rows = user_rows * np.repeat(scale, factor.shape[1] // scale.size)
     item_rows = factor[m:] if items is None else factor[m + np.asarray(items)]
-    scores = None
-    for w, columns in runs:
-        u, v = user_rows[..., columns], item_rows[..., columns].T
-        if scores is None:
-            # an array even for one user and one item, so that *= scales it
-            scores = term = np.asarray(np.matmul(u, v, out=result))
-        else:
-            if scratch is None:
-                scratch = np.empty_like(scores)
-            term = np.matmul(u, v, out=scratch)
-        if w != 1.0:
-            term *= w
-        if term is scratch:
-            scores += scratch
-    return scores if scores is None or scores.ndim else scores[()]
+    return np.matmul(user_rows, item_rows.T, out=result)
 
 
 def score_pair(out: PropagationOutput, u, i, weights=None, granularities=None) -> float:

@@ -95,10 +95,15 @@ class TrainConfig:
     full_matrix_reg: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 <= self.l2_coeff < math.inf:
+            raise ValueError("l2_coeff must be finite and >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):

@@ -76,7 +76,6 @@ def manual_output(chains, l_odd=1, l_even=2, num_users=None, weights=None, matri
         default_weights=tuple(weights),
         shared_base=False,
         factor=factor,
-        stacked_granularities=tuple(range(len(chains))),
     )
 
 
@@ -99,35 +98,25 @@ def out_of_place_scores(out, users, items=None, weights=None, granularities=None
 
 
 def stacked_scores(out, users, items=None, weights=None, granularities=None):
-    """Reference scores as stacked-factor products: per run of consecutive
-    granularities of equal weight that are adjacent in the output's
-    stacked order, fresh copies of their selected layers side by side,
-    one product of the user rows against the item rows, scaled once when
-    the weight is not 1.0; the runs summed out of place in order."""
+    """Reference scores as one stacked-factor product: fresh copies of
+    every granularity's selected layers side by side, each user block
+    multiplied by w_k (by 0.0 for a granularity outside ``granularities``)
+    when that is not 1.0, and one product of the user rows against the
+    item rows.  The output's factor itself is not read."""
     if weights is None:
         weights = out.default_weights
     if granularities is None:
         granularities = range(out.num_granularities)
-    order = out.stacked_granularities  # the factor itself is not read
-    runs = []  # [weight, granularities]
-    for k in granularities:
-        if (runs and runs[-1][0] == weights[k]
-                and order.index(k) == order.index(runs[-1][1][-1]) + 1):
-            runs[-1][1].append(k)
-        else:
-            runs.append([weights[k], [k]])
     m = out.num_users
     item_index = slice(m, None) if items is None else m + np.asarray(items)
-    scores = None
-    for w, ks in runs:
-        layers = [out.layer(k, l) for k in ks for l in (out.layers.l_odd, out.layers.l_even)]
-        user_factor = np.hstack([layer[users] for layer in layers])
-        item_factor = np.hstack([layer[item_index] for layer in layers])
-        part = user_factor @ item_factor.T
-        if w != 1.0:
-            part = w * part
-        scores = part if scores is None else scores + part
-    return scores
+    user_blocks, item_blocks = [], []
+    for k in range(out.num_granularities):
+        w = sum(weights[k] for j in granularities if j == k)
+        layers = [out.layer(k, l) for l in (out.layers.l_odd, out.layers.l_even)]
+        block = np.hstack([layer[users] for layer in layers])
+        user_blocks.append(block if w == 1.0 else w * block)
+        item_blocks.append(np.hstack([layer[item_index] for layer in layers]))
+    return np.hstack(user_blocks) @ np.hstack(item_blocks).T
 
 
 def assert_near_term_by_term(got, out, users, items=None, weights=None, granularities=None):

@@ -6,6 +6,7 @@ path length, and keeps an A/A series beside the claim it qualifies."""
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 
 import pytest
@@ -124,7 +125,7 @@ def repo(tmp_path, monkeypatch):
 
 
 def read_tree(tree):
-    return {os.path.relpath(os.path.join(d, f), tree): open(os.path.join(d, f)).read()
+    return {os.path.relpath(os.path.join(d, f), tree): pathlib.Path(d, f).read_text()
             for d, _, files in os.walk(tree) for f in files}
 
 

@@ -154,6 +154,11 @@ class TestConfigResolution:
             {"k": "-1"},
             {"lambda_weights": "1,0,1"},
             {"optimizer": "foo"},
+            *(pytest.param({key: value}, id=f"{key}={value}")
+              for key, value in [("c", "nan"), ("c", "inf"), ("lambda_weights", "nan,1,1"),
+                                 ("lambda_weights", "1,inf,1"), ("learning_rate", "nan"),
+                                 ("learning_rate", "inf"), ("l2_coeff", "nan"),
+                                 ("l2_coeff", "inf")]),
         ],
         ids=lambda bad: next(iter(bad)),
     )

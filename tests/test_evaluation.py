@@ -352,9 +352,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.5)])
     def test_score_buffers_made_once_per_thread(self, cores, pool_sizes, weights, monkeypatch):
-        """Two threads score 14 chunks into two sets of score buffers (a
-        result and, under unequal weights, a scratch array), each thread
-        reusing its own for every chunk it scores."""
+        """Two threads score 14 chunks into two score arrays, one per
+        thread, each reused for every chunk its thread scores, under equal
+        and unequal weights alike."""
         cores(2)
         ds = make_random_dataset(np.random.default_rng(8), 40, 30, max_degree=6, with_test=True)
         rng = np.random.default_rng(9)
@@ -364,21 +364,16 @@ class TestEvaluate:
         used = []
         score = evaluation.score_users
 
-        def spying_score(out, users, *, weights, buffers):
-            used.append([None if b is None else b.base for b in buffers])
-            return score(out, users, weights=weights, buffers=buffers)
+        def spying_score(out, users, *, weights, result):
+            used.append(result.base)
+            return score(out, users, weights=weights, result=result)
 
         monkeypatch.setattr(evaluation, "score_users", spying_score)
         assert evaluate_cutoffs(None, out, ds, (1, 5), workers=2, chunk_size=3) == single
         evaluable = sum(1 for u in range(40) if len(ds.test[u]))
         assert pool_sizes == [1, 2] and len(used) == -(-evaluable // 3) > 2
-        results, scratches = zip(*used)
-        if weights[0] == weights[1]:  # one run: no scratch array
-            assert all(base is None for base in scratches)
-            scratches = ()
-        for column in (results, scratches):
-            assert len({id(base) for base in column}) <= 2
-            assert all(base is not None and base.shape == (3, 30) for base in column)
+        assert len({id(base) for base in used}) <= 2
+        assert all(base is not None and base.shape == (3, 30) for base in used)
 
     def test_propagated_output_worker_invariant(self, cores):
         """Threads score a propagated output as one thread does; a training
@@ -506,7 +501,7 @@ class TestEvaluateExactness:
             test.append([] if u % 9 == 4 else picked[cut:].tolist())
         return InteractionDataset.from_lists(self.num_users, self.num_items, train, test)
 
-    def output(self, integer_valued):
+    def output(self, integer_valued, weights=(1.0, 0.5, 1 / 3)):
         rng = np.random.default_rng(22)
         rows = self.num_users + self.num_items
         if integer_valued:  # scores are small integers: ties at every boundary
@@ -518,7 +513,7 @@ class TestEvaluateExactness:
             for layer in chain:
                 layer[5] = 0.0  # user 5 scores every item equally
                 layer[self.num_users + 3] = layer[self.num_users + 8]  # items 3 and 8 tie
-        return manual_output(chains, num_users=self.num_users, weights=(1.0, 0.5, 1 / 3))
+        return manual_output(chains, num_users=self.num_users, weights=weights)
 
     @pytest.mark.parametrize("integer_valued", [True, False])
     @pytest.mark.parametrize("workers, chunk_size", [(1, 256), (1, 7), (3, 7), (3, 10), (3, 1)])
@@ -528,8 +523,11 @@ class TestEvaluateExactness:
         got = evaluate_cutoffs(None, out, ds, self.CUTOFFS, workers=workers,
                                chunk_size=chunk_size)
         assert got == reference_reports(out, ds, self.CUTOFFS, chunk_size)
-        if integer_valued:  # each run's sum is exact: the chunking cannot matter
-            assert got == reference_reports(out, ds, self.CUTOFFS, 256)
+        if integer_valued:  # under dyadic weights every sum is exact: chunks cannot matter
+            dyadic = self.output(True, weights=(1.0, 0.5, 0.25))
+            got = evaluate_cutoffs(None, dyadic, ds, self.CUTOFFS, workers=workers,
+                                   chunk_size=chunk_size)
+            assert got == reference_reports(dyadic, ds, self.CUTOFFS, 256)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk_size", [1, 7, 256])
@@ -540,11 +538,13 @@ class TestEvaluateExactness:
         block in every chunk of 7."""
         cores(workers)
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 3 * self.num_items)
-        out = self.output(True)  # each run's sum is exact: the chunking cannot matter
+        out = self.output(True)
         got = evaluate_cutoffs(None, out, ds, self.CUTOFFS, workers=workers,
                                chunk_size=chunk_size)
         evaluable = [u for u in range(self.num_users) if len(ds.test[u])]
-        scores = stacked_scores(out, evaluable)
+        # scored in evaluate_cutoffs' chunks: a user's scores can depend on its chunk
+        scores = np.concatenate([stacked_scores(out, evaluable[start:start + chunk_size])
+                                 for start in range(0, len(evaluable), chunk_size)])
         for report, k in zip(got, self.CUTOFFS):
             ranked = [sort_oracle(scores[row], set(ds.train[u].tolist()), k)
                       for row, u in enumerate(evaluable)]

@@ -68,6 +68,10 @@ class TestPopularityConfig:
             dict(granularity_unit=0.3, max_granularity=4),  # exponent reaches +0.7
             dict(granularity_weights=(1.0, 1.0)),
             dict(granularity_weights=(1.0, 0.0, 1.0)),
+            dict(granularity_unit=float("nan")),
+            dict(granularity_unit=float("inf"), max_granularity=0),  # 0 * inf is nan
+            dict(granularity_weights=(1.0, float("nan"), 1.0)),
+            dict(granularity_weights=(1.0, 1.0, float("inf"))),
         ],
     )
     def test_invalid(self, kwargs):

@@ -25,7 +25,7 @@ from jmpgcf import (
 )
 from jmpgcf import model
 from jmpgcf import training as training_module
-from jmpgcf.model import score_users, weight_runs
+from jmpgcf.model import score_users
 
 from conftest import (
     assert_near_term_by_term,
@@ -156,10 +156,7 @@ class TestDeferredLayer:
     def outputs(self, layers=SelectedLayers(3, 4), granularities=None):
         params, mats = self.make()
         training = propagate(params, mats, layers, granularities=granularities)
-        eager = propagate(
-            params, mats, layers, retain_chain=False, granularities=granularities
-        )
-        return training, eager
+        return training, propagate(params, mats, layers, retain_chain=False)
 
     @pytest.mark.parametrize("layers", [SelectedLayers(3, 4), SelectedLayers(3, 2)])
     def test_full_layer_equals_eager(self, layers):
@@ -222,15 +219,14 @@ class TestKeptLayers:
     @pytest.mark.parametrize("layers", LAYERS)
     def test_eager_output(self, made, layers, granularities):
         _, params, mats = made
-        out = propagate(params, mats, layers, retain_chain=False, granularities=granularities)
-        active = {0, 1, 2} if granularities is None else granularities
+        if granularities is not None:  # a proper subset: an eager output stacks them all
+            with pytest.raises(ValueError, match="every granularity"):
+                propagate(params, mats, layers, retain_chain=False, granularities=granularities)
+            return
+        out = propagate(params, mats, layers, retain_chain=False)
         assert out.deferred == frozenset()
-        assert out.stacked_granularities == tuple(sorted(active))
         for k, chain in enumerate(out.chains):
             assert len(chain) == layers.depth + 1
-            if k not in active:
-                assert self.kept(chain) == set()
-                continue
             assert self.kept(chain) == {0, layers.l_odd, layers.l_even}
             assert chain[0] is params.base_for(k)
             for l in (layers.l_odd, layers.l_even):
@@ -284,7 +280,6 @@ class TestStackedFactor:
     def test_layers_are_views_of_their_blocks(self, made, out):
         params, _ = made
         assert out.factor.shape == (20, 2 * 3 * self.dim)
-        assert out.stacked_granularities == (0, 1, 2)
         for k in range(3):
             assert out.chains[k][0] is params.base_for(k)
             for j, l in enumerate((3, 4)):
@@ -304,20 +299,14 @@ class TestStackedFactor:
                 assert out.layer(k, l).tobytes() == chain[l].tobytes()
 
     def test_granularity_subset(self, made, out):
-        sub = propagate(*made, SelectedLayers(3, 4), retain_chain=False, granularities={2, 0})
-        assert sub.stacked_granularities == (0, 2)
-        assert sub.factor.shape == (20, 2 * 2 * self.dim)
-        for k in (0, 2):
-            for l in (3, 4):
-                assert np.shares_memory(sub.chains[k][l], sub.factor)
-                assert sub.layer(k, l).tobytes() == out.layer(k, l).tobytes()
-        # adjacent in this factor: one product under equal weights
-        assert weight_runs(sub, (1.0,) * 3, [0, 2]) == [(1.0, slice(0, 4 * self.dim))]
-        got = score_users(sub, [1, 4], granularities=[0, 2])
-        assert got.tobytes() == stacked_scores(sub, [1, 4], granularities=[0, 2]).tobytes()
+        with pytest.raises(ValueError, match="every granularity"):
+            propagate(*made, SelectedLayers(3, 4), retain_chain=False, granularities={2, 0})
+        every = propagate(*made, SelectedLayers(3, 4), retain_chain=False, granularities={2, 1, 0})
+        assert every.factor.tobytes() == out.factor.tobytes()
+        # scoring leaves the other granularity out by its weight, 0.0
+        got = score_users(out, [1, 4], granularities=[0, 2])
+        assert got.tobytes() == stacked_scores(out, [1, 4], granularities=[0, 2]).tobytes()
         assert_near_term_by_term(got, out, [1, 4], granularities=[0, 2])
-        with pytest.raises(RuntimeError, match="granularity 1"):
-            score_users(sub, [1, 4])
 
     @pytest.mark.parametrize("weights", [None, (1.0, 0.5, 1 / 3)])
     def test_scalar_user_and_item_shapes(self, out, weights):
@@ -331,20 +320,7 @@ class TestStackedFactor:
             want = stacked_scores(out, users, items, weights=weights)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    @pytest.mark.parametrize("weights, runs", [
-        ((1.0, 1.0, 1.0), [(1.0, slice(0, 18))]),
-        ((1.0, 0.5, 1.0), [(1.0, slice(0, 6)), (0.5, slice(6, 12)), (1.0, slice(12, 18))]),
-        ((0.5, 0.5, 2.0), [(0.5, slice(0, 12)), (2.0, slice(12, 18))]),
-    ])
-    def test_runs_of_equal_adjacent_weights(self, out, weights, runs):
-        assert weight_runs(out, weights, range(3)) == runs
-        assert weight_runs(out, weights, [2, 0]) == [
-            (weights[2], slice(12, 18)), (weights[0], slice(0, 6))]
-        got = score_users(out, [0, 5, 8], weights=weights)
-        assert got.tobytes() == stacked_scores(out, [0, 5, 8], weights=weights).tobytes()
-        assert_near_term_by_term(got, out, [0, 5, 8], weights=weights)
-
-    def test_one_product_under_equal_weights(self, out, monkeypatch):
+    def test_one_product_for_every_weight_vector(self, out, monkeypatch):
         calls = []
         matmul = np.matmul
 
@@ -353,11 +329,13 @@ class TestStackedFactor:
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting)
-        score_users(out, [0, 5, 8], buffers=(np.empty((3, 11)), None))
-        assert calls == [(3, 18)]
-        calls.clear()
-        score_users(out, [0, 5, 8], weights=(1.0, 2.0, 2.0))
-        assert calls == [(3, 6), (3, 12)]
+        for weights in (None, (1.0, 2.0, 2.0), (0.5, 1 / 3, 0.7)):
+            calls.clear()
+            result = np.empty((3, 11))
+            assert score_users(out, [0, 5, 8], weights=weights, result=result) is result
+            score_users(out, [0, 5, 8], weights=weights, granularities=[2, 0])
+            score_users(out, 5, weights=weights)
+            assert calls == [(3, 18), (3, 18), (18,)]
 
 
 class TestScoring:
@@ -468,7 +446,7 @@ class TestScoreUsersBitwise:
     term-by-term sum within 1e-12."""
 
     WEIGHTS = [None, (1.0, 1.0, 1.0), (0.5, 1 / 3, 0.7), (1.0, 0.1, 3.0), (0.5, 2.0, 0.5),
-               (1.0, 1.0, 0.5)]
+               (1.0, 1.0, 0.5), (1.0, 0.5, 1 / 3)]
 
     @pytest.fixture(scope="class")
     def out(self):
@@ -517,7 +495,8 @@ class TestScoreUsersBitwise:
         self.assert_scores(score_users(out, users, items, weights=weights), out, users, items,
                            weights=weights)
 
-    @pytest.mark.parametrize("granularities", [[0], [2], [1, 2], [2, 0], [0, 2], [2, 1, 0]])
+    @pytest.mark.parametrize("granularities",
+                             [[0], [2], [1, 2], [2, 0], [0, 2], [2, 1, 0], [1]])
     def test_granularity_subset(self, out, granularities):
         for weights in self.WEIGHTS:
             self.assert_scores(
@@ -531,15 +510,30 @@ class TestScoreUsersBitwise:
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_into_given_buffers(self, out, weights):
+        """The scores are written into the one ``result`` array given."""
         users = [1, 4, 4, 20]
-        result, scratch = np.full((4, 31), np.nan), np.full((4, 31), np.nan)
-        got = score_users(out, users, weights=weights, buffers=(result, scratch))
+        result = np.full((4, 31), np.nan)
+        got = score_users(out, users, weights=weights, result=result)
         assert got is result
         self.assert_scores(got, out, users, weights=weights)
-        # one run needs no scratch
-        got = score_users(out, users, weights=(0.7,) * 3, buffers=(result, None))
+        got = score_users(out, users, weights=weights, granularities=[1], result=result)
         assert got is result
-        self.assert_scores(got, out, users, weights=(0.7,) * 3)
+        self.assert_scores(got, out, users, weights=weights, granularities=[1])
+
+    def test_scoring_never_writes_into_the_factor(self, out):
+        """Under non-unit weights the users' rows are scaled in a copy: for
+        one user, ``factor[u]`` is a view of the factor."""
+        weights = (0.5, 2.0, 1 / 3)
+        before = out.factor.copy()
+        calls = [lambda: score_pair(out, 3, 7, weights=weights),
+                 lambda: score_all_items(out, 3, weights=weights),
+                 lambda: score_users(out, 3, weights=weights),
+                 lambda: score_users(out, [3, 9, 3], weights=weights),
+                 lambda: score_users(out, [3, 9], [30, 0, 4], weights=weights)]
+        for call in calls:
+            first = np.asarray(call()).tobytes()
+            assert out.factor.tobytes() == before.tobytes()
+            assert np.asarray(call()).tobytes() == first
 
     def test_result_is_a_fresh_array(self, out):
         """The caller owns the scores: writing them leaves the layers alone."""

@@ -396,7 +396,7 @@ def assert_step_matches_reference(layers, shared_base, full_matrix_reg, optimize
         grads = backward(out, batch, active, cfg.l2_coeff, full_matrix_reg, transposed)
         optimizer_step(params, grads, state, cfg)
 
-        ref_out = propagate(ref, mats, layers, retain_chain=False, granularities=active)
+        ref_out = propagate(ref, mats, layers, retain_chain=False)
         ref_loss = reference_loss(ref_out, batch, active, cfg.l2_coeff, full_matrix_reg)
         ref_grads = reference_backward(ref_out, batch, active, cfg.l2_coeff, full_matrix_reg,
                                        transposed)
@@ -676,7 +676,7 @@ class TestRowScatter:
         active = {0, 1, 2}
         out = propagate(params, mats, layers, granularities=active)
         grads = backward(out, batch, active, 0.1, full_matrix_reg, transposed)
-        ref_out = propagate(params, mats, layers, retain_chain=False, granularities=active)
+        ref_out = propagate(params, mats, layers, retain_chain=False)
         ref_grads = reference_backward(ref_out, batch, active, 0.1, full_matrix_reg, transposed)
         for ours, theirs in zip(grads, ref_grads):
             assert np.array_equal(bits(ours), bits(theirs))
@@ -1073,3 +1073,11 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="momentum")
+    nan, inf = float("nan"), float("inf")
+    for name, value in [("learning_rate", nan), ("learning_rate", inf), ("l2_coeff", nan),
+                        ("l2_coeff", inf), ("adam_beta1", 1.5), ("adam_beta1", -0.1),
+                        ("adam_beta2", 1.0), ("adam_beta2", nan), ("adam_eps", 0.0),
+                        ("adam_eps", nan)]:
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+    TrainConfig(l2_coeff=0.0, adam_beta1=0.0, adam_beta2=0.0)
