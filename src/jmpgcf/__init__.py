@@ -7,7 +7,7 @@ separated pairwise ranking loss under a stacked phase schedule, and
 evaluate full-ranking top-K recommendation quality.
 """
 
-from .data import DatasetFormatError, InteractionDataset, load_dataset, save_dataset, split_validation
+from .data import DatasetFormatError, InteractionDataset, load_dataset, split_validation
 from .graph import (
     GraphConfigError,
     PopularityConfig,
@@ -22,7 +22,6 @@ from .layers import (
     LayerSelectionConfig,
     LayerSelectionError,
     SelectedLayers,
-    count_k_hop_neighbors,
     hop_coverages,
     select_layers,
 )
@@ -36,7 +35,6 @@ from .model import (
     propagate,
     save_checkpoint,
     score_all_items,
-    score_pair,
 )
 from .training import (
     OptimizerState,

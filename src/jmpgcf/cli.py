@@ -81,7 +81,6 @@ class RunConfig:
     epochs_per_phase: int = 300
     topk: int = 20
     seed: int = TrainConfig.seed
-    optimizer: str = _setting(TrainConfig.optimizer, "adam or sgd")
     shared_base: bool = False
     lambda_weights: tuple = _setting(
         PopularityConfig.granularity_weights, "comma-separated per-granularity weights"
@@ -102,8 +101,8 @@ class RunConfig:
     popularity = _owned(PopularityConfig, granularity_unit="c", max_granularity="k",
                         granularity_weights="lambda_weights")
     selection = _owned(LayerSelectionConfig, "alpha", "sample_size", "max_hops", "seed")
-    training = _owned(TrainConfig, "learning_rate", "l2_coeff", "batch_size", "optimizer",
-                      "seed", "full_matrix_reg")
+    training = _owned(TrainConfig, "learning_rate", "l2_coeff", "batch_size", "seed",
+                      "full_matrix_reg")
     schedule = _owned(PhaseSchedule.uniform, "epochs_per_phase", max_granularity="k")
     layers = _owned(lambda l_odd, l_even: None if l_odd is None else SelectedLayers(l_odd, l_even),
                     "l_odd", "l_even")  # None when not given

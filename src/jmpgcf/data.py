@@ -25,7 +25,6 @@ __all__ = [
     "DatasetFormatError",
     "InteractionDataset",
     "load_dataset",
-    "save_dataset",
     "split_validation",
     "train_matrix",
 ]
@@ -256,24 +255,6 @@ def load_dataset(train_path, test_path, remap=False, mapping_dir=None) -> Intera
         num_users = 1 + int(train_uids.max(initial=-1))
         num_items = 1 + int(all_items.max(initial=-1))
     return _build(num_users, num_items, (train_users, train_items), (test_users, test_items))
-
-
-def save_dataset(ds: InteractionDataset, train_path, test_path):
-    """Write a dataset back to the adjacency-list text format.
-
-    Every user gets a line in the train file (possibly just the uid) so
-    that the user count survives a reload; the test file only lists
-    users with held-out items.
-    """
-    with open(train_path, "w", encoding="ascii") as fh:
-        for u in range(ds.num_users):
-            items = " ".join(str(i) for i in ds.train[u].tolist())
-            fh.write(f"{u} {items}\n" if items else f"{u}\n")
-    with open(test_path, "w", encoding="ascii") as fh:
-        for u in range(ds.num_users):
-            if len(ds.test[u]):
-                items = " ".join(str(i) for i in ds.test[u].tolist())
-                fh.write(f"{u} {items}\n")
 
 
 def split_validation(ds: InteractionDataset, fraction, seed):

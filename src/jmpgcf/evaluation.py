@@ -149,12 +149,12 @@ def evaluate(
     out: PropagationOutput,
     ds: InteractionDataset,
     k: int = 20,
-    weights=None,
     workers: int = 1,
     chunk_size: int = CHUNK_SIZE,
 ) -> MetricsReport:
-    """Mean Recall@k / NDCG@k over all users with held-out items."""
-    return evaluate_cutoffs(params, out, ds, (k,), weights, workers, chunk_size)[0]
+    """Mean Recall@k / NDCG@k over all users with held-out items, scored
+    with the granularity weights of ``params`` (of ``out`` when None)."""
+    return evaluate_cutoffs(params, out, ds, (k,), workers, chunk_size)[0]
 
 
 def evaluate_cutoffs(
@@ -162,7 +162,6 @@ def evaluate_cutoffs(
     out: PropagationOutput,
     ds: InteractionDataset,
     cutoffs,
-    weights=None,
     workers: int = 1,
     chunk_size: int = CHUNK_SIZE,
 ) -> list[MetricsReport]:
@@ -181,10 +180,7 @@ def evaluate_cutoffs(
     """
     if not cutoffs or min(cutoffs) < 1:
         raise ValueError(f"cutoffs must be >= 1, got {cutoffs}")
-    if weights is None:
-        weights = (
-            params.popularity.granularity_weights if params is not None else out.default_weights
-        )
+    weights = None if params is None else params.popularity.granularity_weights
     evaluable = _evaluable(ds)
     if not evaluable:
         raise ValueError("no user has held-out items to evaluate")

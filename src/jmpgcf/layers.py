@@ -22,7 +22,6 @@ __all__ = [
     "LayerSelectionConfig",
     "LayerSelectionError",
     "SelectedLayers",
-    "count_k_hop_neighbors",
     "hop_coverages",
     "select_layers",
 ]
@@ -107,19 +106,6 @@ def _exact_hop_counts(adjacency, sources, max_depth):
             totals[depth] += count
             seen |= frontier
     return totals
-
-
-def count_k_hop_neighbors(ds: InteractionDataset, u: int, hop: int) -> int:
-    """Number of nodes at shortest-path distance exactly ``hop`` from user ``u``.
-
-    Item nodes when ``hop`` is odd, user nodes when even; an isolated
-    user yields 0 for every hop.
-    """
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
-    if not 0 <= u < ds.num_users:
-        raise IndexError(f"user index {u} out of range")
-    return int(_exact_hop_counts(build_adjacency(ds), np.array([u]), hop)[hop - 1])
 
 
 def _sample_users(ds, cfg):

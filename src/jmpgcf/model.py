@@ -38,7 +38,6 @@ __all__ = [
     "propagate",
     "save_checkpoint",
     "score_all_items",
-    "score_pair",
     "score_users",
 ]
 
@@ -192,9 +191,9 @@ def propagate(
     ``granularities`` restricts a training output to a subset (phases
     early in the schedule never read the finer chains); other chains are
     present but empty.  An eager output takes no proper subset
-    (ValueError): scoring restricts the granularities itself.  The chains
-    are computed side by side, or on one thread when a hop splits by rows
-    (:func:`graph.stage_threads`), each hop into a buffer made on the
+    (ValueError): scoring leaves a granularity out by a zero weight.  The
+    chains are computed side by side, or on one thread when a hop splits by
+    rows (:func:`graph.stage_threads`), each hop into a buffer made on the
     calling thread before any chain starts: one per kept layer and chain,
     and two per thread for the others.
     """
@@ -254,30 +253,34 @@ def propagate(
     )
 
 
-def score_users(out: PropagationOutput, users, items=None, weights=None, granularities=None,
-                *, result=None):
+def score_users(out: PropagationOutput, users, items=None, weights=None, *, result=None):
     """Preference scores of ``users`` against ``items`` (default: every item).
 
     The score sums w_k * <e_u^{k,l}, e_i^{k,l}> over granularities k and
     the selected layers l, which is <[w_k * e_u^k]_k, [e_i^k]_k> over the
-    stacked factor (:class:`PropagationOutput`).  A copy of the users'
-    rows has each granularity's block multiplied by w_k, or by 0.0 for a
-    granularity outside ``granularities`` (no multiply runs when every
-    factor is 1.0); one GEMM against the item rows then gives every
-    score, into ``result`` (a float64 array of the scores' shape) when
-    given.  That equals the term-by-term sum up to rounding.  The result's shape follows numpy
-    indexing of ``users`` and ``items`` (a scalar for one user and one
-    item).
+    stacked factor (:class:`PropagationOutput`).  ``weights`` (default:
+    the output's) holds one w_k per granularity; a weight of 0 leaves its
+    granularity out.  A copy of the users' rows has each granularity's
+    block multiplied by w_k (no multiply runs when every weight is 1.0);
+    one GEMM against the item rows then gives every score, into
+    ``result`` (a float64 array of the scores' shape) when given.  That
+    equals the term-by-term sum up to rounding.  The result's shape
+    follows numpy indexing of ``users`` and ``items`` (a scalar for one
+    user and one item).  A user or item index outside its range is an
+    IndexError: the factor's rows join the users and the items, so it
+    would otherwise score a row of the other kind.
     """
     factor = out.stacked_factor()
-    if weights is None:
-        weights = out.default_weights
-    if granularities is None:
-        granularities = range(out.num_granularities)
-    scale = np.zeros(out.num_granularities)
-    for k in granularities:
-        scale[k] += weights[k]
+    scale = np.asarray(out.default_weights if weights is None else weights, dtype=np.float64)
+    if scale.shape != (out.num_granularities,):
+        raise ValueError(
+            f"expected {out.num_granularities} granularity weights, got {scale.size}"
+        )
     m = out.num_users
+    for kind, index, count in (("user", users, m), ("item", items, out.num_items)):
+        index = np.asarray([] if index is None else index)
+        if index.size and not 0 <= index.min() <= index.max() < count:
+            raise IndexError(f"{kind} index outside [0, {count})")
     user_rows = factor[users]
     if np.any(scale != 1.0):
         # out of place: for one user, factor[users] is a view of the factor
@@ -286,21 +289,9 @@ def score_users(out: PropagationOutput, users, items=None, weights=None, granula
     return np.matmul(user_rows, item_rows.T, out=result)
 
 
-def score_pair(out: PropagationOutput, u, i, weights=None, granularities=None) -> float:
-    """Preference score: per granularity, the user/item inner products at
-    the odd and even selected layers, weighted and summed."""
-    if not 0 <= u < out.num_users:
-        raise IndexError(f"user index {u} out of range")
-    if not 0 <= i < out.num_items:
-        raise IndexError(f"item index {i} out of range")
-    return float(score_users(out, u, i, weights, granularities))
-
-
-def score_all_items(out: PropagationOutput, u, weights=None, granularities=None) -> np.ndarray:
+def score_all_items(out: PropagationOutput, u) -> np.ndarray:
     """Vector of scores for user ``u`` against every item."""
-    if not 0 <= u < out.num_users:
-        raise IndexError(f"user index {u} out of range")
-    return score_users(out, u, None, weights, granularities)
+    return score_users(out, u)
 
 
 @dataclass(eq=False)

@@ -86,10 +86,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     l2_coeff: float = 1e-4
     batch_size: int = 2048
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     # regularize full propagated matrices instead of the batch rows
     full_matrix_reg: bool = False
@@ -99,15 +95,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.l2_coeff < math.inf:
             raise ValueError("l2_coeff must be finite and >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -449,6 +438,9 @@ def backward(
     return [np.zeros(shape) if grad is None else grad for grad in grads]
 
 
+# the adaptive update's moment decay rates and the offset of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # elements per row block of the adaptive update (256 KB of float64 per
 # array): its passes over a block of the table, moments and gradient then
 # run in cache
@@ -471,7 +463,7 @@ def init_optimizer_state(params: ModelParameters) -> OptimizerState:
 
 
 def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: TrainConfig):
-    """In-place parameter update (adaptive-moment by default, or plain SGD).
+    """In-place adaptive-moment parameter update.
 
     Every gradient is checked finite before any table changes.  The
     adaptive update runs in place, one block of rows at a time, on two
@@ -499,19 +491,13 @@ def optimizer_step(params: ModelParameters, grads, state: OptimizerState, cfg: T
                     f"at optimizer step {state.step + 1}"
                 )
     state.step += 1
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
+    tasks = [partial(_adam_update, table, grad, total, m, v, cfg.learning_rate, bias1, bias2)
+             for table, grad, total, m, v in zip(params.base_embeddings, grads, squares,
+                                                 state.first_moment, state.second_moment)]
     width = params.embed_dim
-    if cfg.optimizer == "sgd":
-        tasks = [partial(_descend, table, grad, cfg.learning_rate)
-                 for table, grad in zip(params.base_embeddings, grads)]
-        shape = (len(params.base_embeddings[0]), width)
-    else:
-        bias1 = 1.0 - cfg.adam_beta1 ** state.step
-        bias2 = 1.0 - cfg.adam_beta2 ** state.step
-        tasks = [partial(_adam_update, table, grad, total, m, v, cfg, bias1, bias2)
-                 for table, grad, total, m, v in zip(params.base_embeddings, grads, squares,
-                                                     state.first_moment, state.second_moment)]
-        shape = (2, max(1, _ADAM_BLOCK // width), width)
-    side_by_side(tasks, lambda: np.empty(shape))
+    side_by_side(tasks, lambda: np.empty((2, max(1, _ADAM_BLOCK // width), width)))
 
 
 def _sum_of_squares(grad) -> float:
@@ -519,16 +505,12 @@ def _sum_of_squares(grad) -> float:
     return float(flat @ flat)
 
 
-def _descend(table, grad, learning_rate, scratch):
-    table -= np.multiply(learning_rate, grad, out=scratch)
-
-
-def _adam_update(table, grad, total, m, v, cfg, bias1, bias2, scratch):
+def _adam_update(table, grad, total, m, v, learning_rate, bias1, bias2, scratch):
     """One table's adaptive update in place (see :func:`optimizer_step`),
     with ``scratch`` a (2, rows, width) array for a block of rows."""
     if total == 0 and not grad.any() and not m.any() and not v.any():
         return
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     rows = scratch.shape[1]
     for lo in range(0, len(table), rows):
         t, g, mb, vb = (a[lo:lo + rows] for a in (table, grad, m, v))
@@ -544,10 +526,10 @@ def _adam_update(table, grad, total, m, v, cfg, bias1, bias2, scratch):
         vb += step
         # table -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
         np.divide(mb, bias1, out=step)
-        step *= cfg.learning_rate
+        step *= learning_rate
         np.divide(vb, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += cfg.adam_eps
+        denom += ADAM_EPS
         step /= denom
         t -= step
 

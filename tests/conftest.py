@@ -6,6 +6,7 @@ from scipy.sparse import _sparsetools
 
 from jmpgcf import DatasetFormatError, InteractionDataset, SelectedLayers, build_adjacency, graph
 from jmpgcf.data import _ITEM_DTYPE, _ITEM_MAX
+from jmpgcf.layers import _exact_hop_counts
 from jmpgcf.model import PropagationOutput
 
 
@@ -22,6 +23,38 @@ def make_random_dataset(rng, num_users, num_items, max_degree=4, with_test=False
             train.append(sorted(items.tolist()))
             test.append([])
     return InteractionDataset.from_lists(num_users, num_items, train, test)
+
+
+def save_dataset(ds: InteractionDataset, train_path, test_path):
+    """Write a dataset back to the adjacency-list text format.
+
+    Every user gets a line in the train file (possibly just the uid) so
+    that the user count survives a reload; the test file only lists
+    users with held-out items.
+    """
+    with open(train_path, "w", encoding="ascii") as fh:
+        for u in range(ds.num_users):
+            items = " ".join(str(i) for i in ds.train[u].tolist())
+            fh.write(f"{u} {items}\n" if items else f"{u}\n")
+    with open(test_path, "w", encoding="ascii") as fh:
+        for u in range(ds.num_users):
+            if len(ds.test[u]):
+                items = " ".join(str(i) for i in ds.test[u].tolist())
+                fh.write(f"{u} {items}\n")
+
+
+def count_k_hop_neighbors(ds: InteractionDataset, u: int, hop: int) -> int:
+    """Number of nodes at shortest-path distance exactly ``hop`` from user
+    ``u``, by the traversal that ``hop_coverages`` runs, from one source.
+
+    Item nodes when ``hop`` is odd, user nodes when even; an isolated
+    user yields 0 for every hop.
+    """
+    if hop < 1:
+        raise ValueError(f"hop must be >= 1, got {hop}")
+    if not 0 <= u < ds.num_users:
+        raise IndexError(f"user index {u} out of range")
+    return int(_exact_hop_counts(build_adjacency(ds), np.array([u]), hop)[hop - 1])
 
 
 def make_blocked_dataset(num_users=100, num_items=100, holdout=5, seed=0):
@@ -79,16 +112,14 @@ def manual_output(chains, l_odd=1, l_even=2, num_users=None, weights=None, matri
     )
 
 
-def out_of_place_scores(out, users, items=None, weights=None, granularities=None):
+def out_of_place_scores(out, users, items=None, weights=None):
     """Reference scores: a fresh array for every weighted term and every
     partial sum, in granularity then layer order."""
     if weights is None:
         weights = out.default_weights
-    if granularities is None:
-        granularities = range(out.num_granularities)
     m = out.num_users
     scores = None
-    for k in granularities:
+    for k in range(out.num_granularities):
         for l in (out.layers.l_odd, out.layers.l_even):
             emb = out.layer(k, l)
             item_rows = emb[m:] if items is None else emb[m + np.asarray(items)]
@@ -97,21 +128,18 @@ def out_of_place_scores(out, users, items=None, weights=None, granularities=None
     return scores
 
 
-def stacked_scores(out, users, items=None, weights=None, granularities=None):
+def stacked_scores(out, users, items=None, weights=None):
     """Reference scores as one stacked-factor product: fresh copies of
     every granularity's selected layers side by side, each user block
-    multiplied by w_k (by 0.0 for a granularity outside ``granularities``)
-    when that is not 1.0, and one product of the user rows against the
-    item rows.  The output's factor itself is not read."""
+    multiplied by w_k when that is not 1.0, and one product of the user
+    rows against the item rows.  The output's factor itself is not read."""
     if weights is None:
         weights = out.default_weights
-    if granularities is None:
-        granularities = range(out.num_granularities)
     m = out.num_users
     item_index = slice(m, None) if items is None else m + np.asarray(items)
     user_blocks, item_blocks = [], []
     for k in range(out.num_granularities):
-        w = sum(weights[k] for j in granularities if j == k)
+        w = weights[k]
         layers = [out.layer(k, l) for l in (out.layers.l_odd, out.layers.l_even)]
         block = np.hstack([layer[users] for layer in layers])
         user_blocks.append(block if w == 1.0 else w * block)
@@ -119,10 +147,10 @@ def stacked_scores(out, users, items=None, weights=None, granularities=None):
     return np.hstack(user_blocks) @ np.hstack(item_blocks).T
 
 
-def assert_near_term_by_term(got, out, users, items=None, weights=None, granularities=None):
+def assert_near_term_by_term(got, out, users, items=None, weights=None):
     """``got`` is within 1e-12 of :func:`out_of_place_scores`, relative to
     the largest of its magnitudes."""
-    want = out_of_place_scores(out, users, items, weights, granularities)
+    want = out_of_place_scores(out, users, items, weights)
     scale = float(np.max(np.abs(want)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 

@@ -37,12 +37,12 @@ from jmpgcf import (
     propagation_matrices,
     rank_user,
     recall_at_k,
-    score_pair,
     select_layers,
     separated_bpr_loss,
     train,
 )
 from jmpgcf.graph import degrees
+from jmpgcf.model import score_users
 
 from conftest import make_blocked_dataset, make_random_dataset
 
@@ -249,8 +249,8 @@ def test_criterion_4_loss_and_prediction_equivalence():
             cumulative_score = 0.0
             for phase in range(1, schedule.num_phases + 1):
                 new_k = schedule.new_granularity(phase)
-                cumulative_score += score_pair(out, u, i, granularities=[new_k])
-            full = score_pair(out, u, i)
+                cumulative_score += score_users(out, u, i, weights=np.eye(3)[new_k])
+            full = score_users(out, u, i)
             assert math.isclose(cumulative_score, full, rel_tol=1e-12, abs_tol=1e-12)
 
 

@@ -25,11 +25,10 @@ from jmpgcf import (
     propagation_matrices,
     rank_user,
     save_checkpoint,
-    save_dataset,
 )
 from jmpgcf.cli import ConfigError, RunConfig, _build_parser, _resolve_config, main
 
-from conftest import make_blocked_dataset, make_random_dataset
+from conftest import make_blocked_dataset, make_random_dataset, save_dataset
 
 
 @pytest.fixture
@@ -74,11 +73,17 @@ class TestConfigResolution:
         assert (cfg.c, cfg.k, cfg.alpha) == (0.1, 2, 0.5)
         assert (cfg.epochs_per_phase, cfg.topk) == (300, 20)
 
-    def test_config_file_rejects_unknown_key(self, tmp_path):
+    def test_config_file_rejects_unknown_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("shiny=1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             _resolve_config(self.parse("train", "--config", cfg_file))
+        # a deleted setting is unknown too, as a flag and as a key, and is named
+        cfg_file.write_text("optimizer=adam\n")
+        for given, named in [(["--optimizer", "adam"], "unrecognized arguments: --optimizer"),
+                             (["--config", cfg_file], "unknown key 'optimizer'")]:
+            assert run("train", "--data-dir", tmp_path, *given) == 2
+            assert named in capsys.readouterr().err
 
     def test_config_file_comments_and_blanks(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -109,7 +114,7 @@ class TestConfigResolution:
         argv, lines = [], []
         for key in names:
             # l_even=3 would be rejected before any data is read: even layers only
-            text = {"optimizer": "sgd", "l_even": "4"}.get(key, sample[types[key]])
+            text = {"l_even": "4"}.get(key, sample[types[key]])
             flag = "--" + key.replace("_", "-")
             argv += [flag] if types[key] is bool else [flag, text]
             lines.append(f"{key}={text}")
@@ -121,7 +126,7 @@ class TestConfigResolution:
         assert getattr(by_flag, name) != getattr(RunConfig(), name)
 
     @pytest.mark.parametrize(
-        "command, extra", [("select-layers", 28), ("train", 28), ("evaluate", 30), ("predict", 30)]
+        "command, extra", [("select-layers", 27), ("train", 27), ("evaluate", 29), ("predict", 29)]
     )
     def test_option_count_per_subcommand(self, command, extra):
         subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
@@ -153,7 +158,6 @@ class TestConfigResolution:
             {"c": "0"},
             {"k": "-1"},
             {"lambda_weights": "1,0,1"},
-            {"optimizer": "foo"},
             *(pytest.param({key: value}, id=f"{key}={value}")
               for key, value in [("c", "nan"), ("c", "inf"), ("lambda_weights", "nan,1,1"),
                                  ("lambda_weights", "1,inf,1"), ("learning_rate", "nan"),

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jmpgcf import DatasetFormatError, build_adjacency, data, load_dataset, save_dataset, split_validation
+from jmpgcf import DatasetFormatError, build_adjacency, data, load_dataset, split_validation
 from jmpgcf.data import InteractionDataset
 
-from conftest import assert_datasets_equal, make_random_dataset, reference_parse_interaction_file
+from conftest import (
+    assert_datasets_equal,
+    make_random_dataset,
+    reference_parse_interaction_file,
+    save_dataset,
+)
 
 
 def write(path, text):

@@ -24,7 +24,8 @@ def load_gate(monkeypatch):
 
 def test_one_planted_configuration_repeats(tmp_path, monkeypatch):
     gate = load_gate(monkeypatch)
-    assert len(gate.PLANTED_CONFIGS) == 32
+    assert len(gate.PLANTED_CONFIGS) == 16
+    assert gate.PLANTED_CONFIGS[0] == (gate.SelectedLayers(3, 4), False, False)
     configs = gate.PLANTED_CONFIGS[:1]
     documents = [
         json.dumps(gate.planted_steps(str(tmp_path / run), configs), sort_keys=True)

@@ -8,13 +8,14 @@ from jmpgcf import (
     PopularityConfig,
     SelectedLayers,
     build_adjacency,
-    count_k_hop_neighbors,
     graph,
     hop_coverages,
     propagation_matrices,
     select_layers,
 )
 from jmpgcf.layers import _sample_users
+
+from conftest import count_k_hop_neighbors
 
 
 def complete_bipartite(num_users, num_items):

@@ -19,7 +19,6 @@ from jmpgcf import (
     propagation_matrices,
     save_checkpoint,
     score_all_items,
-    score_pair,
     separated_bpr_loss,
     spmm,
 )
@@ -211,7 +210,7 @@ class TestKeptLayers:
             assert len(chain) == layers.depth + 1
             assert self.kept(chain) == (read if k in active else set())
         assert out.factor is None
-        for score in (lambda: score_users(out, [0, 1]), lambda: score_pair(out, 0, 1)):
+        for score in (lambda: score_users(out, [0, 1]), lambda: score_all_items(out, 0)):
             with pytest.raises(RuntimeError, match=r"propagate\(retain_chain=False\)"):
                 score()
 
@@ -304,9 +303,9 @@ class TestStackedFactor:
         every = propagate(*made, SelectedLayers(3, 4), retain_chain=False, granularities={2, 1, 0})
         assert every.factor.tobytes() == out.factor.tobytes()
         # scoring leaves the other granularity out by its weight, 0.0
-        got = score_users(out, [1, 4], granularities=[0, 2])
-        assert got.tobytes() == stacked_scores(out, [1, 4], granularities=[0, 2]).tobytes()
-        assert_near_term_by_term(got, out, [1, 4], granularities=[0, 2])
+        got = score_users(out, [1, 4], weights=(1.0, 0.0, 1.0))
+        assert got.tobytes() == stacked_scores(out, [1, 4], weights=(1.0, 0.0, 1.0)).tobytes()
+        assert_near_term_by_term(got, out, [1, 4], weights=(1.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("weights", [None, (1.0, 0.5, 1 / 3)])
     def test_scalar_user_and_item_shapes(self, out, weights):
@@ -333,7 +332,7 @@ class TestStackedFactor:
             calls.clear()
             result = np.empty((3, 11))
             assert score_users(out, [0, 5, 8], weights=weights, result=result) is result
-            score_users(out, [0, 5, 8], weights=weights, granularities=[2, 0])
+            score_users(out, [0, 5, 8], weights=(1.0, 0.0, 1.0))
             score_users(out, 5, weights=weights)
             assert calls == [(3, 18), (3, 18), (18,)]
 
@@ -342,7 +341,7 @@ class TestScoring:
     def test_all_zero_embeddings(self):
         chains = [[np.zeros((4, 2))] * 3 for _ in range(2)]
         out = manual_output(chains, num_users=2)
-        assert score_pair(out, 0, 1) == 0.0
+        assert score_users(out, 0, 1) == 0.0
 
     def test_hand_computed_linearity(self):
         # one user, one item, embed_dim 1; user value k+1 per granularity,
@@ -352,7 +351,7 @@ class TestScoring:
             mat = np.array([[float(k + 1)], [1.0]])
             chains.append([mat, mat, mat])
         out = manual_output(chains, num_users=1)
-        assert score_pair(out, 0, 0) == pytest.approx(2 * (1 + 2 + 3))
+        assert score_users(out, 0, 0) == pytest.approx(2 * (1 + 2 + 3))
 
     def test_matches_scalar_brute_force(self):
         rng = np.random.default_rng(5)
@@ -370,7 +369,7 @@ class TestScoring:
                     expected += w * sum(
                         emb[u][d] * emb[6 + i][d] for d in range(3)
                     )
-            assert score_pair(out, u, i) == pytest.approx(expected, rel=1e-12)
+            assert score_users(out, u, i) == pytest.approx(expected, rel=1e-12)
 
     def test_score_all_items_agrees_with_pairs(self):
         rng = np.random.default_rng(6)
@@ -385,14 +384,14 @@ class TestScoring:
         scores = score_all_items(out, 2)
         assert scores.shape == (3,)
         for i in range(3):
-            assert scores[i] == pytest.approx(score_pair(out, 2, i), rel=1e-10)
+            assert scores[i] == pytest.approx(score_users(out, 2, i), rel=1e-10)
 
     def test_single_granularity_weight_is_rank_invariant(self):
         rng = np.random.default_rng(7)
         chains = [[rng.normal(size=(9, 3)) for _ in range(3)] for _ in range(2)]
         out = manual_output(chains, num_users=4)
-        base = score_all_items(out, 1, weights=(1.0, 1.0), granularities=[1])
-        scaled = score_all_items(out, 1, weights=(1.0, 10.0), granularities=[1])
+        base = score_users(out, 1, weights=(0.0, 1.0))
+        scaled = score_users(out, 1, weights=(0.0, 10.0))
         np.testing.assert_array_equal(np.argsort(base), np.argsort(scaled))
         np.testing.assert_allclose(scaled, 10.0 * base, rtol=1e-12)
 
@@ -400,17 +399,18 @@ class TestScoring:
         rng = np.random.default_rng(8)
         chains = [[rng.normal(size=(5, 2)) for _ in range(3)]]
         out = manual_output(chains, num_users=2, weights=(1.0,))
-        before = score_pair(out, 0, 1)
+        before = score_users(out, 0, 1)
         t = 3.5
         odd_term = float(chains[0][1][0] @ chains[0][1][3])
         chains_scaled = [[m.copy() for m in chains[0]]]
         chains_scaled[0][1][0] *= t
         scaled_out = manual_output(chains_scaled, num_users=2, weights=(1.0,))
-        after = score_pair(scaled_out, 0, 1)
+        after = score_users(scaled_out, 0, 1)
         assert after - before == pytest.approx((t - 1) * odd_term, rel=1e-10)
 
     def test_granularity_subset_telescopes(self):
-        """Stacking one granularity at a time reproduces the full score."""
+        """Stacking one granularity at a time, each by a one-hot weight
+        vector, reproduces the full score."""
         rng = np.random.default_rng(9)
         ds = make_random_dataset(rng, 5, 6)
         cfg = PopularityConfig()
@@ -421,24 +421,37 @@ class TestScoring:
             retain_chain=False,
         )
         max_k = cfg.max_granularity
+        one_hot = np.eye(max_k + 1)
         cumulative = 0.0
         for phase in range(1, max_k + 2):
             new_k = max_k - phase + 1
-            cumulative += score_pair(out, 1, 2, granularities=[new_k])
-            restricted = score_pair(out, 1, 2, granularities=range(new_k, max_k + 1))
+            cumulative += score_users(out, 1, 2, weights=one_hot[new_k])
+            restricted = score_users(out, 1, 2, weights=one_hot[new_k:].sum(axis=0))
             assert cumulative == pytest.approx(restricted, rel=1e-12, abs=1e-12)
-        full = score_pair(out, 1, 2)
+        full = score_users(out, 1, 2)
         assert cumulative == pytest.approx(full, rel=1e-12, abs=1e-12)
 
     def test_index_bounds(self):
+        """A user or item outside the output (its row would be one of the
+        other kind), or a weight vector that is not one weight per
+        granularity (K=2: three), is refused."""
         chains = [[np.zeros((4, 2))] * 3]
         out = manual_output(chains, num_users=2, weights=(1.0,))
-        with pytest.raises(IndexError):
-            score_pair(out, 2, 0)
-        with pytest.raises(IndexError):
-            score_pair(out, 0, 5)
-        with pytest.raises(IndexError):
-            score_all_items(out, -1)
+        for u in (-1, 2):
+            with pytest.raises(IndexError, match=r"user index outside \[0, 2\)"):
+                score_all_items(out, u)
+            with pytest.raises(IndexError, match="user index"):
+                score_users(out, [0, u], 1)
+        for i in (-1, 2):
+            with pytest.raises(IndexError, match=r"item index outside \[0, 2\)"):
+                score_users(out, 0, [1, i])
+        assert score_users(out, [], [0, 1]).shape == (0, 2)
+        out = manual_output(chains * 3, num_users=2)
+        for weights in ((1, 1, 1, 5, 7), (1,), ()):
+            named = f"expected 3 granularity weights, got {len(weights)}"
+            with pytest.raises(ValueError, match=named):
+                score_users(out, [0, 1], weights=weights)
+        assert score_users(out, 0, 1, weights=(0, 0, 0)) == 0.0
 
 
 class TestScoreUsersBitwise:
@@ -475,19 +488,18 @@ class TestScoreUsersBitwise:
     def test_scalar_user_and_item(self, out, weights):
         for u in (0, 7, 22):
             for i in (0, 13, 30):
-                got = score_pair(out, u, i, weights=weights)
-                want = stacked_scores(out, u, i, weights=weights)
-                assert type(got) is float
-                assert got.hex() == float(want).hex()
-                self.assert_scores(score_users(out, u, i, weights=weights), out, u, i,
-                                   weights=weights)
+                got = score_users(out, u, i, weights=weights)
+                assert type(got) is np.float64
+                self.assert_scores(got, out, u, i, weights=weights)
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_scalar_user(self, out, weights):
         for u in (1, 12):
-            got = score_all_items(out, u, weights=weights)
+            got = score_users(out, u, weights=weights)
             assert got.shape == (31,)
             self.assert_scores(got, out, u, weights=weights)
+            if weights is None:
+                self.assert_bitwise(score_all_items(out, u), got)
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_item_subset(self, out, weights):
@@ -495,18 +507,15 @@ class TestScoreUsersBitwise:
         self.assert_scores(score_users(out, users, items, weights=weights), out, users, items,
                            weights=weights)
 
-    @pytest.mark.parametrize("granularities",
-                             [[0], [2], [1, 2], [2, 0], [0, 2], [2, 1, 0], [1]])
-    def test_granularity_subset(self, out, granularities):
+    @pytest.mark.parametrize("kept", [[0], [2], [1, 2], [0, 2], [1]])
+    def test_zero_weights_leave_granularities_out(self, out, kept):
         for weights in self.WEIGHTS:
-            self.assert_scores(
-                score_users(out, [6, 8], weights=weights, granularities=granularities),
-                out, [6, 8], weights=weights, granularities=granularities,
-            )
-            self.assert_scores(
-                score_pair(out, 6, 3, weights=weights, granularities=granularities),
-                out, 6, 3, weights=weights, granularities=granularities,
-            )
+            zeroed = [w if k in kept else 0.0
+                      for k, w in enumerate(weights or out.default_weights)]
+            self.assert_scores(score_users(out, [6, 8], weights=zeroed), out, [6, 8],
+                               weights=zeroed)
+            self.assert_scores(score_users(out, 6, 3, weights=zeroed), out, 6, 3,
+                               weights=zeroed)
 
     @pytest.mark.parametrize("weights", WEIGHTS)
     def test_into_given_buffers(self, out, weights):
@@ -516,17 +525,17 @@ class TestScoreUsersBitwise:
         got = score_users(out, users, weights=weights, result=result)
         assert got is result
         self.assert_scores(got, out, users, weights=weights)
-        got = score_users(out, users, weights=weights, granularities=[1], result=result)
+        zeroed = (0.0, (weights or out.default_weights)[1], 0.0)
+        got = score_users(out, users, weights=zeroed, result=result)
         assert got is result
-        self.assert_scores(got, out, users, weights=weights, granularities=[1])
+        self.assert_scores(got, out, users, weights=zeroed)
 
     def test_scoring_never_writes_into_the_factor(self, out):
         """Under non-unit weights the users' rows are scaled in a copy: for
         one user, ``factor[u]`` is a view of the factor."""
         weights = (0.5, 2.0, 1 / 3)
         before = out.factor.copy()
-        calls = [lambda: score_pair(out, 3, 7, weights=weights),
-                 lambda: score_all_items(out, 3, weights=weights),
+        calls = [lambda: score_users(out, 3, 7, weights=weights),
                  lambda: score_users(out, 3, weights=weights),
                  lambda: score_users(out, [3, 9, 3], weights=weights),
                  lambda: score_users(out, [3, 9], [30, 0, 4], weights=weights)]

@@ -35,7 +35,16 @@ from jmpgcf import (
     train,
     transpose,
 )
-from jmpgcf.training import TripleBatch, _batch_terms, _block, _matrix_rows, _RowScatter
+from jmpgcf.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    TripleBatch,
+    _batch_terms,
+    _block,
+    _matrix_rows,
+    _RowScatter,
+)
 
 from conftest import make_random_dataset, manual_output
 
@@ -334,11 +343,7 @@ def reference_backward(out, batch, active, l2_coeff, full_matrix_reg, transposed
 
 def reference_optimizer_step(params, grads, state, cfg):
     state.step += 1
-    if cfg.optimizer == "sgd":
-        for table, grad in zip(params.base_embeddings, grads):
-            table -= cfg.learning_rate * grad
-        return
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for table, grad, m, v in zip(
@@ -348,34 +353,31 @@ def reference_optimizer_step(params, grads, state, cfg):
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
-        table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+        table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("full_matrix_reg", [False, True])
 @pytest.mark.parametrize("shared_base", [False, True])
 @pytest.mark.parametrize("layers", [(3, 4), (1, 2), (3, 2), (1, 4)])
-def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_matrix_reg,
-                                                     optimizer):
+def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_matrix_reg):
     """Losses, gradients, tables and moments over steps through the three
     phases, with sampled batches (users and items repeat) and a batch
     that touches every row, compare == with the full-row step."""
-    assert_step_matches_reference(layers, shared_base, full_matrix_reg, optimizer)
+    assert_step_matches_reference(layers, shared_base, full_matrix_reg)
 
 
 STEP_CONFIGURATIONS = list(itertools.product(
-    [(3, 4), (1, 2), (3, 2), (1, 4)], [False, True], [False, True], ["adam", "sgd"]))
+    [(3, 4), (1, 2), (3, 2), (1, 4)], [False, True], [False, True]))
 
 
-def assert_step_matches_reference(layers, shared_base, full_matrix_reg, optimizer):
+def assert_step_matches_reference(layers, shared_base, full_matrix_reg):
     num_users, num_items = 12, 10
     ds = make_random_dataset(np.random.default_rng(31), num_users, num_items, max_degree=5)
     pop = PopularityConfig()
     mats = propagation_matrices(ds, pop)
     transposed = {k: transpose(m) for k, m in enumerate(mats)}
     layers = SelectedLayers(*layers)
-    cfg = TrainConfig(learning_rate=0.05, l2_coeff=0.1, optimizer=optimizer,
-                      full_matrix_reg=full_matrix_reg)
+    cfg = TrainConfig(learning_rate=0.05, l2_coeff=0.1, full_matrix_reg=full_matrix_reg)
     params = init_parameters(num_users, num_items, 4, pop, seed=31, shared_base=shared_base)
     ref = init_parameters(num_users, num_items, 4, pop, seed=31, shared_base=shared_base)
     state, ref_state = init_optimizer_state(params), init_optimizer_state(ref)
@@ -454,13 +456,13 @@ class PoolSpy:
                 if thread.startswith("jmpgcf")]
 
 
-def small_train(seed=50, layers=SelectedLayers(3, 4), optimizer="adam", epochs=1):
+def small_train(seed=50, layers=SelectedLayers(3, 4), epochs=1):
     """train() over the three phases, with per-epoch evaluation, on a
     small dataset; returns its records with floats as float.hex, and the
     bytes of its tables."""
     ds = make_random_dataset(np.random.default_rng(seed), 30, 24, max_degree=6, with_test=True)
     params = init_parameters(30, 24, 8, PopularityConfig(), seed=seed)
-    cfg = TrainConfig(batch_size=16, seed=seed, optimizer=optimizer, learning_rate=0.01)
+    cfg = TrainConfig(batch_size=16, seed=seed, learning_rate=0.01)
     _, records = train(ds, params, PhaseSchedule.uniform(2, epochs), cfg, layers,
                        eval_ds=ds, eval_every=1, eval_topk=5)
     hexed = [{key: value.hex() if isinstance(value, float) else value
@@ -491,12 +493,11 @@ class TestSideBySide:
         for configuration in STEP_CONFIGURATIONS:
             assert_step_matches_reference(*configuration)
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_train_is_bitwise_equal_at_every_core_count(self, cores, optimizer, monkeypatch):
-        got = small_train(optimizer=optimizer)
+    def test_train_is_bitwise_equal_at_every_core_count(self, cores, monkeypatch):
+        got = small_train()
         with monkeypatch.context() as serial:
             serial.setattr(graph, "_cores", lambda: 1)
-            assert small_train(optimizer=optimizer) == got
+            assert small_train() == got
 
     def test_train_is_bitwise_equal_when_hops_split(self, split, monkeypatch):
         monkeypatch.setattr(graph, "_cores", lambda: 2)
@@ -526,13 +527,12 @@ class TestSideBySide:
         # a stage task on a helper would submit its hops' blocks from there
         assert spy.nested() == []
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_nonfinite_gradient_changes_nothing(self, cores, optimizer):
+    def test_nonfinite_gradient_changes_nothing(self, cores):
         ds = make_random_dataset(np.random.default_rng(51), 12, 10, max_degree=5)
         pop = PopularityConfig()
         mats = propagation_matrices(ds, pop)
         params = init_parameters(12, 10, 4, pop, seed=51)
-        cfg = TrainConfig(optimizer=optimizer)
+        cfg = TrainConfig()
         state = init_optimizer_state(params)
         batch = TripleSampler(ds).sample(16, np.random.default_rng(52))
         out = propagate(params, mats, SelectedLayers(3, 4))
@@ -790,11 +790,11 @@ class TestBatchRows:
 
 
 class TestOptimizer:
-    def make(self, optimizer="adam", lr=0.1):
+    def make(self, lr=0.1):
         cfg = PopularityConfig(max_granularity=0)
         params = ModelParameters(1, 1, 1, cfg, [np.array([[1.0], [2.0]])])
         state = init_optimizer_state(params)
-        train_cfg = TrainConfig(learning_rate=lr, optimizer=optimizer)
+        train_cfg = TrainConfig(learning_rate=lr)
         return params, state, train_cfg
 
     def test_zero_gradient_is_a_fixed_point(self):
@@ -803,16 +803,8 @@ class TestOptimizer:
         optimizer_step(params, [np.zeros((2, 1))], state, cfg)
         np.testing.assert_array_equal(params.base_embeddings[0], before)
 
-    def test_sgd_step(self):
-        params, state, cfg = self.make(optimizer="sgd", lr=0.1)
-        grad = np.array([[0.5], [-1.0]])
-        optimizer_step(params, [grad], state, cfg)
-        np.testing.assert_allclose(
-            params.base_embeddings[0], [[1.0 - 0.05], [2.0 + 0.1]], rtol=1e-15
-        )
-
     def test_adaptive_update_matches_hand_recurrence(self):
-        params, state, cfg = self.make(optimizer="adam", lr=0.01)
+        params, state, cfg = self.make(lr=0.01)
         grads = [np.array([[1.0], [-2.0]]), np.array([[0.5], [0.5]]), np.array([[-3.0], [1.0]])]
         theta = params.base_embeddings[0].copy()
         m = np.zeros_like(theta)
@@ -844,7 +836,7 @@ class TestOptimizer:
         assert state.step == 3
 
     def test_zero_gradient_with_moments_still_moves(self):
-        params, state, cfg = self.make(optimizer="adam", lr=0.01)
+        params, state, cfg = self.make(lr=0.01)
         grads = [np.array([[1.0], [-2.0]]), np.zeros((2, 1)), np.zeros((2, 1))]
         theta = params.base_embeddings[0].copy()
         m = np.zeros_like(theta)
@@ -884,24 +876,19 @@ class TestOptimizer:
         step = m / (1.0 - 0.9) * lr / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
         return table - step, m, v
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_huge_gradient_is_not_taken_for_nonfinite(self, optimizer):
+    def test_huge_gradient_is_not_taken_for_nonfinite(self):
         """The squares of 1e200 overflow to inf; the entries are finite,
         so the step goes on."""
-        params, state, cfg = self.make(optimizer=optimizer, lr=0.1)
+        params, state, cfg = self.make(lr=0.1)
         grad = np.array([[1e200], [-1e200]])
         table = params.base_embeddings[0].copy()
         with np.errstate(over="ignore"):
             optimizer_step(params, [grad], state, cfg)
-            if optimizer == "sgd":
-                want, m, v = table - 0.1 * grad, 0.0, 0.0
-            else:
-                want, m, v = self.one_adam_step(table, grad, 0.1)
+            want, m, v = self.one_adam_step(table, grad, 0.1)
         assert state.step == 1
         assert params.base_embeddings[0].tobytes() == want.tobytes()
-        if optimizer == "adam":
-            assert state.first_moment[0].tobytes() == m.tobytes()
-            assert state.second_moment[0].tobytes() == v.tobytes()
+        assert state.first_moment[0].tobytes() == m.tobytes()
+        assert state.second_moment[0].tobytes() == v.tobytes()
 
     def test_tiny_gradient_with_zero_moments_is_applied(self):
         """The squares of 1e-200 underflow to 0; the gradient is not zero,
@@ -987,7 +974,7 @@ class TestTrainLoop:
     def test_loss_decreases_on_fixed_dataset(self):
         ds, cfg, params = self.small_setup(seed=20, max_granularity=0)
         schedule = PhaseSchedule.uniform(0, 50)
-        train_cfg = TrainConfig(batch_size=32, seed=20, optimizer="adam")
+        train_cfg = TrainConfig(batch_size=32, seed=20)
         _, records = train(ds, params, schedule, train_cfg, SelectedLayers(1, 2))
         assert records[-1]["loss"] < records[0]["loss"]
 
@@ -1071,13 +1058,9 @@ def test_train_config_validation():
         TrainConfig(l2_coeff=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="momentum")
     nan, inf = float("nan"), float("inf")
     for name, value in [("learning_rate", nan), ("learning_rate", inf), ("l2_coeff", nan),
-                        ("l2_coeff", inf), ("adam_beta1", 1.5), ("adam_beta1", -0.1),
-                        ("adam_beta2", 1.0), ("adam_beta2", nan), ("adam_eps", 0.0),
-                        ("adam_eps", nan)]:
+                        ("l2_coeff", inf)]:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
-    TrainConfig(l2_coeff=0.0, adam_beta1=0.0, adam_beta2=0.0)
+    TrainConfig(l2_coeff=0.0)

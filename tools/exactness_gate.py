@@ -10,14 +10,13 @@ only), so the same script can be run in two trees, say a clean export of
 the parent commit and the change.  The document holds:
 
 * ``gowalla``: on ``gowalla_lists(1)`` with layers (3, 4), the step
-  driver's loss sequence (2 steps per phase, adam) and the SHA-256 of the
+  driver's loss sequence (2 steps per phase) and the SHA-256 of the
   tables it trained; the SHA-256 of the selected layers propagated from
   them; and the ``evaluate_cutoffs`` reports (cutoffs 1, 5, 20, 40) on the
   benchmark's 2,048-user sample, with 1 and 2 workers.
 * ``planted_steps``: on ``planted_lists(1)``, the loss sequence (4 steps
-  per phase) and the table SHA-256 in 32 configurations: layers (3, 4),
-  (1, 2), (3, 2), (1, 4) x adam/sgd x ``full_matrix_reg`` x
-  ``shared_base``.
+  per phase) and the table SHA-256 in 16 configurations: layers (3, 4),
+  (1, 2), (3, 2), (1, 4) x ``full_matrix_reg`` x ``shared_base``.
 * ``planted_train``: the records of a ``train()`` run over the planted
   schedule (one epoch per phase, per-epoch evaluation), the SHA-256 of
   its final tables and of their selected layers, and the reports on every
@@ -103,10 +102,10 @@ CUTOFFS = (1, 5, 20, 40)
 WORKERS = (1, 2)
 GOWALLA_LAYERS = SelectedLayers(3, 4)
 GOWALLA_STEPS_PER_PHASE = 2
-# (layers, optimizer, full_matrix_reg, shared_base)
+# (layers, full_matrix_reg, shared_base)
 PLANTED_CONFIGS = list(itertools.product(
     [SelectedLayers(3, 4), SelectedLayers(1, 2), SelectedLayers(3, 2), SelectedLayers(1, 4)],
-    ["adam", "sgd"], [False, True], [False, True],
+    [False, True], [False, True],
 ))
 SETUP_GRAPHS = {"gowalla": gen.gowalla_lists, "planted": gen.planted_lists}
 CORES = (1, 2, 3)
@@ -129,12 +128,12 @@ def _graph(make, directory):
     return ds, matrices, {k: transpose(m) for k, m in enumerate(matrices)}
 
 
-def _steps(ds, matrices, transposed, layers, steps_per_phase, optimizer="adam",
-           full_matrix_reg=False, shared_base=False):
+def _steps(ds, matrices, transposed, layers, steps_per_phase, full_matrix_reg=False,
+           shared_base=False):
     """The step driver's losses over the equal-phase plan, and its tables."""
     params = init_parameters(ds.num_users, ds.num_items, EMBED_DIM, POPULARITY, SEED,
                              shared_base=shared_base)
-    cfg = TrainConfig(seed=SEED, optimizer=optimizer, full_matrix_reg=full_matrix_reg)
+    cfg = TrainConfig(seed=SEED, full_matrix_reg=full_matrix_reg)
     driver = StepDriver(params, matrices, transposed, layers, TripleSampler(ds), cfg,
                         Tracer(False))
     losses = driver.run((steps_per_phase,) * POPULARITY.num_granularities)
@@ -228,11 +227,11 @@ def cores(directory):
 def planted_steps(directory, configs=PLANTED_CONFIGS):
     ds, matrices, transposed = _graph(gen.planted_lists, directory)
     result = {}
-    for layers, optimizer, full_matrix_reg, shared_base in configs:
-        label = (f"layers=({layers.l_odd},{layers.l_even}) {optimizer} "
+    for layers, full_matrix_reg, shared_base in configs:
+        label = (f"layers=({layers.l_odd},{layers.l_even}) "
                  f"full_matrix_reg={full_matrix_reg} shared_base={shared_base}")
         result[label] = _steps(ds, matrices, transposed, layers, PLANTED_STEPS_PER_PHASE,
-                               optimizer, full_matrix_reg, shared_base)[1]
+                               full_matrix_reg, shared_base)[1]
     return result
 
 
