@@ -73,17 +73,11 @@ class TestConfigResolution:
         assert (cfg.c, cfg.k, cfg.alpha) == (0.1, 2, 0.5)
         assert (cfg.epochs_per_phase, cfg.topk) == (300, 20)
 
-    def test_config_file_rejects_unknown_key(self, tmp_path, capsys):
+    def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("shiny=1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             _resolve_config(self.parse("train", "--config", cfg_file))
-        # a deleted setting is unknown too, as a flag and as a key, and is named
-        cfg_file.write_text("optimizer=adam\n")
-        for given, named in [(["--optimizer", "adam"], "unrecognized arguments: --optimizer"),
-                             (["--config", cfg_file], "unknown key 'optimizer'")]:
-            assert run("train", "--data-dir", tmp_path, *given) == 2
-            assert named in capsys.readouterr().err
 
     def test_config_file_comments_and_blanks(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -185,6 +179,24 @@ class TestConfigResolution:
                  *extra.get(command, []), *given)
         assert rc == 2
         assert re.search(rf"\b{next(iter(bad))}=", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["select-layers", "train", "evaluate", "predict"])
+    def test_deleted_setting_exits_2_naming_it(self, command, source, toy_dir, capsys):
+        """The optimizer is no longer a setting: as a flag or as a config
+        key it is unknown, named, and refused before the data is read."""
+        (toy_dir / "train.txt").write_text("0 x\n")  # reading it would exit 1
+        if source == "flag":
+            given, named = ["--optimizer", "adam"], "unrecognized arguments: --optimizer"
+        else:
+            (toy_dir / "run.cfg").write_text("optimizer=adam\n")
+            given, named = ["--config", toy_dir / "run.cfg"], "unknown key 'optimizer'"
+        extra = {"evaluate": ["--checkpoint", toy_dir / "x.ckpt"],
+                 "predict": ["--checkpoint", toy_dir / "x.ckpt", "--user", "0"]}
+        rc = run(command, "--data-dir", toy_dir, "--output-dir", toy_dir,
+                 *extra.get(command, []), *given)
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
 
 class TestSelectLayersCommand:

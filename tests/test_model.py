@@ -507,7 +507,7 @@ class TestScoreUsersBitwise:
         self.assert_scores(score_users(out, users, items, weights=weights), out, users, items,
                            weights=weights)
 
-    @pytest.mark.parametrize("kept", [[0], [2], [1, 2], [0, 2], [1]])
+    @pytest.mark.parametrize("kept", [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
     def test_zero_weights_leave_granularities_out(self, out, kept):
         for weights in self.WEIGHTS:
             zeroed = [w if k in kept else 0.0

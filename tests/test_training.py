@@ -356,28 +356,31 @@ def reference_optimizer_step(params, grads, state, cfg):
         table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
+@pytest.mark.parametrize("l2_coeff", [0.1, 0.0])
 @pytest.mark.parametrize("full_matrix_reg", [False, True])
 @pytest.mark.parametrize("shared_base", [False, True])
 @pytest.mark.parametrize("layers", [(3, 4), (1, 2), (3, 2), (1, 4)])
-def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_matrix_reg):
+def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_matrix_reg,
+                                                     l2_coeff):
     """Losses, gradients, tables and moments over steps through the three
     phases, with sampled batches (users and items repeat) and a batch
-    that touches every row, compare == with the full-row step."""
-    assert_step_matches_reference(layers, shared_base, full_matrix_reg)
+    that touches every row, compare == with the full-row step, with and
+    without the L2 term."""
+    assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff)
 
 
 STEP_CONFIGURATIONS = list(itertools.product(
     [(3, 4), (1, 2), (3, 2), (1, 4)], [False, True], [False, True]))
 
 
-def assert_step_matches_reference(layers, shared_base, full_matrix_reg):
+def assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff=0.1):
     num_users, num_items = 12, 10
     ds = make_random_dataset(np.random.default_rng(31), num_users, num_items, max_degree=5)
     pop = PopularityConfig()
     mats = propagation_matrices(ds, pop)
     transposed = {k: transpose(m) for k, m in enumerate(mats)}
     layers = SelectedLayers(*layers)
-    cfg = TrainConfig(learning_rate=0.05, l2_coeff=0.1, full_matrix_reg=full_matrix_reg)
+    cfg = TrainConfig(learning_rate=0.05, l2_coeff=l2_coeff, full_matrix_reg=full_matrix_reg)
     params = init_parameters(num_users, num_items, 4, pop, seed=31, shared_base=shared_base)
     ref = init_parameters(num_users, num_items, 4, pop, seed=31, shared_base=shared_base)
     state, ref_state = init_optimizer_state(params), init_optimizer_state(ref)
@@ -493,11 +496,13 @@ class TestSideBySide:
         for configuration in STEP_CONFIGURATIONS:
             assert_step_matches_reference(*configuration)
 
-    def test_train_is_bitwise_equal_at_every_core_count(self, cores, monkeypatch):
-        got = small_train()
+    @pytest.mark.parametrize("layers", [SelectedLayers(3, 4), SelectedLayers(1, 2)],
+                             ids=["3-4", "1-2"])
+    def test_train_is_bitwise_equal_at_every_core_count(self, cores, layers, monkeypatch):
+        got = small_train(layers=layers)
         with monkeypatch.context() as serial:
             serial.setattr(graph, "_cores", lambda: 1)
-            assert small_train() == got
+            assert small_train(layers=layers) == got
 
     def test_train_is_bitwise_equal_when_hops_split(self, split, monkeypatch):
         monkeypatch.setattr(graph, "_cores", lambda: 2)
@@ -527,7 +532,14 @@ class TestSideBySide:
         # a stage task on a helper would submit its hops' blocks from there
         assert spy.nested() == []
 
-    def test_nonfinite_gradient_changes_nothing(self, cores):
+    @pytest.mark.parametrize("bad_entries, named", [
+        ({1: {(3, 2): np.nan, (5, 0): np.inf}, 2: {(0, 0): np.nan}}, r"table 1 \(2 bad entries\)"),
+        ({2: {(0, 0): -np.inf}}, r"table 2 \(1 bad entries\)"),
+    ], ids=["first-bad-table", "last-table-only"])
+    def test_nonfinite_gradient_changes_nothing(self, cores, bad_entries, named):
+        """A bad entry in any table stops the step before any table or
+        moment moves, the tables ahead of it included, and the first bad
+        table is named."""
         ds = make_random_dataset(np.random.default_rng(51), 12, 10, max_degree=5)
         pop = PopularityConfig()
         mats = propagation_matrices(ds, pop)
@@ -538,12 +550,12 @@ class TestSideBySide:
         out = propagate(params, mats, SelectedLayers(3, 4))
         optimizer_step(params, backward(out, batch, {0, 1, 2}, cfg.l2_coeff), state, cfg)
         grads = backward(out, batch, {0, 1, 2}, cfg.l2_coeff)
-        grads[1][3, 2] = np.nan
-        grads[1][5, 0] = np.inf
-        grads[2][0, 0] = np.nan
+        for table, entries in bad_entries.items():
+            for at, value in entries.items():
+                grads[table][at] = value
         before = [a.copy() for a in (*params.base_embeddings, *state.first_moment,
                                      *state.second_moment)]
-        message = r"^non-finite gradient for table 1 \(2 bad entries\) at optimizer step 2$"
+        message = rf"^non-finite gradient for {named} at optimizer step 2$"
         with pytest.raises(TrainingDivergedError, match=message):
             optimizer_step(params, grads, state, cfg)
         assert state.step == 1
@@ -1049,6 +1061,15 @@ class TestTrainLoop:
         schedule = PhaseSchedule.uniform(2, 1)
         with pytest.raises(ValueError):
             train(ds, params, schedule, TrainConfig(), SelectedLayers(1, 2))
+
+
+@pytest.mark.parametrize("name", ["optimizer", "adam_beta1", "adam_beta2", "adam_eps"])
+def test_deleted_train_settings_are_refused(name):
+    """Training always runs Adam with the module constants; none of them,
+    nor the optimizer, is a setting."""
+    assert not hasattr(TrainConfig(), name)
+    with pytest.raises(TypeError, match=name):
+        TrainConfig(**{name: 0.5})
 
 
 def test_train_config_validation():
