@@ -8,15 +8,15 @@ Users are scored in chunks, one :func:`score_users` call per chunk: one
 GEMM of the chunk's rows of the stacked factor, scaled by the
 granularity weights, against its item rows.  Its result is the chunk's
 own array, so the chunk masks every training item to -inf in it with
-one assignment and ranks it a small block of rows at a time: one
-partition of a copy of the block gives each row's threshold, one pass
-over the flat block the items at or above it, and one lexsort by (row,
--score, item) their order.  Hits, Recall and NDCG at every cutoff are
-then whole-chunk array operations.  The DCG adds the same
-``1 / log2(position + 2)`` terms in the same order as :func:`ndcg_at_k`,
-so each report is, to the bit, the mean of :func:`recall_at_k` and
-:func:`ndcg_at_k` over the users.  :func:`rank_user` is the one-row
-case of the same ranking.
+one assignment and ranks it a small block of rows at a time: one max
+over groups of a row's scores and a partition of those maxima give each
+row's threshold, one pass over the flat block the items at or above it,
+and one stable lexsort by (row, -score) their order.  Hits, Recall and
+NDCG at every cutoff are then whole-chunk array operations.  The DCG
+adds the same ``1 / log2(position + 2)`` terms in the same order as
+:func:`ndcg_at_k`, so each report is, to the bit, the mean of
+:func:`recall_at_k` and :func:`ndcg_at_k` over the users.
+:func:`rank_user` is the one-row case of the same ranking.
 """
 
 from __future__ import annotations
@@ -31,8 +31,11 @@ from .data import InteractionDataset
 from .graph import side_by_side
 from .model import PropagationOutput, score_users
 
-# scores ranked per partition: a block of at most 512 KiB per worker, or one row
-_BLOCK_ELEMENTS = 1 << 16
+# scores ranked per block, or one row: a block's temporaries are a 1-byte
+# mask per score (256 KiB) and, in groups of _GROUP, 32 KiB of maxima
+_BLOCK_ELEMENTS = 1 << 18
+# scores per group whose maximum stands for them in a row's threshold
+_GROUP = 64
 # users scored per GEMM; a user's scores can depend on the chunk it is in
 CHUNK_SIZE = 256
 
@@ -64,11 +67,16 @@ def rank_user(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     distinct item counts once), all of them are returned.  The scores
     are copied, the excluded items masked to -inf in the copy, and the
     copy ranked as a one-row block of :func:`evaluate_cutoffs`.
+
+    Raises IndexError for an ``exclude`` index outside [0, n): numpy
+    would otherwise wrap a negative one round to the end of the scores.
     """
     masked = np.array(scores, dtype=np.float64)
     if not isinstance(exclude, np.ndarray):
         exclude = list(exclude)
     exclude = np.unique(np.asarray(exclude, dtype=np.int64))
+    if exclude.size and not 0 <= exclude[0] <= exclude[-1] < masked.shape[0]:
+        raise IndexError(f"exclude index outside [0, {masked.shape[0]})")
     masked[exclude] = -np.inf
     keep = max(0, min(k, masked.shape[0] - exclude.size))
     return _rank_rows(masked[None], np.array([keep]), [exclude], keep)[0]
@@ -81,29 +89,42 @@ def _rank_rows(masked, keep, excluded, width: int) -> np.ndarray:
 
     ``masked`` is a C-contiguous (rows, n) block holding -inf at every
     item of ``excluded[r]``; ``keep[r] <= min(width, n - len(excluded[r]))``.
-    One partition of a copy of the block gives each row's width-th largest
-    value, every row's items at or above it are found in one pass over the
-    flat block, and one lexsort by (row, -score, item) orders them.  Any
-    threshold at or below a row's keep-th largest value selects a superset
-    of its list, so one partition point serves rows of every ``keep``.  A
-    row whose threshold is not finite (fewer than width items above -inf,
-    or width items at +inf) is sorted whole, and its excluded items are
-    dropped from the order: a candidate that itself scores -inf still
-    ranks, and no excluded item does.
+    Each row's first g·G scores, viewed as (G, g), give g group maxima in
+    one max over the block, G = min(``_GROUP``, n // width) (at least 1)
+    and g = n // G >= width; the last n - g·G scores are in no group.  A
+    row's threshold is the width-th largest of its maxima, from a partition
+    of those g values.  The maxima are width distinct scores at or above
+    it, so it is at or below the row's width-th largest score, and any
+    threshold at or below a row's keep-th largest score selects a superset
+    of its list: one threshold serves rows of every ``keep``, and with
+    G = 1 it is the width-th largest score itself.  Every row's items at or
+    above it are found in one pass over the flat block, in (row, item)
+    order, and one stable lexsort by (row, -score) orders them.  A row
+    whose threshold is not finite (fewer than width groups above -inf,
+    width at +inf, or a NaN maximum) is sorted whole, with NaN last, and
+    its excluded items are dropped from the order: a candidate that itself
+    scores -inf still ranks, and no excluded item does.  In any other row
+    a NaN score is no candidate, and at least width candidates rank above
+    it, as they would with NaN last.
     """
     rows, n = masked.shape
     ranked = np.full((rows, width), n, dtype=np.int64)
     if width == 0:
         return ranked
-    threshold = np.partition(masked, n - width, axis=1)[:, n - width]
+    group = max(1, min(_GROUP, n // width))  # G
+    groups = n // group  # g
+    maxima = masked[:, :group * groups].reshape(rows, group, groups).max(axis=1)
+    # the width-th largest maximum, and the largest, which is NaN if any maximum is
+    maxima.partition((groups - width, groups - 1), axis=1)
+    threshold = np.minimum(maxima[:, groups - width], maxima[:, -1])  # NaN propagates
     finite = np.isfinite(threshold)
     all_finite = finite.all()
     if not all_finite:
-        # NaN compares false: a row without a finite threshold has no candidates here
+        # NaN compares false: a row sorted whole has no candidates here
         threshold = np.where(finite, threshold, np.nan)
     flat = np.flatnonzero(masked >= threshold[:, None])
     row, item = np.divmod(flat, n)
-    order = np.lexsort((item, -masked.ravel()[flat], row))
+    order = np.lexsort((-masked.ravel()[flat], row))  # stable: flat is in item order
     row, item = row[order], item[order]
     position = np.arange(row.size) - np.searchsorted(row, row)
     kept = position < keep[row]

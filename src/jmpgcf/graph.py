@@ -277,9 +277,14 @@ def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[
 
 # Work (stored entries x dense columns) from which spmm splits a product
 # across cores, and about the work of each of its row blocks.  Measured on
-# a 2-vCPU VM: a 69k-entry matrix times 64 columns (4.4M, in cache) took
-# 1.17 ms serial and 1.28 ms split, and a 1.7M-entry matrix times 4
-# columns (6.8M) 10.3 ms serial and 5.9 ms split.  Times 64 columns
+# a 2-vCPU VM: the planted benchmark graph's A_1 (69k entries) times 64
+# columns (4.4M, in cache) into a reused buffer took a median of 2.6 to
+# 2.9 ms serial and 1.5 to 2.0 ms split into 2 or 3 blocks (200 calls,
+# five alternations).  The threshold still stands above it: a hop that
+# splits makes stage_threads run the stage's granularities on one thread,
+# and a planted step then took 109 to 114 ms against 90 to 109 ms with
+# the granularities side by side.  A 1.7M-entry matrix times 4
+# columns (6.8M) took 10.3 ms serial and 5.9 ms split.  Times 64 columns
 # (108M), cut into one block per core after the calling thread had
 # zero-filled the whole 36 MB result (5-6 ms), it took a median of 109 to
 # 153 ms over five runs on a loaded host; cut into 12 blocks, each

@@ -1,14 +1,17 @@
 """``tools/bench_pairs.py`` summarises paired benchmark runs: medians,
-quartiles, wins in the metric's direction (ties for neither side), and
-the modes of a bimodal metric; it runs both sides from trees of equal
+quartiles, wins in the metric's direction (ties for neither side), the
+median and order-statistic interval of the per-pair ratios, and the
+modes of a bimodal metric; it runs both sides from trees of equal
 path length, and keeps an A/A series beside the claim it qualifies."""
 
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
 
+import numpy as np
 import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,6 +30,9 @@ def test_higher_is_better_with_a_tie():
         "change_better_in": "2/4",
         "median_ratio": 1.0,
         "parent_iqr": 1.5,
+        # ratios 2, 1, 5/3, 0.75; 4 pairs cover the median with the whole range only
+        "median_pair_ratio": 1.33333,
+        "pair_ratio_interval": {"low": 0.75, "high": 2.0, "ranks": [1, 4], "coverage": 0.875},
     }
 
 
@@ -45,6 +51,54 @@ def test_all_ties_win_nothing():
     got = bench_pairs.summarize([5.0, 5.0], [5.0, 5.0], "lower")
     assert got["change_better_in"] == "0/2"
     assert got["parent_iqr"] == 0.0
+
+
+def test_pair_ratio_interval_of_ten_pairs():
+    """The 3rd to 8th smallest of 10 per-pair ratios, whatever their order:
+    1 - 2 (1 + 10 + 45) / 1024 = 89.1% coverage of their median."""
+    ratios = [0.9, 1.3, 1.1, 1.05, 0.95, 1.2, 1.0, 1.15, 1.25, 0.85]
+    parent = [100.0 + 10 * p for p in range(10)]
+    got = bench_pairs.summarize(parent, [p * r for p, r in zip(parent, ratios)], "higher")
+    assert got["median_pair_ratio"] == 1.075  # (1.05 + 1.1) / 2
+    assert got["pair_ratio_interval"] == {"low": 0.95, "high": 1.2, "ranks": [3, 8],
+                                          "coverage": 0.890625}
+
+
+@pytest.mark.parametrize("pairs, ranks, coverage", [
+    (1, [1, 1], 0.0), (3, [1, 3], 0.75), (5, [1, 5], 0.9375), (6, [1, 6], 0.96875),
+    (10, [3, 8], 0.890625), (20, [7, 14], 0.884682),
+])
+def test_interval_ranks_per_pair_count(pairs, ranks, coverage):
+    """The innermost ranks that still cover the median with at least 85%,
+    or the whole range when no ranks do; the coverage is the chance that
+    between j and pairs - j of the ratios fall below the median."""
+    got = bench_pairs.pair_ratio_interval(list(range(pairs)))
+    assert got["ranks"] == ranks and got["coverage"] == coverage
+    j = ranks[0]
+    assert coverage == pytest.approx(
+        sum(math.comb(pairs, i) for i in range(j, pairs - j + 1)) / 2 ** pairs, abs=1e-6)
+    assert (got["low"], got["high"]) == (ranks[0] - 1, ranks[1] - 1)
+
+
+def test_interval_covers_the_true_ratio_on_synthetic_runs():
+    """Synthetic 10-pair series of a change 10% faster under lognormal noise
+    shared within a pair: the interval holds the true ratio about 89% of the
+    time, and excludes 1 whenever the noise is small."""
+    rng = np.random.default_rng(5)
+    covered = 0
+    trials = 2000
+    for _ in range(trials):
+        host = rng.lognormal(0, 0.2, 10)  # a pair's shared host speed
+        parent = 100 * host * rng.lognormal(0, 0.05, 10)
+        change = 110 * host * rng.lognormal(0, 0.05, 10)
+        interval = bench_pairs.summarize(list(parent), list(change), "higher")[
+            "pair_ratio_interval"]
+        covered += interval["low"] <= 1.1 <= interval["high"]
+    assert abs(covered / trials - 0.890625) < 0.025
+    quiet = 100 * rng.lognormal(0, 0.01, 10)
+    interval = bench_pairs.summarize(list(quiet), list(1.1 * quiet), "higher")[
+        "pair_ratio_interval"]
+    assert interval["low"] > 1
 
 
 @pytest.mark.parametrize("parent, change, better", [

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmpgcf import (
     InteractionDataset,
@@ -70,10 +72,10 @@ def pool_sizes(monkeypatch):
 
 
 def sort_oracle(scores, exclude, k):
-    """Reference ranking: sort by (-score, index), drop excluded."""
+    """Reference ranking: sort by (-score, index), NaN last, drop excluded."""
     order = sorted(
         (i for i in range(len(scores)) if i not in exclude),
-        key=lambda i: (-scores[i], i),
+        key=lambda i: (math.isnan(scores[i]), 0.0 if math.isnan(scores[i]) else -scores[i], i),
     )
     return order[:k]
 
@@ -137,6 +139,25 @@ class TestRankUser:
         np.testing.assert_array_equal(rank_user(scores, [1, 1], 4), once)
         np.testing.assert_array_equal(rank_user(scores, np.array([3, 1, 3, 1, 3]), 9), [0, 2, 4])
 
+    @pytest.mark.parametrize("exclude", [[-1], [-5], [5], [0, 7], np.array([2, -3])])
+    def test_exclude_outside_the_scores_is_an_error(self, exclude):
+        """A negative index would wrap round to the end of the scores."""
+        scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        with pytest.raises(IndexError, match=r"exclude index outside \[0, 5\)"):
+            rank_user(scores, exclude, 5)
+        np.testing.assert_array_equal(scores, [5.0, 4.0, 3.0, 2.0, 1.0])
+
+    def test_gowalla_width_row(self):
+        """A row as wide as the Gowalla catalogue: 64 items per group."""
+        rng = np.random.default_rng(22)
+        n = 40_981
+        scores = np.round(rng.normal(size=n), 2)  # ties at every score
+        exclude = set(rng.choice(n, size=120, replace=False).tolist())
+        exclude.update(np.argsort(-scores, kind="stable")[:10].tolist())  # the ten best
+        for k in (1, 20, 40):
+            np.testing.assert_array_equal(rank_user(scores, exclude, k),
+                                          sort_oracle(scores, exclude, k))
+
     def test_scores_left_unchanged(self):
         scores = np.array([1.0, 3.0, 2.0])
         rank_user(scores, [1], 2)
@@ -165,14 +186,15 @@ class TestRankRows:
     """The block ranker behind rank_user and evaluate_cutoffs, row for row
     against the sort oracle."""
 
-    def check(self, scores, excluded, k):
+    def check(self, scores, excluded, k, keep=None):
         n = scores.shape[1]
-        keep = np.array([min(k, n - len(items)) for items in excluded])
+        most = np.array([min(k, n - len(items)) for items in excluded])
+        keep = most if keep is None else np.minimum(keep, most)
         width = min(k, n)
         ranked = evaluation._rank_rows(masked_block(scores, excluded), keep, excluded, width)
         assert ranked.shape == (scores.shape[0], width)
         for row, items in enumerate(excluded):
-            expected = sort_oracle(scores[row], set(items), k)
+            expected = sort_oracle(scores[row], set(items), keep[row])
             np.testing.assert_array_equal(ranked[row, :keep[row]], expected)
             assert np.all(ranked[row, keep[row]:] == n)  # padding: one past the last item
 
@@ -200,6 +222,95 @@ class TestRankRows:
         self.check(scores, excluded, 4)
         for row in range(5):  # one-row blocks
             self.check(scores[row:row + 1], excluded[row:row + 1], 4)
+
+    def test_multi_group_rows(self):
+        """Rows of 64 * width items and more, in up to 64 groups, most with a
+        tail of n - g * 64 items, against the sort oracle."""
+        rng = np.random.default_rng(32)
+        for trial in range(60):
+            k = int(rng.integers(1, 41))
+            n = 64 * k + int(rng.integers(0, 3000))
+            rows = int(rng.integers(1, 5))
+            scores = np.round(rng.normal(size=(rows, n)), int(rng.integers(0, 3)))
+            excluded = [np.sort(rng.choice(n, size=int(rng.integers(0, n // 8)), replace=False))
+                        for _ in range(rows)]
+            keep = rng.integers(0, k + 1, size=rows) if trial % 3 == 0 else None
+            self.check(scores, excluded, k, keep)
+
+    def test_ties_straddle_the_threshold(self):
+        """Every group's maximum ties with the threshold: the candidates are
+        hundreds of tied items, of which the list takes the lowest indices."""
+        n, k = 64 * 20 + 37, 20
+        scores = np.zeros((3, n))
+        scores[0, ::7] = 1.0  # ~200 tied items, more than k, one in most groups
+        scores[1, :k - 3] = 2.0  # k - 3 above the tie, the tie straddles the k-th place
+        scores[1, 5::3] = 1.0
+        scores[2, -30:] = 1.0  # the best items are all in the tail, in no group
+        excluded = [np.array([0, 7]), np.array([2]), np.arange(n - 30, n - 20)]
+        self.check(scores, excluded, k)
+        self.check(scores, excluded, k, keep=np.array([3, 19, 1]))
+
+    def test_whole_groups_at_minus_inf(self):
+        """Groups whose every item is excluded or scores -inf: with fewer than
+        width groups above -inf, a row is sorted whole."""
+        rng = np.random.default_rng(33)
+        n, k = 64 * 30 + 11, 30
+        size = n // 64
+        scores = rng.normal(size=(4, n))
+        scores[0, :64 * size] = -np.inf  # only the tail, in no group, scores: sorted whole
+        scores[0, 64 * size:] = np.arange(11.0)
+        scores[1, :64 * size].reshape(64, size)[:, 5:] = -np.inf  # 5 groups above -inf
+        scores[2, ::2] = -np.inf  # every other group, as candidates scoring -inf
+        excluded = [np.array([], dtype=np.int64), np.arange(0, 64 * size, size),
+                    np.arange(1, 64 * size, 2 * size), np.arange(n)[rng.random(n) < 0.97]]
+        self.check(scores, excluded, k)
+        self.check(scores, excluded, 3 * k)
+
+    def test_infinite_and_nan_scores(self):
+        """+inf scores rank first, by index; a row with width of them, or
+        holding any NaN, is sorted whole, NaN after every other candidate."""
+        rng = np.random.default_rng(34)
+        n, k = 64 * 20 + 5, 20
+        scores = np.round(rng.normal(size=(6, n)), 1)
+        scores[0, rng.choice(n, 7, replace=False)] = np.inf  # fewer than k
+        scores[1, rng.choice(n, 300, replace=False)] = np.inf  # more than k
+        scores[2, rng.choice(n, 3, replace=False)] = np.nan  # fewer than k
+        scores[3, rng.choice(n, 700, replace=False)] = np.nan  # more than k
+        scores[4, :] = np.nan
+        scores[5, [3, 9, 500]] = [np.nan, np.inf, -np.inf]
+        excluded = [np.array([], dtype=np.int64), np.flatnonzero(np.isinf(scores[1]))[:290],
+                    np.arange(0, n, 5), np.arange(100), np.arange(n - 10), np.array([9])]
+        self.check(scores, excluded, k)
+        self.check(scores, excluded, k, keep=np.array([0, 5, 19, 1, 7, 20]))
+        self.check(scores[2:3], excluded[2:3], 300)  # fewer candidates than NaN-free items
+
+    @pytest.mark.parametrize("n, k", [(64 * 20, 20), (39, 20)])
+    def test_nan_among_the_maxima(self, n, k):
+        """A NaN group maximum would count as one of the width largest: with
+        each group's maximum its only high score (one per item at G = 1),
+        fewer than width items would reach the threshold."""
+        size = n // max(1, min(64, n // k))
+        scores = np.full((1, n), -10.0)
+        scores[0, :size] = np.arange(size)  # group j's maximum is j
+        scores[0, size % n] = np.nan  # in group 0, the whole row at G = 1
+        self.check(scores, [np.array([], dtype=np.int64)], k)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(k=st.integers(1, 40), groups=st.integers(1, 70), tail=st.integers(0, 100),
+           rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           pool=st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+                         | st.floats(-3, 3), min_size=1, max_size=6),
+           excluded_share=st.floats(0, 1), cut_keep=st.booleans())
+    def test_matches_sort_oracle_property(self, k, groups, tail, rows, seed, pool,
+                                          excluded_share, cut_keep):
+        """Rows drawn from a few values (ties, -inf, +inf, NaN) in 1 to 70
+        groups per width, against the sort oracle."""
+        rng = np.random.default_rng(seed)
+        n = groups * k + tail
+        scores = rng.choice(np.array(pool), size=(rows, n))
+        excluded = [np.flatnonzero(rng.random(n) < excluded_share) for _ in range(rows)]
+        keep = rng.integers(0, k + 1, size=rows) if cut_keep else None
+        self.check(scores, excluded, k, keep)
 
     def test_rank_user_is_the_one_row_case(self):
         scores = np.array([2.0, 1.0, 2.0, -np.inf, 1.0])

@@ -102,3 +102,20 @@ def test_hop_section_is_the_same_at_every_core_count(tmp_path, monkeypatch):
     assert sorted(result["cores=1"]) == sorted(
         f"A_{k}{side}" for k in range(granularities) for side in ("", "^T"))
     assert result["cores=1"] == result["cores=2"] == result["cores=3"]
+
+
+def test_rankings_hash_one_list_per_evaluable_user(tmp_path, monkeypatch):
+    """The rankings hash a top-40 list per evaluable user, so that two
+    items swapped in a list change the hash even where neither is a hit."""
+    gate = load_gate(monkeypatch)
+    ds, matrices, _ = gate._graph(gate.gen.planted_lists, str(tmp_path))
+    params = gate.init_parameters(ds.num_users, ds.num_items, gate.EMBED_DIM, gate.POPULARITY,
+                                  gate.SEED)
+    out = gate.propagate(params, matrices, gate.PLANTED_LAYERS, retain_chain=False)
+    got = gate._rankings(out, ds)
+    assert got["users"] == sum(1 for items in ds.test if len(items))
+    assert got == gate._rankings(out, ds)
+    rank_user = gate.rank_user
+    monkeypatch.setattr(gate, "rank_user",
+                        lambda *args: rank_user(*args)[[*range(gate.RANKED - 2), -1, -2]])
+    assert gate._rankings(out, ds)["top40"] != got["top40"]

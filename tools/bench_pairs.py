@@ -21,7 +21,11 @@ S`` section: the order of each pair, ``failed``/``attempted``/``correct``
 of every run, and per metric both sides' median, quartiles and runs,
 ``change_better_in`` (pairs where the change reads better in the
 metric's direction; ties count for neither side), ``median_ratio``
-(change median / parent median) and ``parent_iqr``.  A gowalla
+(change median / parent median), ``parent_iqr``, and the paired
+statistics of the per-pair ratios change / parent: their median
+``median_pair_ratio``, and ``pair_ratio_interval``, a distribution-free
+interval for that median from the ratios' order statistics, with its
+coverage (for 10 pairs, the 3rd to 8th smallest ratio, ~89%).  A gowalla
 ``peak_rss_mb`` run is also labelled by the mode it falls in (the metric
 is bimodal on the same code, at ~1,352 and ~1,382 MB), with the count of
 each mode per side.  An A/A series goes instead into an ``aa seed S``
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -51,12 +56,17 @@ ORDER = ("parent first", "change first")
 SIDES = ("parent", "change")  # names of equal length for the two trees
 # the modes of peak_rss_mb per workload (MB): each run is labelled by the nearest
 MODES = {"gowalla": {"peak_rss_mb": (1352, 1382)}}
+# the least coverage of a pair ratio interval: 10 pairs give the 3rd to 8th ratio
+INTERVAL_COVERAGE = 0.85
 METHOD = (
     "Alternating parent/change pairs, run one after another (even pairs parent first, "
     "odd pairs change first), each run in a fresh process. Quartiles are numpy "
     "linear-interpolation percentiles 25/75 over the runs of one side. change_better_in "
     "counts pairs where the change's value is better in the metric's direction; ties "
-    "count for neither side."
+    "count for neither side. median_pair_ratio is the median of the per-pair ratios "
+    "change/parent; pair_ratio_interval runs from the j-th smallest to the j-th largest "
+    "of those ratios, for the largest j whose coverage of their median is at least 85% "
+    "under the sign test's binomial(pairs, 1/2) (3rd to 8th of 10 pairs, 89.1%)."
 )
 
 
@@ -64,18 +74,38 @@ def _round(value):
     return float(f"{value:.6g}")
 
 
+def _coverage(pairs, rank):
+    """The chance that the ``rank``-th smallest and largest of ``pairs``
+    independent ratios enclose their median: 1 - 2 P(Binomial(pairs, 1/2) < rank)."""
+    return 1 - 2 * sum(math.comb(pairs, i) for i in range(rank)) / 2 ** pairs
+
+
+def pair_ratio_interval(ratios):
+    """The interval from the j-th smallest to the j-th largest ratio, for the
+    largest j whose coverage of the ratios' median is at least
+    :data:`INTERVAL_COVERAGE` (j = 1, the whole range, when none is)."""
+    ordered = sorted(ratios)
+    rank = max([1] + [j for j in range(1, len(ordered) // 2 + 1)
+                      if _coverage(len(ordered), j) >= INTERVAL_COVERAGE])
+    return {"low": _round(ordered[rank - 1]), "high": _round(ordered[-rank]),
+            "ranks": [rank, len(ordered) + 1 - rank],
+            "coverage": _round(_coverage(len(ordered), rank))}
+
+
 def summarize(parent, change, better):
     """Both sides' median, quartiles and runs of one metric over paired
     runs (``parent[p]`` and ``change[p]`` ran in pair p), the pairs where
     the change is better (``better`` is "higher" or "lower"; ties count
     for neither), the ratio of the medians and the parent's interquartile
-    range."""
+    range, and the median and order-statistic interval of the per-pair
+    ratios change / parent."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of runs on both sides")
     if better not in ("higher", "lower"):
         raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
     sign = 1 if better == "higher" else -1
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    ratios = [c / p for p, c in zip(parent, change)]
     sides = {}
     for side, runs in (("parent", parent), ("change", change)):
         q1, median, q3 = np.percentile(runs, [25, 50, 75])
@@ -86,6 +116,8 @@ def summarize(parent, change, better):
         "change_better_in": f"{wins}/{len(parent)}",
         "median_ratio": _round(np.median(change) / np.median(parent)),
         "parent_iqr": _round(sides["parent"]["q3"] - sides["parent"]["q1"]),
+        "median_pair_ratio": _round(np.median(ratios)),
+        "pair_ratio_interval": pair_ratio_interval(ratios),
     }
 
 

@@ -13,7 +13,8 @@ the parent commit and the change.  The document holds:
   driver's loss sequence (2 steps per phase) and the SHA-256 of the
   tables it trained; the SHA-256 of the selected layers propagated from
   them; and the ``evaluate_cutoffs`` reports (cutoffs 1, 5, 20, 40) on the
-  benchmark's 2,048-user sample, with 1 and 2 workers.
+  benchmark's 2,048-user sample, with 1 and 2 workers, and under
+  ``rankings`` the SHA-256 of every sampled user's top-40 list.
 * ``planted_steps``: on ``planted_lists(1)``, the loss sequence (4 steps
   per phase) and the table SHA-256 in 16 configurations: layers (3, 4),
   (1, 2), (3, 2), (1, 4) x ``full_matrix_reg`` x ``shared_base``.
@@ -23,7 +24,11 @@ the parent commit and the change.  The document holds:
   evaluable user, with 1 and 2 workers; and under ``ties``, the same
   reports for the trained output with its selected layers rounded to
   multiples of 0.25, whose scores have many ties (at k=20,
-  a tie straddles the cutoff for about one user in five).
+  a tie straddles the cutoff for about one user in five).  Each has
+  ``rankings`` too: the SHA-256 of every evaluable user's top-40 list.
+  A list is ranked by ``rank_user`` from the scores of ``score_users``
+  over the user's ``CHUNK_SIZE`` chunk, as ``evaluate_cutoffs`` scores
+  it, so that a list reordered among items that are not hits also shows.
 * ``hops``: on ``gowalla_lists(1)``, the SHA-256 of every full hop,
   ``spmm(A_k, X)`` and ``spmm(A_k^T, X)`` for each granularity k and a
   seeded normal X of 64 columns, into one reused buffer (first filled
@@ -77,9 +82,12 @@ from jmpgcf import (  # noqa: E402
     init_parameters,
     load_dataset,
     propagate,
+    rank_user,
     train,
     transpose,
 )
+from jmpgcf.evaluation import CHUNK_SIZE  # noqa: E402
+from jmpgcf.model import score_users  # noqa: E402
 from spans import Tracer  # noqa: E402
 from steps import StepDriver  # noqa: E402
 from workloads import (  # noqa: E402
@@ -99,6 +107,7 @@ if os.path.realpath(os.path.dirname(jmpgcf.__file__)) != os.path.realpath(
 
 SEED = 1
 CUTOFFS = (1, 5, 20, 40)
+RANKED = max(CUTOFFS)  # items per hashed ranking list
 WORKERS = (1, 2)
 GOWALLA_LAYERS = SelectedLayers(3, 4)
 GOWALLA_STEPS_PER_PHASE = 2
@@ -153,12 +162,26 @@ def _reports(params, out, ds):
     }
 
 
+def _rankings(out, ds):
+    """The SHA-256 of every evaluable user's top-``RANKED`` list, scored
+    in the chunks ``evaluate_cutoffs`` scores it in."""
+    evaluable = [u for u in range(ds.num_users) if len(ds.test[u])]
+    lists = []
+    for start in range(0, len(evaluable), CHUNK_SIZE):
+        users = evaluable[start:start + CHUNK_SIZE]
+        scores = score_users(out, users)
+        lists.extend(rank_user(row, ds.train[u], RANKED) for row, u in zip(scores, users))
+    return {"users": len(lists), f"top{RANKED}": _lists_sha(lists)}
+
+
 def _evaluation(params, matrices, layers, ds):
-    """The selected layers' SHA-256 and the reports, per worker count."""
+    """The selected layers' SHA-256, the reports, per worker count, and the
+    rankings."""
     out = propagate(params, matrices, layers, retain_chain=False)
     selected = [out.layer(k, l) for k in range(out.num_granularities)
                 for l in (layers.l_odd, layers.l_even)]
-    return {"layers": _sha(selected), "reports": _reports(params, out, ds)}
+    return {"layers": _sha(selected), "reports": _reports(params, out, ds),
+            "rankings": _rankings(out, ds)}
 
 
 def _tie_evaluation(params, matrices, layers, ds):
@@ -167,7 +190,8 @@ def _tie_evaluation(params, matrices, layers, ds):
     out = propagate(params, matrices, layers, retain_chain=False)
     np.round(out.factor * 4, out=out.factor)  # the selected layers are views of the factor
     out.factor /= 4
-    return {"layers": _sha([out.factor]), "reports": _reports(params, out, ds)}
+    return {"layers": _sha([out.factor]), "reports": _reports(params, out, ds),
+            "rankings": _rankings(out, ds)}
 
 
 def gowalla(directory):
