@@ -14,7 +14,6 @@ the sampler build on, so only this module knows the list layout.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -85,6 +84,13 @@ def _flatten(lists, num_users, num_items):
     if bad.size:
         raise DatasetFormatError(f"user {users[bad[0]]}: item index out of range [0, {num_items})")
     return users, items
+
+
+def _pairs(lists):
+    """Flat ``(users, items)`` arrays of a dataset's per-user item arrays."""
+    lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    items = np.concatenate(lists) if lists else _empty_items()
+    return np.repeat(np.arange(len(lists)), lengths), items
 
 
 def _rows(matrix) -> tuple[np.ndarray, ...]:
@@ -263,6 +269,8 @@ def split_validation(ds: InteractionDataset, fraction, seed):
     For each user, ``ceil(fraction * |train[u]|)`` items are moved
     (uniformly at random, deterministic for a fixed seed) into the
     holdout, except that a user with a single training item keeps it.
+    Every training interaction draws one random key; each user moves the
+    items with its smallest keys.
 
     Returns ``(main, holdout)``.  Both have the reduced train lists;
     ``main.test`` keeps the original test split while ``holdout.test``
@@ -271,12 +279,15 @@ def split_validation(ds: InteractionDataset, fraction, seed):
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    moved = []
-    for items in ds.train:
-        n_move = min(math.ceil(fraction * len(items)), len(items) - 1)
-        moved.append(rng.choice(items, size=n_move, replace=False) if n_move > 0 else ())
-    remaining = [np.setdiff1d(items, picked) for items, picked in zip(ds.train, moved)]
-    main = InteractionDataset.from_lists(ds.num_users, ds.num_items, remaining, ds.test)
-    holdout = InteractionDataset.from_lists(ds.num_users, ds.num_items, main.train, moved)
+    users, items = _pairs(ds.train)
+    lengths = np.bincount(users, minlength=ds.num_users)
+    starts = np.cumsum(lengths) - lengths
+    to_move = np.minimum(np.ceil(fraction * lengths), lengths - 1)
+    key = np.random.default_rng(seed).random(items.size)
+    order = np.lexsort((key, users))  # each user's items by key, users in turn
+    moved = np.empty(items.size, dtype=bool)
+    moved[order] = np.arange(items.size) - starts[users] < to_move[users]
+    kept = (users[~moved], items[~moved])
+    main = _build(ds.num_users, ds.num_items, kept, _pairs(ds.test))
+    holdout = _build(ds.num_users, ds.num_items, kept, (users[moved], items[moved]))
     return main, holdout

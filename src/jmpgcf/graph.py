@@ -367,21 +367,26 @@ def side_by_side(tasks, workspace=None, threads=None) -> list:
     results = [None] * len(tasks)
     errors = [None] * len(tasks)
     claim = itertools.count()  # each next() is atomic under the GIL
+    # emptied on return: a pool thread may hold a helper's work item a
+    # little longer, and must not keep the tasks, results or workspaces alive
+    shared = [tasks, spaces, results, errors]
 
-    def drain(space):
+    def drain(thread):
+        tasks, spaces, results, errors = shared
         while (i := next(claim)) < len(tasks):
             try:
-                results[i] = tasks[i]() if workspace is None else tasks[i](space)
+                results[i] = tasks[i]() if workspace is None else tasks[i](spaces[thread])
             except BaseException as exc:  # re-raised on the calling thread
                 errors[i] = exc
 
-    futures = [_get_pool().submit(drain, space) for space in spaces[1:]]
+    futures = [_get_pool().submit(drain, thread) for thread in range(1, count)]
     try:
-        drain(spaces[0])
+        drain(0)
     finally:
         for future in futures:
             if not future.cancel():
                 future.result()
+        shared.clear()
     for error in errors:
         if error is not None:
             raise error

@@ -339,6 +339,8 @@ def backward(
     l2_coeff,
     full_matrix_reg=False,
     transposed=None,
+    *,
+    result=None,
 ):
     """Analytic gradients of :func:`separated_bpr_loss` w.r.t. the base tables.
 
@@ -347,6 +349,15 @@ def backward(
     gradients are pulled back to layer 0 with the transposed propagation
     matrix.  Returns one gradient per base table; tables of inactive
     granularities get exact zeros.
+
+    With ``result``, a list of one C-contiguous float64 array of the
+    table's shape per base table (else ``ValueError``; the arrays must
+    not overlap), the gradients are written into those arrays, and the
+    list of them is returned: the last pull-back hop of a granularity
+    lands in its table's array (a shared table's later granularities are
+    added into it in order), and an inactive table's array is
+    zero-filled, whatever it held before.  The bits are those of the call
+    without ``result``, which makes new arrays.
 
     Without ``full_matrix_reg`` a layer's gradient is nonzero only at the
     batch's rows, so it is kept compact, one row per distinct batch row.
@@ -362,6 +373,13 @@ def backward(
     same batch when it has run on ``out``.
     """
     active = _check_active(out, active_granularities)
+    shape = out.layer(active[0], 0).shape
+    tables = 1 if out.shared_base else out.num_granularities
+    if result is not None and (
+            len(result) != tables
+            or any(not isinstance(a, np.ndarray) or a.dtype != np.float64
+                   or not a.flags.c_contiguous or a.shape != shape for a in result)):
+        raise ValueError(f"result must be {tables} C-contiguous float64 arrays of shape {shape}")
     if transposed is None:
         transposed = {k: transpose(out.matrices[k]) for k in active}
     terms = _batch_terms(out, batch)
@@ -369,7 +387,6 @@ def backward(
     to_u, to_i, to_j = (_RowScatter(at, rows.size) for at in terms.at)
     selected = (out.layers.l_odd, out.layers.l_even)
     top = out.layers.depth
-    shape = out.layer(active[0], 0).shape
 
     def layer_grad(k, l, space):
         # The loss's gradient at layer l, at the batch's rows (dense with
@@ -422,20 +439,33 @@ def backward(
 
     # adds a compact gradient into its rows of a full-size one
     to_rows = _RowScatter(rows, shape[0])
-    grads = [None] * (1 if out.shared_base else out.num_granularities)
     scratch = {"a": (len(batch), shape[1]), "b": (len(batch), shape[1]),
                "grad": (rows.size, shape[1]), "pulled": shape}
+
+    def target(k):
+        # a table's first active granularity lands in the given array, a
+        # shared table's later ones in new arrays
+        if result is None or (out.shared_base and k != active[0]):
+            return np.empty(shape)
+        return result[0 if out.shared_base else k]
+
     pulled = side_by_side(
-        (partial(pull_back, k, np.empty(shape)) for k in active),
+        (partial(pull_back, k, target(k)) for k in active),
         lambda: {name: np.empty(size) for name, size in scratch.items()},
         stage_threads(out.matrices, shape[1]))
+    grads = [None] * tables
     for k, grad in zip(active, pulled):
         table = 0 if out.shared_base else k
         if grads[table] is None:
             grads[table] = grad
         else:  # a shared table sums its granularities in k order
             grads[table] += grad
-    return [np.zeros(shape) if grad is None else grad for grad in grads]
+    if result is None:
+        return [np.zeros(shape) if grad is None else grad for grad in grads]
+    for grad, given in zip(grads, result):
+        if grad is None:  # an inactive table
+            given.fill(0.0)
+    return list(result)
 
 
 # the adaptive update's moment decay rates and the offset of its denominator
@@ -557,6 +587,14 @@ def train(
     evaluation threads) and appended to ``metrics_path`` as JSON lines.
     A checkpoint is written per phase boundary plus a final one; on
     divergence the last written checkpoints are left in place.
+
+    Besides the parameters, the optimizer moments and the matrices, a run
+    holds one set of per-table gradients, which :func:`backward` rewrites
+    in place at every step, and one step's or one evaluation's
+    propagation output at a time.  The gradients are dropped before the
+    per-epoch evaluation and the evaluation's output after it, so the
+    evaluation runs beside neither the gradients nor a training output,
+    and the next step's propagation beside no evaluation output.
     """
     if schedule.max_granularity != params.popularity.max_granularity:
         raise ValueError("schedule and parameters disagree on max granularity")
@@ -570,6 +608,7 @@ def train(
     records = []
     sink = open(metrics_path, "w", encoding="ascii") if metrics_path else None
     global_epoch = 0
+    grads = None  # made by the first step after the start or an evaluation, then reused
     try:
         for phase in range(1, schedule.num_phases + 1):
             active = schedule.active_granularities(phase)
@@ -588,7 +627,8 @@ def train(
                             f"non-finite loss at phase {phase}, epoch {global_epoch}"
                         )
                     grads = backward(
-                        out, batch, active, cfg.l2_coeff, cfg.full_matrix_reg, transposed
+                        out, batch, active, cfg.l2_coeff, cfg.full_matrix_reg, transposed,
+                        result=grads,
                     )
                     optimizer_step(params, grads, state, cfg)
                     del out  # free this step's layers before the next step's
@@ -599,10 +639,12 @@ def train(
                     "loss": loss_sum / (steps_per_epoch * cfg.batch_size),
                 }
                 if eval_ds is not None and eval_every and global_epoch % eval_every == 0:
+                    grads = None
                     out = propagate(params, matrices, layers, retain_chain=False)
                     report = evaluation.evaluate(
                         params, out, eval_ds, eval_topk, workers=workers
                     )
+                    del out
                     record[f"recall@{eval_topk}"] = report.recall
                     record[f"ndcg@{eval_topk}"] = report.ndcg
                 record["wallclock_s"] = time.perf_counter() - started

@@ -114,7 +114,7 @@ def test_bad_input_is_an_error(parent, change, better):
 def test_section_pairs_runs_by_side():
     def line(failed, attempted, value):
         return {"correct": failed == 0, "attempted": attempted, "failed": failed,
-                "metrics": {"schedule_s": {"value": value, "unit": "s"}}}
+                "cpu_s": 1.5 * value, "metrics": {"schedule_s": {"value": value, "unit": "s"}}}
 
     results = [
         {"parent": line(0, 9, 6.0), "change": line(0, 9, 4.0)},
@@ -126,6 +126,7 @@ def test_section_pairs_runs_by_side():
     assert got["failed"] == {"parent": [0, 0], "change": [0, 1]}
     assert got["attempted"] == {"parent": [9, 9], "change": [9, 8]}
     assert got["correct"] == {"parent": [True, True], "change": [True, False]}
+    assert got["cpu_s"] == {"parent": [9.0, 10.5], "change": [6.0, 11.25]}
     metric = got["metrics"]["schedule_s"]
     assert metric["unit"] == "s" and metric["better"] == "lower"
     assert metric["parent"]["runs"] == [6.0, 7.0]
@@ -135,7 +136,7 @@ def test_section_pairs_runs_by_side():
 
 def test_gowalla_rss_runs_are_labelled_by_mode():
     def line(rss):
-        return {"correct": True, "attempted": 1, "failed": 0,
+        return {"correct": True, "attempted": 1, "failed": 0, "cpu_s": 1.0,
                 "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"},
                             "setup_s": {"value": 1.0, "unit": "s"}}}
 
@@ -221,7 +222,7 @@ def test_aa_series_is_kept_beside_the_claim(repo, monkeypatch):
         with open(os.path.join(tree, "sub", "a.txt")) as fh:
             value = seconds[fh.read()] * (1.05 if os.path.basename(tree) == "change" else 1.0)
         return ({"tree": os.path.basename(tree)},
-                {"correct": True, "attempted": 1, "failed": 0,
+                {"correct": True, "attempted": 1, "failed": 0, "cpu_s": value,
                  "metrics": {"schedule_s": {"value": value, "unit": "s"}}})
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
@@ -256,3 +257,27 @@ def test_aa_series_is_kept_beside_the_claim(repo, monkeypatch):
     assert again["aa seed 1"] == aa
     assert again["seed 1"]["metrics"]["schedule_s"]["aa_median_ratio"] == 1.05
     assert again["seed 1"]["metrics"]["schedule_s"]["median_ratio"] == 0.84
+
+
+def test_run_bench_counts_the_run_cpu_seconds(tmp_path):
+    """``cpu_s`` is the user plus system time of the run's process and of
+    the processes it waited for, and not the time it spent asleep."""
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, subprocess, sys, time\n"
+        "def spin(seconds):\n"
+        "    end = time.process_time() + seconds\n"
+        "    while time.process_time() < end:\n"
+        "        pass\n"
+        "spin(0.3)\n"
+        "subprocess.run([sys.executable, '-c', 'import time\\n"
+        "end = time.process_time() + 0.3\\n"
+        "while time.process_time() < end: pass'], check=True)\n"
+        "time.sleep(0.5)\n"
+        "print('environment ' + json.dumps({'argv': sys.argv[1:]}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    env, line = bench_pairs.run_bench(str(tmp_path), "planted-schedule", 3, 30)
+    assert env == {"argv": ["--workload", "planted-schedule", "--seed", "3", "--seconds", "30"]}
+    assert line.pop("cpu_s") == pytest.approx(0.6, abs=0.25)  # plus start-up, minus the sleep
+    assert line == {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}

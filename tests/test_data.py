@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -395,3 +396,44 @@ class TestSplitValidation:
         for u in range(ds.num_users):
             np.testing.assert_array_equal(main.train[u], holdout.train[u])
             assert np.intersect1d(holdout.train[u], holdout.test[u]).size == 0
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.9])
+    def test_sizes_partition_and_test_split(self, fraction):
+        """Each user moves min(ceil(f n), n - 1) of its n items (none of
+        an empty list); the moved and kept items are disjoint and make up
+        the user's list; the main split keeps the original test lists."""
+        ds = make_random_dataset(np.random.default_rng(8), 60, 40, max_degree=25,
+                                 with_test=True)
+        ds = InteractionDataset.from_lists(61, 40, list(ds.train) + [[]],
+                                           list(ds.test) + [[]])
+        main, holdout = split_validation(ds, fraction, seed=5)
+        assert main.num_users == holdout.num_users == 61
+        for u, items in enumerate(ds.train):
+            n = len(items)
+            moved, kept = holdout.test[u], main.train[u]
+            assert len(moved) == max(0, min(math.ceil(fraction * n), n - 1))
+            assert np.intersect1d(moved, kept).size == 0
+            np.testing.assert_array_equal(np.union1d(moved, kept), items)
+            np.testing.assert_array_equal(main.test[u], ds.test[u])
+        assert main.num_train_interactions == sum(len(k) for k in main.train)
+
+    def test_another_seed_draws_another_holdout(self):
+        ds = make_random_dataset(np.random.default_rng(9), 40, 30, max_degree=10)
+        holdouts = [split_validation(ds, 0.3, seed=seed)[1].test for seed in (11, 12)]
+        assert any(not np.array_equal(a, b) for a, b in zip(*holdouts))
+
+    def test_holdout_is_uniform_chi_squared(self):
+        """Every user holds the same five items and moves two of them: each
+        item, and each of the ten pairs, is moved equally often across
+        users."""
+        from scipy.stats import chisquare
+
+        users, items = 20_000, [1, 3, 4, 6, 8]
+        ds = InteractionDataset.from_lists(users, 9, [items] * users)
+        _, holdout = split_validation(ds, 0.4, seed=13)
+        moved = np.array([t.tolist() for t in holdout.test])
+        assert moved.shape == (users, 2)
+        _, per_item = np.unique(moved, return_counts=True)
+        assert per_item.size == 5 and chisquare(per_item).pvalue > 0.01
+        _, per_pair = np.unique(moved, axis=0, return_counts=True)
+        assert per_pair.size == 10 and chisquare(per_pair).pvalue > 0.01

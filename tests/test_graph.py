@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -422,6 +423,29 @@ class TestSideBySide:
             assert sorted(ran) == list(range(40))
         finally:
             graph._pool.shutdown()
+
+    def test_nothing_is_held_once_it_returns(self, cores):
+        """A helper's work item may stay with its pool thread for a while
+        after the call returns, but it keeps none of the call's tasks,
+        their arguments and results, or the workspaces alive."""
+        class Thing:
+            pass
+
+        held = [Thing() for _ in range(8)]
+        refs = [weakref.ref(thing) for thing in held]
+
+        def workspace():
+            space = Thing()
+            refs.append(weakref.ref(space))
+            return space
+
+        results = graph.side_by_side(
+            (functools.partial(lambda thing, space: Thing(), thing) for thing in held),
+            workspace)
+        refs.extend(weakref.ref(result) for result in results)
+        assert len(refs) == 8 + cores + 8
+        del held, results
+        assert [ref for ref in refs if ref() is not None] == []
 
     def test_tasks_may_call_side_by_side(self, cores):
         """Six outer tasks of five inner tasks each, on as many threads as

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -279,6 +280,34 @@ class TestBackward:
         np.testing.assert_array_equal(grads[1], np.zeros_like(grads[1]))
 
 
+    @pytest.mark.parametrize("shared_base", [False, True], ids=["separate", "shared"])
+    def test_bad_result_is_refused(self, shared_base):
+        """``result`` needs one C-contiguous float64 array of the table's
+        shape per base table; a wrong one is refused before anything is
+        written into the others."""
+        ds = make_random_dataset(np.random.default_rng(18), 6, 5)
+        cfg = PopularityConfig()
+        params = init_parameters(6, 5, 2, cfg, seed=18, shared_base=shared_base)
+        out = propagate(params, propagation_matrices(ds, cfg), SelectedLayers(1, 2))
+        batch = TripleSampler(ds).sample(4, np.random.default_rng(19))
+        shape = params.base_embeddings[0].shape
+        tables = len(params.base_embeddings)
+        good = [np.full(shape, 3.0) for _ in range(tables)]
+        bad = {
+            "one too few": good[:-1],
+            "one too many": good + [np.zeros(shape)],
+            "shape": good[:-1] + [np.zeros((shape[0] - 1, shape[1]))],
+            "dtype": good[:-1] + [np.zeros(shape, dtype=np.float32)],
+            "fortran order": good[:-1] + [np.zeros(shape, order="F")],
+            "strided view": good[:-1] + [np.zeros((shape[0], 2 * shape[1]))[:, ::2]],
+            "not an array": good[:-1] + [np.zeros(shape).tolist()],
+        }
+        for name, result in bad.items():
+            with pytest.raises(ValueError, match="result must be"):
+                backward(out, batch, {0, 1, 2}, 1e-2, result=result)
+            assert all(np.all(a == 3.0) for a in good), name
+
+
 # The full-row step: loss, backward pass and optimizer step over whole
 # layers and full-size gradients, with every sum in the order the row-
 # restricted step must keep.  That step has to give the same bits.
@@ -356,24 +385,31 @@ def reference_optimizer_step(params, grads, state, cfg):
         table -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
+@pytest.mark.parametrize("into", [False, True], ids=["new", "result"])
 @pytest.mark.parametrize("l2_coeff", [0.1, 0.0])
 @pytest.mark.parametrize("full_matrix_reg", [False, True])
 @pytest.mark.parametrize("shared_base", [False, True])
 @pytest.mark.parametrize("layers", [(3, 4), (1, 2), (3, 2), (1, 4)])
 def test_step_is_bitwise_equal_to_full_row_reference(layers, shared_base, full_matrix_reg,
-                                                     l2_coeff):
+                                                     l2_coeff, into):
     """Losses, gradients, tables and moments over steps through the three
     phases, with sampled batches (users and items repeat) and a batch
     that touches every row, compare == with the full-row step, with and
-    without the L2 term."""
-    assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff)
+    without the L2 term, and with the gradients in new arrays or written
+    into the same given ones at every step."""
+    assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff, into)
 
 
 STEP_CONFIGURATIONS = list(itertools.product(
     [(3, 4), (1, 2), (3, 2), (1, 4)], [False, True], [False, True]))
 
 
-def assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff=0.1):
+def assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff=0.1,
+                                  into=False):
+    """With ``into``, every step's gradients are written into one set of
+    arrays, filled with nonzeros before the first step (whose inactive
+    tables must come out as exact zeros), and match the call that makes
+    new arrays in every bit."""
     num_users, num_items = 12, 10
     ds = make_random_dataset(np.random.default_rng(31), num_users, num_items, max_degree=5)
     pop = PopularityConfig()
@@ -395,10 +431,18 @@ def assert_step_matches_reference(layers, shared_base, full_matrix_reg, l2_coeff
     assert np.unique(batches[0].pos_items).size < len(batches[0])
     touched = np.concatenate([every_row.users, num_users + every_row.pos_items])
     assert np.unique(touched).size == num_users + num_items
+    given = [np.full(table.shape, -7.5) for table in params.base_embeddings]
     for batch, active in zip(batches, phases):
         out = propagate(params, mats, layers, granularities=active)
         loss = separated_bpr_loss(out, batch, active, cfg.l2_coeff, full_matrix_reg)
         grads = backward(out, batch, active, cfg.l2_coeff, full_matrix_reg, transposed)
+        if into:
+            written = backward(out, batch, active, cfg.l2_coeff, full_matrix_reg, transposed,
+                               result=given)
+            assert all(a is b for a, b in zip(written, given)) and len(written) == len(given)
+            for ours, new in zip(written, grads):
+                np.testing.assert_array_equal(bits(ours), bits(new))
+            grads = written
         optimizer_step(params, grads, state, cfg)
 
         ref_out = propagate(ref, mats, layers, retain_chain=False)
@@ -495,6 +539,7 @@ class TestSideBySide:
     def test_step_configurations_at_every_core_count(self, cores):
         for configuration in STEP_CONFIGURATIONS:
             assert_step_matches_reference(*configuration)
+            assert_step_matches_reference(*configuration, into=True)
 
     @pytest.mark.parametrize("layers", [SelectedLayers(3, 4), SelectedLayers(1, 2)],
                              ids=["3-4", "1-2"])
@@ -1055,6 +1100,97 @@ class TestTrainLoop:
         train_cfg = TrainConfig(batch_size=8, seed=25)
         with pytest.raises(TrainingDivergedError):
             train(ds, params, schedule, train_cfg, SelectedLayers(1, 2))
+
+    def spied_train(self, monkeypatch, epochs=2, eval_every=1):
+        """train() through the three phases with evaluation every
+        ``eval_every`` epochs, recording in order each propagate (training
+        or evaluation output), backward, optimizer step and evaluate call,
+        with weak references to the outputs and gradients, and what was
+        alive when each call started."""
+        cfg = PopularityConfig()
+        ds = make_random_dataset(np.random.default_rng(27), 12, 10, max_degree=5,
+                                 with_test=True)
+        params = init_parameters(12, 10, 4, cfg, seed=27)
+        calls = []
+
+        def alive(kind):
+            return [ref for k, ref in calls if k == kind and ref() is not None]
+
+        def spy_propagate(*args, retain_chain=True, **kwargs):
+            before = {"evaluation outputs": alive("evaluation output")}
+            out = propagate(*args, retain_chain=retain_chain, **kwargs)
+            calls.append(("before propagate", before))
+            calls.append(("training output" if retain_chain else "evaluation output",
+                          weakref.ref(out)))
+            if out.factor is not None:
+                calls.append(("evaluation output", weakref.ref(out.factor)))
+            return out
+
+        def spy_backward(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            calls.extend(("gradient", weakref.ref(grad)) for grad in grads)
+            return grads
+
+        def spy_optimizer_step(params, grads, state, cfg):
+            # one weak reference per array: a dead one equals only itself,
+            # so arrays made anew never pass for the earlier ones
+            calls.append(("optimizer step", tuple(weakref.ref(grad) for grad in grads)))
+            return optimizer_step(params, grads, state, cfg)
+
+        def spy_evaluate(*args, **kwargs):
+            calls.append(("before evaluate", {"gradients": alive("gradient"),
+                                              "training outputs": alive("training output")}))
+            return evaluate(*args, **kwargs)
+
+        evaluate = training.evaluation.evaluate
+        monkeypatch.setattr(training, "propagate", spy_propagate)
+        monkeypatch.setattr(training, "backward", spy_backward)
+        monkeypatch.setattr(training, "optimizer_step", spy_optimizer_step)
+        monkeypatch.setattr(training.evaluation, "evaluate", spy_evaluate)
+        _, records = train(ds, params, PhaseSchedule.uniform(2, epochs),
+                           TrainConfig(batch_size=8, seed=27), SelectedLayers(1, 2),
+                           eval_ds=ds, eval_every=eval_every, eval_topk=3)
+        steps_per_epoch = math.ceil(ds.num_train_interactions / 8)
+        assert steps_per_epoch >= 3
+        return calls, records, steps_per_epoch
+
+    def test_one_gradient_set_per_epoch(self, monkeypatch):
+        """Every step of an epoch hands the optimizer the same arrays, and
+        the per-epoch evaluation drops them, so the next epoch makes one
+        new set."""
+        calls, records, steps = self.spied_train(monkeypatch)
+        epochs = [[]]  # each epoch's optimizer steps, cut at its evaluation
+        for kind, value in calls:
+            if kind == "optimizer step":
+                epochs[-1].append(value)
+            elif kind == "before evaluate":
+                epochs.append([])
+        assert epochs.pop() == [] and len(epochs) == len(records) == 6
+        assert all(len(epoch) == steps and all(arrays == epoch[0] for arrays in epoch)
+                   for epoch in epochs)
+        assert epochs[0][0] != epochs[1][0]
+
+    def test_one_gradient_set_without_evaluation(self, monkeypatch):
+        calls, records, steps = self.spied_train(monkeypatch, eval_every=0)
+        sets = [value for kind, value in calls if kind == "optimizer step"]
+        assert len(sets) == 6 * steps and all(arrays == sets[0] for arrays in sets)
+        assert len(records) == 6
+        assert not any(kind == "evaluation output" for kind, _ in calls)
+
+    def test_evaluation_runs_beside_no_gradient_or_training_output(self, monkeypatch):
+        calls, records, _ = self.spied_train(monkeypatch)
+        seen = [value for kind, value in calls if kind == "before evaluate"]
+        assert len(seen) == len(records) == 6
+        assert seen == [{"gradients": [], "training outputs": []}] * 6
+        assert sum(kind == "gradient" for kind, _ in calls) > 0
+
+    def test_evaluation_output_is_dead_before_the_next_step(self, monkeypatch):
+        calls, records, steps = self.spied_train(monkeypatch)
+        seen = [value["evaluation outputs"] for kind, value in calls
+                if kind == "before propagate"]
+        assert len(seen) == 6 * (steps + 1)  # each epoch's steps and its evaluation
+        assert seen == [[]] * len(seen)
+        assert sum(kind == "evaluation output" for kind, _ in calls) == 2 * 6
 
     def test_schedule_parameter_mismatch(self):
         ds, cfg, params = self.small_setup(seed=26, max_granularity=1)

@@ -18,9 +18,13 @@ REV``, or with ``--aa`` a second export of ``--parent`` (an A/A series
 that measures the tool's own side bias).  The file named by ``--out``
 gets, under ``workloads[W]``, both sides' environment blocks and a ``seed
 S`` section: the order of each pair, ``failed``/``attempted``/``correct``
-of every run, and per metric both sides' median, quartiles and runs,
-``change_better_in`` (pairs where the change reads better in the
-metric's direction; ties count for neither side), ``median_ratio``
+of every run, each run's ``cpu_s`` (the user plus system seconds its
+process and that process's children used, from
+``getrusage(RUSAGE_CHILDREN)`` before and after it: beside a wall-clock
+metric it tells host load from the code's own work), and per metric
+both sides' median, quartiles and runs, ``change_better_in`` (pairs
+where the change reads better in the metric's direction; ties count for
+neither side), ``median_ratio``
 (change median / parent median), ``parent_iqr``, and the paired
 statistics of the per-pair ratios change / parent: their median
 ``median_pair_ratio``, and ``pair_ratio_interval``, a distribution-free
@@ -44,6 +48,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -121,9 +126,16 @@ def summarize(parent, change, better):
     }
 
 
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_bench(tree, workload, seed, seconds):
     """One ``perfbench/run.py`` process in ``tree``: its environment block
-    and its closing ``{correct, attempted, failed, metrics}`` line."""
+    and its closing ``{correct, attempted, failed, metrics}`` line, with
+    the CPU seconds the process used added as ``cpu_s``."""
+    before = _children_cpu_s()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -134,7 +146,7 @@ def run_bench(tree, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     env = next(json.loads(l[len("environment "):]) for l in lines if l.startswith("environment "))
-    return env, json.loads(lines[-1])
+    return env, {**json.loads(lines[-1]), "cpu_s": _round(_children_cpu_s() - before)}
 
 
 def label_modes(runs, modes):
@@ -151,7 +163,7 @@ def section(results, directions, modes=None):
         "pairs": len(results),
         "order": [ORDER[p % 2] for p in range(len(results))],
     }
-    for key in ("failed", "attempted", "correct"):
+    for key in ("failed", "attempted", "correct", "cpu_s"):
         out[key] = {side: [r[side][key] for r in results] for side in SIDES}
     metrics = {}
     for name, metric in results[0]["parent"]["metrics"].items():
@@ -270,6 +282,7 @@ def main(argv=None):
                 environment[side], result[side] = run_bench(trees[side], args.workload,
                                                             args.seed, seconds)
                 print(f"pair {pair + 1}/{args.pairs} {side}: failed {result[side]['failed']}, "
+                      f"cpu_s {result[side]['cpu_s']:.6g}, "
                       + ", ".join(f"{k} {v['value']:.6g}"
                                   for k, v in result[side]["metrics"].items()),
                       flush=True)
