@@ -7,11 +7,20 @@ rescales the right-hand degree normalization so that high-degree
 
     norm_adj_k[i][j] = (d_i+1)^{-1/2} * (A+I)[i][j] * (d_j+1)^{-1/2 + k*unit}
 
-Granularity 0 is the standard symmetric normalization.  All matrices are
-row-sorted CSR.  Every sparse x dense product goes through :func:`spmm`,
-which runs scipy's own kernel into a given or new array and cuts a large
-CSR product into blocks of rows, each about ``PARALLEL_WORK`` and at
-least one per core, that the process's cores take one after another.
+Granularity 0 is the standard symmetric normalization.  A+I is symmetric
+and 0/1, so the transpose is the same pattern with the two scalings
+swapped,
+
+    norm_adj_k^T[i][j] = (d_i+1)^{-1/2 + k*unit} * (A+I)[i][j] * (d_j+1)^{-1/2},
+
+and every matrix and transpose shares the one sorted pattern of A+I: each
+stores only its values, the product of its row and column factors (see
+:func:`transpose`).  All matrices are row-sorted CSR.
+
+Every sparse x dense product goes through :func:`spmm`, which runs
+scipy's own kernel into a given or new array and cuts a large CSR
+product into blocks of rows, each about ``PARALLEL_WORK`` and at least
+one per core, that the process's cores take one after another.
 Every parallel job runs through :func:`side_by_side` on one pool and the
 calling thread: the row blocks of a split product, the granularities of
 a training stage (on one thread when a hop of the stage splits, see
@@ -106,56 +115,18 @@ class PopularityConfig:
 
 
 @dataclass(eq=False)
-class _Pattern:
-    """The row offsets and column indices of a CSR matrix, shared by the
-    matrices that differ from it only in their values."""
-
-    num_rows: int
-    num_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    _transposed: tuple = field(default=None, repr=False)
-
-    def with_values(self, values) -> "SparseMatrix":
-        return SparseMatrix(self.num_rows, self.num_cols, self.row_offsets, self.col_indices,
-                            values, _pattern=self)
-
-    def transposed(self):
-        """``(pattern, perm)``: the pattern of the transpose, and the order
-        in which the transpose stores the entries, so that a matrix's
-        transpose has the values ``values[perm]``.
-
-        Computed on the first call, by transposing a copy whose values
-        are the entry numbers exactly as scipy transposes a matrix, and
-        kept.  A symmetric pattern, such as that of A+I, is its own
-        transpose, so the transposes share its arrays.
-        """
-        if self._transposed is None:
-            entries = np.arange(len(self.col_indices), dtype=self.row_offsets.dtype)
-            order = sp.csr_matrix(
-                (entries, self.col_indices, self.row_offsets), shape=(self.num_rows, self.num_cols)
-            ).transpose().tocsr()
-            order.sort_indices()
-            arrays = ((order.indptr, self.row_offsets), (order.indices, self.col_indices))
-            if order.shape == (self.num_rows, self.num_cols) and all(
-                    a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays):
-                pattern = self
-            else:
-                pattern = _Pattern(*order.shape, order.indptr, order.indices)
-            self._transposed = (pattern, order.data)
-        return self._transposed
-
-
-@dataclass(eq=False)
 class SparseMatrix:
     """CSR matrix over the joined (user+item) node space.
 
     ``row_offsets`` has length ``num_rows + 1`` and is nondecreasing;
     column indices are strictly increasing within each row; all stored
-    values are finite.  A matrix is not modified once built: what is
-    derived from it for transposes and normalizations is computed on
-    first use and kept on it (two threads racing on a first use may each
-    compute it; the results are equal).
+    values are finite.  A matrix is not modified once built.  A
+    propagation matrix and its transpose keep their row and column
+    scaling vectors (``_scalings``), from which :func:`transpose` computes
+    the transposed values; an adjacency from :func:`build_adjacency`
+    keeps what every granularity's matrix is built from (``_with_loops``).
+    The scipy view is made on first use (two threads racing on it may
+    each make one; they are equal).
     """
 
     num_rows: int
@@ -164,7 +135,7 @@ class SparseMatrix:
     col_indices: np.ndarray
     values: np.ndarray
     _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
-    _pattern: _Pattern = field(default=None, repr=False, compare=False)
+    _scalings: tuple = field(default=None, repr=False, compare=False)
     _with_loops: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -204,12 +175,6 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
-    def _sparsity(self) -> _Pattern:
-        if self._pattern is None:
-            self._pattern = _Pattern(self.num_rows, self.num_cols, self.row_offsets,
-                                     self.col_indices)
-        return self._pattern
-
 
 def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
     """Symmetric (m+n)-square 0/1 adjacency ``[[0, R], [R^T, 0]]`` of the
@@ -217,12 +182,20 @@ def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
 
     No self-loops are stored; those are added during normalization.  It
     is built on the first call for ``ds`` and kept on it, so that layer
-    selection and every propagation matrix share one.
+    selection and every propagation matrix share one.  It keeps the
+    sorted pattern of A+I, ln(d+1) and the row factor (d+1)^{-1/2}, from
+    which :func:`build_normalized_adjacency` computes each granularity's
+    values.
     """
     adjacency = ds._derived.get("adjacency")
     if adjacency is None:
         r = train_matrix(ds)
         adjacency = SparseMatrix.from_scipy(sp.bmat([[None, r], [r.T, None]]))
+        log_d1 = np.log(degrees(adjacency) + 1.0)
+        with_loops = adjacency.to_scipy() + sp.identity(adjacency.num_rows, format="csr")
+        with_loops.sort_indices()
+        adjacency._with_loops = (with_loops.indptr, with_loops.indices, log_d1,
+                                 np.exp(-0.5 * log_d1))
         ds._derived["adjacency"] = adjacency
     return adjacency
 
@@ -235,38 +208,33 @@ def degrees(adjacency: SparseMatrix) -> np.ndarray:
 def build_normalized_adjacency(
     adjacency: SparseMatrix, k: int, cfg: PopularityConfig
 ) -> SparseMatrix:
-    """Popularity-scaled normalized adjacency at granularity ``k``.
+    """Popularity-scaled normalized adjacency at granularity ``k`` of an
+    adjacency made by :func:`build_adjacency` (else ``ValueError``).
 
     Self-loops are added to every node before scaling, so the result has
     a strictly positive entry on the whole diagonal.  The exponents are
-    evaluated as exp(e * ln(d+1)) in double precision.
+    evaluated as exp(e * ln(d+1)) in double precision.  Every granularity
+    shares the adjacency's A+I pattern and row factor.
     """
     if not 0 <= k <= cfg.max_granularity:
         raise GraphConfigError(
             f"granularity {k} outside [0, {cfg.max_granularity}]"
         )
-    if adjacency.num_rows != adjacency.num_cols:
-        raise ValueError("adjacency must be square")
-    pattern, left_scaled, log_d1 = _self_loops(adjacency)
-    right = np.exp(cfg.column_exponent(k) * log_d1)
-    return pattern.with_values(left_scaled * right[pattern.col_indices])
-
-
-def _self_loops(adjacency: SparseMatrix):
-    """``(pattern, left_scaled, log_d1)`` of A+I: its sorted pattern, its
-    stored values times the left factor (d_i+1)^{-1/2} of their row, and
-    ln(d+1).  Built on the first call and kept on ``adjacency``, so every
-    granularity shares the pattern and computes only its own values."""
     if adjacency._with_loops is None:
-        nv = adjacency.num_rows
-        log_d1 = np.log(degrees(adjacency) + 1.0)
-        left = np.exp(-0.5 * log_d1)
-        with_loops = adjacency.to_scipy() + sp.identity(nv, format="csr")
-        with_loops.sort_indices()
-        left_scaled = with_loops.data * np.repeat(left, np.diff(with_loops.indptr))
-        pattern = _Pattern(nv, nv, with_loops.indptr, with_loops.indices)
-        adjacency._with_loops = (pattern, left_scaled, log_d1)
-    return adjacency._with_loops
+        raise ValueError("build_normalized_adjacency takes an adjacency made by build_adjacency")
+    row_offsets, col_indices, log_d1, left = adjacency._with_loops
+    return _scaled(row_offsets, col_indices, left, np.exp(cfg.column_exponent(k) * log_d1))
+
+
+def _scaled(row_offsets, col_indices, row_factor, col_factor) -> SparseMatrix:
+    """The square matrix of the 0/1 pattern ``(row_offsets, col_indices)``
+    scaled by ``row_factor`` on its rows and ``col_factor`` on its
+    columns: the stored (i, j) holds ``row_factor[i] * col_factor[j]``.
+    It keeps the two factors for :func:`transpose`."""
+    values = np.repeat(row_factor, np.diff(row_offsets)) * col_factor[col_indices]
+    size = len(row_factor)
+    return SparseMatrix(size, size, row_offsets, col_indices, values,
+                        _scalings=(row_factor, col_factor))
 
 
 def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[SparseMatrix]:
@@ -476,8 +444,16 @@ def add_product(out, indptr, indices, data, dense):
 
 
 def transpose(matrix: SparseMatrix) -> SparseMatrix:
-    """The transpose of ``matrix``: the transposed pattern (the same arrays
-    when the pattern is symmetric) with the values gathered in its order,
-    bit for bit scipy's ``transpose().tocsr()`` with sorted indices."""
-    pattern, perm = matrix._sparsity().transposed()
-    return pattern.with_values(matrix.values[perm])
+    """The transpose of a propagation matrix or of such a transpose (any
+    other matrix: ``ValueError``).
+
+    A+I is symmetric, so M^T has M's pattern, and its row and column
+    factors are M's column and row factors: the stored (i, j) holds
+    ``col_factor[i] * row_factor[j]``, the product that M stores at (j, i)
+    with its operands swapped, so it is bit for bit scipy's
+    ``transpose().tocsr()`` with sorted indices.
+    """
+    if matrix._scalings is None:
+        raise ValueError("transpose takes a propagation matrix or its transpose")
+    row_factor, col_factor = matrix._scalings
+    return _scaled(matrix.row_offsets, matrix.col_indices, col_factor, row_factor)

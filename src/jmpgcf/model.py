@@ -20,7 +20,7 @@ and gradient read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -330,13 +330,11 @@ def load_checkpoint(path, shared_base=False, granularity_weights=None) -> Checkp
             m, n, embed_dim, max_k = (int(x) for x in header[1:5])
             unit = float(header[5])
             l_odd, l_even, phase, epoch = (int(x) for x in header[6:10])
-        except ValueError as exc:
+            cfg = PopularityConfig(granularity_unit=unit, max_granularity=max_k)
+        except ValueError as exc:  # GraphConfigError is one
             raise CheckpointFormatError(f"{path}: bad header field ({exc})") from None
-        cfg = PopularityConfig(
-            granularity_unit=unit,
-            max_granularity=max_k,
-            granularity_weights=granularity_weights,
-        )
+        # weights of the wrong count are the caller's error: GraphConfigError
+        cfg = replace(cfg, granularity_weights=granularity_weights)
         rows = m + n
         table_bytes = rows * embed_dim * 8
         tables = []

@@ -513,6 +513,31 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index, value", [(4, b"-1"), (5, b"nan"), (5, b"inf"), (5, b"0")])
+    def test_bad_popularity_in_header_exits_1_naming_the_file(self, trained_dir, capsys, index,
+                                                              value):
+        ckpt = trained_dir / "checkpoint_final.ckpt"
+        header, tables = ckpt.read_bytes().split(b"\n", 1)
+        fields = header.split()
+        fields[index] = value  # max granularity, granularity unit
+        ckpt.write_bytes(b" ".join(fields) + b"\n" + tables)
+        rc = run(
+            "evaluate", "--data-dir", trained_dir, "--output-dir", trained_dir,
+            "--checkpoint", ckpt,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: bad header field" in err
+
+    def test_weights_of_the_wrong_count_exit_2(self, trained_dir, capsys):
+        # the checkpoint holds one granularity, the flag gives three weights
+        rc = run(
+            "evaluate", "--data-dir", trained_dir, "--output-dir", trained_dir,
+            "--checkpoint", trained_dir / "checkpoint_final.ckpt", "--lambda-weights", "1,1,1",
+        )
+        assert rc == 2
+        assert "expected 1 granularity weights, got 3" in capsys.readouterr().err
+
     def test_shape_mismatch_names_dimensions(self, trained_dir, tmp_path, capsys):
         other = make_random_dataset(np.random.default_rng(9), 5, 6, with_test=True)
         save_dataset(other, tmp_path / "train.txt", tmp_path / "test.txt")

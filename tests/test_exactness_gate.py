@@ -47,12 +47,16 @@ def test_planted_setup_repeats(tmp_path, monkeypatch):
                  for run in ("first", "second")]
     assert documents[0] == documents[1]
     result = json.loads(documents[0])["planted"]
-    granularities = gate.POPULARITY.num_granularities
-    assert len(result["matrices"]) == len(result["transposes"]) == granularities
-    # A+I is symmetric: a transpose stores the same index arrays
-    for matrix, transposed in zip(result["matrices"], result["transposes"]):
-        assert matrix["row_offsets"] == transposed["row_offsets"]
-        assert matrix["col_indices"] == transposed["col_indices"]
+    assert [(p.granularity_unit, p.max_granularity) for p in gate.SETUP_POPULARITIES] == [
+        (0.1, 2), (0.1, 0), (0.24, 4)]
+    for popularity in gate.SETUP_POPULARITIES:
+        operators = result[f"c={popularity.granularity_unit} K={popularity.max_granularity}"]
+        granularities = popularity.num_granularities
+        assert len(operators["matrices"]) == len(operators["transposes"]) == granularities
+        # A+I is symmetric: a transpose stores the same index arrays
+        for matrix, transposed in zip(operators["matrices"], operators["transposes"]):
+            assert matrix["row_offsets"] == transposed["row_offsets"]
+            assert matrix["col_indices"] == transposed["col_indices"]
     assert len(result["hop_coverages"]) == gate.LayerSelectionConfig().max_hops
     assert all(0 <= float.fromhex(c) <= 1 for c in result["hop_coverages"].values())
 

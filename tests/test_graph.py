@@ -621,31 +621,46 @@ def _assert_same_bits(got, want_shape, arrays):
         assert actual.tobytes() == want.tobytes(), name
 
 
-def _transpose_cases():
-    rng = np.random.default_rng(30)
-    square = rng.normal(size=(12, 12)) * (rng.random((12, 12)) < 0.3)
-    wide = rng.normal(size=(5, 9)) * (rng.random((5, 9)) < 0.5)
-    empty_rows = rng.normal(size=(10, 7)) * (rng.random((10, 7)) < 0.5)
-    empty_rows[[0, 4, 9]] = 0
-    single = np.zeros((3, 4))
-    single[2, 1] = -0.75
-    return {"non-symmetric": square, "wide": wide, "tall": wide.T.copy(),
-            "empty rows": empty_rows, "single entry": single, "no entries": np.zeros((2, 3))}
+def _with_isolated_nodes(seed):
+    """A random graph in which every fifth user and the last three items
+    have no interaction."""
+    ds = make_random_dataset(np.random.default_rng(seed), 20, 14, max_degree=6)
+    train = [[] if u % 5 == 0 else items.tolist() for u, items in enumerate(ds.train)]
+    return InteractionDataset.from_lists(20, 17, train)
 
 
-class TestTransposeGather:
-    """``transpose`` gathers the values through its pattern's cached order
-    and matches scipy's transpose bit for bit."""
+class TestTransposeFromScalings:
+    """``transpose`` computes the transposed values from the matrix's row
+    and column factors and matches scipy's transpose bit for bit."""
 
-    @pytest.mark.parametrize("name", list(_transpose_cases()))
-    def test_equals_scipy_and_double_transpose_is_identity(self, name):
-        mat = SparseMatrix.from_scipy(sp.csr_matrix(_transpose_cases()[name]))
-        want = _scipy_transpose(mat)
-        once = transpose(mat)
-        _assert_same_bits(once, want.shape, (want.indptr, want.indices, want.data))
-        twice = transpose(once)
-        _assert_same_bits(twice, mat.shape, (mat.row_offsets, mat.col_indices, mat.values))
-        assert transpose(mat).col_indices is once.col_indices  # the order is kept
+    @pytest.mark.parametrize("max_granularity", [0, 2, 4])
+    def test_equals_scipy_and_double_transpose_gives_the_arrays(self, max_granularity):
+        # at K=4 the column exponents run from -0.5 to -0.5 + 4 * 0.24 = 0.46
+        cfg = PopularityConfig(0.24, max_granularity)
+        for seed in (33, 34):
+            ds = _with_isolated_nodes(seed)
+            assert (np.diff(build_adjacency(ds).row_offsets) == 0).sum() >= 4 + 3
+            for m in propagation_matrices(ds, cfg):
+                want = _scipy_transpose(m)
+                once = transpose(m)
+                _assert_same_bits(once, want.shape, (want.indptr, want.indices, want.data))
+                twice = transpose(once)
+                _assert_same_bits(twice, m.shape, (m.row_offsets, m.col_indices, m.values))
+                assert twice.row_offsets is m.row_offsets
+                assert twice.col_indices is m.col_indices
+
+    def test_refuses_a_matrix_that_is_not_a_propagation_matrix(self):
+        adjacency = build_adjacency(make_random_dataset(np.random.default_rng(35), 6, 5))
+        for mat in (SparseMatrix.from_scipy(sp.identity(3, format="csr")), adjacency,
+                    SparseMatrix.from_scipy(adjacency.to_scipy())):
+            with pytest.raises(ValueError, match="propagation matrix"):
+                transpose(mat)
+
+    def test_normalization_refuses_a_hand_built_adjacency(self):
+        adjacency = build_adjacency(make_random_dataset(np.random.default_rng(36), 6, 5))
+        by_hand = SparseMatrix.from_scipy(adjacency.to_scipy())
+        with pytest.raises(ValueError, match="build_adjacency"):
+            build_normalized_adjacency(by_hand, 0, PopularityConfig())
 
     def test_propagation_transposes_share_one_pattern(self):
         rng = np.random.default_rng(31)

@@ -221,7 +221,7 @@ class TestBackward:
         eye = SparseMatrix.from_scipy(sp.identity(3, format="csr"))
         out = manual_output([[mat, mat, mat]], num_users=1, weights=(1.0,), matrices=[eye])
         batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
-        grads = backward(out, batch, {0}, l2_coeff=0.0)
+        grads = backward(out, batch, {0}, l2_coeff=0.0, transposed={0: eye})  # eye^T = eye
         np.testing.assert_allclose(grads[0][1], 2 * (-0.5) * user[0], rtol=1e-12)
 
     def test_finite_difference_small_instance(self):

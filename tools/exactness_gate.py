@@ -43,8 +43,10 @@ the parent commit and the change.  The document holds:
 * ``setup``: for ``gowalla_lists(1)`` and ``planted_lists(1)``, read back
   from their files, the SHA-256 of the loaded train and test lists (with
   their lengths), of the ``row_offsets``, ``col_indices`` and ``values``
-  of every propagation matrix and of its transpose, and the hop
-  coverages of ``hop_coverages`` with the default selection settings.
+  of every propagation matrix and of its transpose under each of
+  ``SETUP_POPULARITIES`` (the benchmark's settings, K=0, and c=0.24 with
+  K=4, whose column exponents run up to +0.46), and the hop coverages of
+  ``hop_coverages`` with the default selection settings.
 
 Floats are written with ``float.hex`` and arrays as the SHA-256 of their
 bytes, so two trees compute the same numbers to the bit exactly when
@@ -77,6 +79,7 @@ from jmpgcf import (  # noqa: E402
     build_adjacency,
     build_normalized_adjacency,
     LayerSelectionConfig,
+    PopularityConfig,
     evaluate_cutoffs,
     hop_coverages,
     init_parameters,
@@ -117,6 +120,7 @@ PLANTED_CONFIGS = list(itertools.product(
     [False, True], [False, True],
 ))
 SETUP_GRAPHS = {"gowalla": gen.gowalla_lists, "planted": gen.planted_lists}
+SETUP_POPULARITIES = [POPULARITY, PopularityConfig(max_granularity=0), PopularityConfig(0.24, 4)]
 CORES = (1, 2, 3)
 
 
@@ -131,10 +135,16 @@ def _graph(make, directory):
     """The generated dataset, read back from its files, with its
     propagation matrices and their transposes."""
     ds = load_dataset(*gen.write_lists(directory, *make(SEED)))
+    return (ds, *_operators(ds, POPULARITY))
+
+
+def _operators(ds, popularity):
+    """The propagation matrices of ``ds`` under ``popularity``, and their
+    transposes."""
     adjacency = build_adjacency(ds)
-    matrices = [build_normalized_adjacency(adjacency, k, POPULARITY)
-                for k in range(POPULARITY.num_granularities)]
-    return ds, matrices, {k: transpose(m) for k, m in enumerate(matrices)}
+    matrices = [build_normalized_adjacency(adjacency, k, popularity)
+                for k in range(popularity.num_granularities)]
+    return matrices, {k: transpose(m) for k, m in enumerate(matrices)}
 
 
 def _steps(ds, matrices, transposed, layers, steps_per_phase, full_matrix_reg=False,
@@ -297,16 +307,20 @@ def setup(directory, graphs=SETUP_GRAPHS):
     """What the set-up computes from each generated graph's files."""
     result = {}
     for name, make in graphs.items():
-        ds, matrices, transposed = _graph(make, os.path.join(directory, name))
+        ds = load_dataset(*gen.write_lists(os.path.join(directory, name), *make(SEED)))
         odd, even = hop_coverages(ds, LayerSelectionConfig())
         result[name] = {
             "train": _lists_sha(ds.train),
             "test": _lists_sha(ds.test),
-            "matrices": [_stored(m) for m in matrices],
-            "transposes": [_stored(transposed[k]) for k in range(len(matrices))],
             "hop_coverages": {str(hop): coverage.hex()
                               for hop, coverage in sorted({**odd, **even}.items())},
         }
+        for popularity in SETUP_POPULARITIES:
+            matrices, transposed = _operators(ds, popularity)
+            result[name][f"c={popularity.granularity_unit} K={popularity.max_granularity}"] = {
+                "matrices": [_stored(m) for m in matrices],
+                "transposes": [_stored(transposed[k]) for k in range(len(matrices))],
+            }
     return result
 
 
