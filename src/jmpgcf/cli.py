@@ -258,7 +258,7 @@ def _load_data(cfg):
 def _print_coverage(odd, even):
     hops = sorted(set(odd) | set(even))
     nonzero = [h for h in hops if odd.get(h, even.get(h)) > 0]
-    last = max(nonzero, default=hops[-1]) + 2 if nonzero else hops[-1]
+    last = max(nonzero) + 2 if nonzero else hops[-1]
     print(f"{'hop':>4} {'parity':>6} {'coverage':>10}")
     for hop in hops:
         if hop > last:

@@ -20,7 +20,16 @@ stores only its values, the product of its row and column factors (see
 Every sparse x dense product goes through :func:`spmm`, which runs
 scipy's own kernel into a given or new array and cuts a large CSR
 product into blocks of rows, each about ``PARALLEL_WORK`` and at least
-one per core, that the process's cores take one after another.
+one per core, that the process's cores take one after another.  A
+matrix of more than ``PANEL_ROWS`` columns is also cut by columns into
+panels of ``PANEL_ROWS`` nodes, so that one kernel call reads one
+panel's slice of the dense operand: a row block adds its panels one
+after another, in column order.  Each row still takes its entries in
+ascending column order from 0.0, so the result is the same bit for bit
+as one call over the whole row.  A+I is symmetric, so panel b's pattern
+is row block b's pattern transposed: :func:`build_adjacency` makes it
+once for every matrix and transpose, each of which stores its values
+once, in panel order.
 Every parallel job runs through :func:`side_by_side` on one pool and the
 calling thread: the row blocks of a split product, the granularities of
 a training stage (on one thread when a hop of the stage splits, see
@@ -34,7 +43,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -114,63 +123,83 @@ class PopularityConfig:
         return -0.5 + k * self.granularity_unit
 
 
-@dataclass(eq=False)
 class SparseMatrix:
     """CSR matrix over the joined (user+item) node space.
 
     ``row_offsets`` has length ``num_rows + 1`` and is nondecreasing;
     column indices are strictly increasing within each row; all stored
-    values are finite.  A matrix is not modified once built.  A
-    propagation matrix and its transpose keep their row and column
-    scaling vectors (``_scalings``), from which :func:`transpose` computes
-    the transposed values; an adjacency from :func:`build_adjacency`
-    keeps what every granularity's matrix is built from (``_with_loops``).
-    The scipy view is made on first use (two threads racing on it may
-    each make one; they are equal).
+    values are finite.  A matrix is not modified once built.
+
+    It stores its values once, in the order of its panels (``_panels``,
+    see :func:`spmm`); a matrix of one panel, as :meth:`from_scipy` makes,
+    stores them in row order.  A propagation matrix or transpose keeps its
+    row and column scaling vectors (``_scalings``), from which
+    :func:`transpose` computes the transposed values and :meth:`rows` a
+    block of rows, and from which :attr:`values` and :meth:`to_scipy`
+    compute the row-order values on each call when it has more than one
+    panel.  An adjacency from :func:`build_adjacency` keeps what every
+    granularity's matrix is built from (``_with_loops``).
     """
 
-    num_rows: int
-    num_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
-    _scalings: tuple = field(default=None, repr=False, compare=False)
-    _with_loops: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets)
-        self.col_indices = np.asarray(self.col_indices)
-        self.values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, num_rows, num_cols, row_offsets, col_indices, values,
+                 _panels=None, _scalings=None):
+        self.num_rows = num_rows
+        self.num_cols = num_cols
+        self.row_offsets = np.asarray(row_offsets)
+        self.col_indices = np.asarray(col_indices)
+        self._values = np.asarray(values, dtype=np.float64)
+        # (each panel's row offsets, the column indices in panel order)
+        self._panels = _panels or ((self.row_offsets,), self.col_indices)
+        self._scalings = _scalings
+        self._with_loops = None
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return len(self.col_indices)
 
     @property
     def shape(self):
         return (self.num_rows, self.num_cols)
 
+    @property
+    def values(self) -> np.ndarray:
+        """The stored values in row order: the stored array itself for a
+        matrix of one panel, else made anew from the scalings."""
+        if len(self._panels[0]) == 1:
+            return self._values
+        return _products((self.row_offsets,), self.col_indices, *self._scalings)
+
     def to_scipy(self) -> sp.csr_matrix:
-        """Zero-copy scipy view (cached)."""
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets), shape=self.shape
-            )
-        return self._csr
+        """A scipy CSR of the row-order arrays, made on each call."""
+        return sp.csr_matrix((self.values, self.col_indices, self.row_offsets), shape=self.shape)
+
+    def row_pattern(self, rows):
+        """The row offsets and column indices of ``self[rows]`` for an
+        integer array ``rows``."""
+        starts = self.row_offsets[rows]
+        counts = self.row_offsets[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, self.col_indices.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return indptr, self.col_indices[at]
+
+    def rows(self, rows, pattern=None) -> sp.csr_matrix:
+        """``self[rows]`` for an integer array ``rows``, bit for bit
+        ``self.to_scipy()[rows]``, as a scipy CSR.  ``pattern``, the
+        :meth:`row_pattern` of the same rows of a matrix that shares this
+        one's pattern arrays, saves making it again."""
+        if self._scalings is None:  # stored in row order
+            return self.to_scipy()[rows]
+        indptr, indices = self.row_pattern(rows) if pattern is None else pattern
+        row_factor, col_factor = self._scalings
+        values = _products((indptr,), indices, row_factor[rows], col_factor)
+        return sp.csr_matrix((values, indices, indptr), shape=(len(rows), self.num_cols))
 
     @staticmethod
     def from_scipy(mat) -> "SparseMatrix":
         csr = mat.tocsr()
         csr.sort_indices()
-        return SparseMatrix(
-            num_rows=csr.shape[0],
-            num_cols=csr.shape[1],
-            row_offsets=csr.indptr,
-            col_indices=csr.indices,
-            values=np.asarray(csr.data, dtype=np.float64),
-            _csr=None,
-        )
+        return SparseMatrix(*csr.shape, csr.indptr, csr.indices, csr.data)
 
     def toarray(self) -> np.ndarray:
         return self.to_scipy().toarray()
@@ -183,9 +212,9 @@ def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
     No self-loops are stored; those are added during normalization.  It
     is built on the first call for ``ds`` and kept on it, so that layer
     selection and every propagation matrix share one.  It keeps the
-    sorted pattern of A+I, ln(d+1) and the row factor (d+1)^{-1/2}, from
-    which :func:`build_normalized_adjacency` computes each granularity's
-    values.
+    sorted pattern of A+I, its panel pattern (:func:`_panel_pattern`),
+    ln(d+1) and the row factor (d+1)^{-1/2}, from which
+    :func:`build_normalized_adjacency` computes each granularity's values.
     """
     adjacency = ds._derived.get("adjacency")
     if adjacency is None:
@@ -194,10 +223,57 @@ def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
         log_d1 = np.log(degrees(adjacency) + 1.0)
         with_loops = adjacency.to_scipy() + sp.identity(adjacency.num_rows, format="csr")
         with_loops.sort_indices()
-        adjacency._with_loops = (with_loops.indptr, with_loops.indices, log_d1,
+        pattern = (with_loops.indptr, with_loops.indices)
+        adjacency._with_loops = (*pattern, _panel_pattern(*pattern), log_d1,
                                  np.exp(-0.5 * log_d1))
         ds._derived["adjacency"] = adjacency
     return adjacency
+
+
+# Columns (nodes) per panel of a hop.  A matrix of more nodes is cut by
+# columns into panels of this many, so that each kernel call gathers rows
+# from one panel's 2.6 MB slice of a 64-column float64 operand, not from
+# all of it.  Measured on a 2-vCPU VM on the Gowalla-size benchmark graph
+# (70,839 nodes, 1.69M entries in A+I), A_1 and then its transpose times
+# 64 columns into a reused buffer, on both cores, took a median of 115 to
+# 144 ms in one panel against 86 to 95 ms in panels of 5,120 rows, 86 to
+# 107 ms of 2,048 to 8,192 rows and 112 ms of 16,384 (four alternating
+# sweeps); on one core, 247 to 278 ms against 155 ms.  The planted
+# benchmark graph (5,000 nodes, whose operand fits in cache) stays one
+# panel.  The Gowalla-size pattern (14 panels) takes 4.0 MB of panel row
+# offsets and 6.8 MB of panel-ordered indices, made once in ~15 ms.
+PANEL_ROWS = 5120
+
+
+def _panel_pattern(row_offsets, col_indices):
+    """The panel pattern of the symmetric square pattern ``(row_offsets,
+    col_indices)``: ``(offsets, indices)``, with ``indices`` its column
+    indices in panel order and ``offsets[b]`` panel b's row offsets into
+    them.  Panel b holds the entries of columns ``[b, b + 1) * PANEL_ROWS``
+    row by row, each row's in ascending order.  With at most
+    ``PANEL_ROWS`` nodes it is the pattern itself, one panel.
+
+    Panel b is row block b transposed, so it holds as many entries, and
+    scipy's CSR-to-CSC conversion of the block writes it, in ascending
+    order, in one pass over the block's entries, at the block's place.
+    """
+    size = len(row_offsets) - 1
+    if size <= PANEL_ROWS:
+        return (row_offsets,), col_indices
+    indices = np.empty_like(col_indices)
+    offsets = []
+    for lo in range(0, size, PANEL_ROWS):
+        hi = min(lo + PANEL_ROWS, size)
+        first, last = row_offsets[lo], row_offsets[hi]
+        panel = np.empty_like(row_offsets)
+        ones = np.ones(last - first, dtype=bool)  # the conversion also moves values
+        _sparsetools.csr_tocsc(hi - lo, size, row_offsets[lo:hi + 1] - first,
+                               col_indices[first:last], ones, panel, indices[first:last],
+                               np.empty_like(ones))
+        indices[first:last] += lo
+        panel += first
+        offsets.append(panel)
+    return tuple(offsets), indices
 
 
 def degrees(adjacency: SparseMatrix) -> np.ndarray:
@@ -222,19 +298,35 @@ def build_normalized_adjacency(
         )
     if adjacency._with_loops is None:
         raise ValueError("build_normalized_adjacency takes an adjacency made by build_adjacency")
-    row_offsets, col_indices, log_d1, left = adjacency._with_loops
-    return _scaled(row_offsets, col_indices, left, np.exp(cfg.column_exponent(k) * log_d1))
+    row_offsets, col_indices, panels, log_d1, left = adjacency._with_loops
+    return _scaled(row_offsets, col_indices, panels, left,
+                   np.exp(cfg.column_exponent(k) * log_d1))
 
 
-def _scaled(row_offsets, col_indices, row_factor, col_factor) -> SparseMatrix:
-    """The square matrix of the 0/1 pattern ``(row_offsets, col_indices)``
-    scaled by ``row_factor`` on its rows and ``col_factor`` on its
-    columns: the stored (i, j) holds ``row_factor[i] * col_factor[j]``.
-    It keeps the two factors for :func:`transpose`."""
-    values = np.repeat(row_factor, np.diff(row_offsets)) * col_factor[col_indices]
+def _scaled(row_offsets, col_indices, panels, row_factor, col_factor) -> SparseMatrix:
+    """The square matrix of the 0/1 pattern ``(row_offsets, col_indices)``,
+    whose panel pattern is ``panels``, scaled by ``row_factor`` on its rows
+    and ``col_factor`` on its columns: the stored (i, j) holds
+    ``row_factor[i] * col_factor[j]``, in panel order.  It keeps the two
+    factors for :func:`transpose`."""
+    values = _products(*panels, row_factor, col_factor)
     size = len(row_factor)
     return SparseMatrix(size, size, row_offsets, col_indices, values,
-                        _scalings=(row_factor, col_factor))
+                        _panels=panels, _scalings=(row_factor, col_factor))
+
+
+def _products(offsets, col_indices, row_factor, col_factor) -> np.ndarray:
+    """``row_factor[i] * col_factor[j]`` for each entry (i, j) of the CSR
+    patterns ``(row_offsets, col_indices)``, one per ``row_offsets`` in
+    ``offsets`` (the panels of one index array), in stored order.  Each
+    entry's column factor is gathered, then scaled in place by its row's
+    factor, which gives the same bits: a product does not depend on the
+    order of its operands."""
+    values = col_factor[col_indices]
+    for row_offsets in offsets:
+        _sparsetools.csr_scale_rows(len(row_offsets) - 1, len(col_factor), row_offsets,
+                                    col_indices, values, row_factor)
+    return values
 
 
 def propagation_matrices(ds: InteractionDataset, cfg: PopularityConfig) -> list[SparseMatrix]:
@@ -375,15 +467,24 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     columns // ``PARALLEL_WORK``) of them, with the cores counted in the
     process's CPU affinity, so that a core that finishes a cheap block
     takes the next one.  The blocks run side by side (:func:`side_by_side`;
-    the kernel releases the GIL), each on a slice of the row offsets over
-    the full index and value arrays, and each task zero-fills its own
-    block's rows of a given ``out`` before it adds into them (a new array
-    is made zero-filled).  Every output row takes the same loop over the
-    same entries in the same order from 0.0 as in ``csr @ dense``, so the
-    result is the same bit for bit, whatever the core count.
+    the kernel releases the GIL), and each task zero-fills its own block's
+    rows of a given ``out`` before it adds into them (a new array is made
+    zero-filled).  A block adds one kernel call per panel of the matrix
+    (a scipy CSR is one panel), in panel order, each on a slice of the
+    panel's row offsets over the full index and value arrays.  Panels are
+    ascending column ranges and a row's entries within one are ascending,
+    so every output row takes the same loop over the same entries in the
+    same order from 0.0 as in ``csr @ dense``: the result is the same bit
+    for bit, whatever the core or panel count.
     """
     if isinstance(matrix, SparseMatrix):
-        matrix = matrix.to_scipy()
+        (offsets, indices), data = matrix._panels, matrix._values
+        row_offsets = matrix.row_offsets
+    elif matrix.format == "csr":  # one panel
+        offsets, indices, data = (matrix.indptr,), matrix.indices, matrix.data
+        row_offsets = matrix.indptr
+    else:
+        offsets = None
     dense = np.ascontiguousarray(dense, dtype=np.float64)
     rows, cols = matrix.shape
     if dense.ndim != 2 or dense.shape[0] != cols:
@@ -398,17 +499,16 @@ def spmm(matrix, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         raise ValueError("out must be a C-contiguous float64 array of the product's shape")
     else:
         zeroed = False
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    if matrix.format == "csr":
-        bounds = _row_bounds(indptr, width) if splits(matrix, width) else [0, rows]
-        block = add_product if zeroed else _zero_and_add
-        side_by_side(partial(block, out[lo:hi], indptr[lo:hi + 1], indices, data, dense)
+    if offsets is not None:
+        bounds = _row_bounds(row_offsets, width) if splits(matrix, width) else [0, rows]
+        side_by_side(partial(_add_block, out, lo, hi, offsets, indices, data, dense, zeroed)
                      for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo)
         return out
     if not zeroed:
         out.fill(0.0)
     getattr(_sparsetools, f"{matrix.format}_matvecs")(
-        rows, cols, width, indptr, indices, data, dense.ravel(), out.reshape(-1))
+        rows, cols, width, matrix.indptr, matrix.indices, matrix.data, dense.ravel(),
+        out.reshape(-1))
     return out
 
 
@@ -422,11 +522,16 @@ def _row_bounds(indptr: np.ndarray, width: int) -> list:
     return [0, *np.minimum(cuts, rows).tolist(), rows]
 
 
-def _zero_and_add(out, indptr, indices, data, dense):
-    """Zero-fill ``out``, the rows of one of :func:`spmm`'s blocks, then
-    add the block's product into it (:func:`add_product`)."""
-    out.fill(0.0)
-    add_product(out, indptr, indices, data, dense)
+def _add_block(out, lo, hi, offsets, indices, data, dense, zeroed):
+    """Rows ``lo:hi`` of :func:`spmm`'s product into ``out``: zero-fill
+    them unless ``zeroed``, then add each panel's product
+    (:func:`add_product`), given by its row ``offsets`` over ``indices``
+    and ``data``, in panel order."""
+    block = out[lo:hi]
+    if not zeroed:
+        block.fill(0.0)
+    for panel in offsets:
+        add_product(block, panel[lo:hi + 1], indices, data, dense)
 
 
 def add_product(out, indptr, indices, data, dense):
@@ -456,4 +561,5 @@ def transpose(matrix: SparseMatrix) -> SparseMatrix:
     if matrix._scalings is None:
         raise ValueError("transpose takes a propagation matrix or its transpose")
     row_factor, col_factor = matrix._scalings
-    return _scaled(matrix.row_offsets, matrix.col_indices, col_factor, row_factor)
+    return _scaled(matrix.row_offsets, matrix.col_indices, matrix._panels, col_factor,
+                   row_factor)

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "JMPGCF1"
+# the header's fields after the magic, in order, and the least valid
+# value of each count among them
+_HEADER_FIELDS = ("m", "n", "embed_dim", "max_granularity", "granularity_unit",
+                  "l_odd", "l_even", "phase", "epoch")
+_HEADER_LEAST = {"m": 0, "n": 0, "embed_dim": 1, "phase": 0, "epoch": 0}
 
 
 class CheckpointFormatError(ValueError):
@@ -327,18 +332,20 @@ def load_checkpoint(path, shared_base=False, granularity_weights=None) -> Checkp
         if len(header) != 10 or header[0] != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad checkpoint header")
         try:
-            m, n, embed_dim, max_k = (int(x) for x in header[1:5])
-            unit = float(header[5])
-            l_odd, l_even, phase, epoch = (int(x) for x in header[6:10])
-            cfg = PopularityConfig(granularity_unit=unit, max_granularity=max_k)
+            fields = {name: _header_value(name, text)
+                      for name, text in zip(_HEADER_FIELDS, header[1:])}
+            cfg = PopularityConfig(granularity_unit=fields["granularity_unit"],
+                                   max_granularity=fields["max_granularity"])
+            layers = SelectedLayers(l_odd=fields["l_odd"], l_even=fields["l_even"])
         except ValueError as exc:  # GraphConfigError is one
             raise CheckpointFormatError(f"{path}: bad header field ({exc})") from None
+        m, n, embed_dim = fields["m"], fields["n"], fields["embed_dim"]
         # weights of the wrong count are the caller's error: GraphConfigError
         cfg = replace(cfg, granularity_weights=granularity_weights)
         rows = m + n
         table_bytes = rows * embed_dim * 8
         tables = []
-        for k in range(max_k + 1):
+        for k in range(cfg.num_granularities):
             raw = fh.read(table_bytes)
             if len(raw) != table_bytes:
                 raise CheckpointFormatError(f"{path}: truncated table {k}")
@@ -360,9 +367,17 @@ def load_checkpoint(path, shared_base=False, granularity_weights=None) -> Checkp
         base_embeddings=tables[:1] if shared_base else tables,
         shared_base=shared_base,
     )
-    return Checkpoint(
-        params=params,
-        layers=SelectedLayers(l_odd=l_odd, l_even=l_even),
-        phase=phase,
-        epoch=epoch,
-    )
+    return Checkpoint(params=params, layers=layers, phase=fields["phase"], epoch=fields["epoch"])
+
+
+def _header_value(name, text):
+    """The value of the checkpoint header field ``name`` written as
+    ``text`` (``ValueError``, naming the field, for a bad one)."""
+    try:
+        value = float(text) if name == "granularity_unit" else int(text)
+    except ValueError:
+        raise ValueError(f"{name} is not a number: {text!r}") from None
+    least = _HEADER_LEAST.get(name)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value

@@ -205,6 +205,7 @@ class _BatchTerms:
     at: tuple[np.ndarray, np.ndarray, np.ndarray]
     margins: dict = field(default_factory=dict)  # (k, l) -> the triples' margins
     matrix_rows: dict = field(default_factory=dict)  # k -> A_k[rows], scipy CSR
+    row_patterns: dict = field(default_factory=dict)  # pattern arrays' ids -> their rows'
     deep_rows: dict = field(default_factory=dict)  # k -> A_k[rows] @ chains[k][depth - 1]
 
 
@@ -225,10 +226,18 @@ def _batch_terms(out, batch) -> _BatchTerms:
 
 
 def _matrix_rows(out, terms, k):
-    """``A_k[rows]``, extracted on the first call for the batch."""
+    """``A_k[rows]``, extracted on the first call for the batch.  Matrices
+    that share their pattern arrays share one extraction of the rows'
+    pattern (two granularities racing on it may each make one; they are
+    equal)."""
     sub = terms.matrix_rows.get(k)
     if sub is None:
-        sub = terms.matrix_rows[k] = out.matrices[k].to_scipy()[terms.rows]
+        mat = out.matrices[k]
+        key = (id(mat.row_offsets), id(mat.col_indices))  # kept alive by out.matrices
+        pattern = terms.row_patterns.get(key)
+        if pattern is None:
+            pattern = terms.row_patterns[key] = mat.row_pattern(terms.rows)
+        sub = terms.matrix_rows[k] = mat.rows(terms.rows, pattern)
     return sub
 
 

@@ -26,7 +26,7 @@ from jmpgcf import (
     rank_user,
     save_checkpoint,
 )
-from jmpgcf.cli import ConfigError, RunConfig, _build_parser, _resolve_config, main
+from jmpgcf.cli import ConfigError, RunConfig, _build_parser, _print_coverage, _resolve_config, main
 
 from conftest import make_blocked_dataset, make_random_dataset, save_dataset
 
@@ -230,6 +230,17 @@ class TestSelectLayersCommand:
         captured = capsys.readouterr()
         assert "coverage" in captured.err
         assert captured.out.splitlines()[0].split() == ["hop", "parity", "coverage"]
+
+
+def test_coverage_table_stops_two_hops_past_the_last_nonzero_one(capsys):
+    odd = {1: 0.0, 3: 0.25, 5: 0.0, 7: 0.0, 9: 0.0}
+    even = {2: 0.5, 4: 0.0, 6: 0.0, 8: 0.0}
+    _print_coverage(odd, even)
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split()[0]) for row in rows] == [1, 2, 3, 4, 5]
+    # no hop reaches any node: every hop is printed
+    _print_coverage(dict.fromkeys(odd, 0.0), dict.fromkeys(even, 0.0))
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9
 
 
 class TestTrainCommand:
@@ -513,21 +524,25 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index, value", [(4, b"-1"), (5, b"nan"), (5, b"inf"), (5, b"0")])
-    def test_bad_popularity_in_header_exits_1_naming_the_file(self, trained_dir, capsys, index,
-                                                              value):
+    @pytest.mark.parametrize("index, value, field", [
+        (4, b"-1", "max_granularity"), (5, b"nan", "granularity_unit"),
+        (5, b"inf", "granularity_unit"), (5, b"0", "granularity_unit"), (1, b"-1", "m"),
+        (3, b"-1", "embed_dim"), (6, b"0", "l_odd"), (7, b"-1", "l_even"), (8, b"-7", "phase"),
+        (9, b"-1", "epoch"),
+    ])
+    def test_bad_header_field_exits_1_naming_the_file_and_field(self, trained_dir, capsys,
+                                                                index, value, field):
         ckpt = trained_dir / "checkpoint_final.ckpt"
         header, tables = ckpt.read_bytes().split(b"\n", 1)
         fields = header.split()
-        fields[index] = value  # max granularity, granularity unit
+        fields[index] = value
         ckpt.write_bytes(b" ".join(fields) + b"\n" + tables)
         rc = run(
             "evaluate", "--data-dir", trained_dir, "--output-dir", trained_dir,
             "--checkpoint", ckpt,
         )
         assert rc == 1
-        err = capsys.readouterr().err
-        assert f"{ckpt}: bad header field" in err
+        assert f"{ckpt}: bad header field ({field} " in capsys.readouterr().err
 
     def test_weights_of_the_wrong_count_exit_2(self, trained_dir, capsys):
         # the checkpoint holds one granularity, the flag gives three weights

@@ -93,19 +93,31 @@ def test_cores_section_is_the_same_at_every_core_count(tmp_path, monkeypatch):
     assert all(f"recall@{gate.TOPK}" in r for r in records)
 
 
-def test_hop_section_is_the_same_at_every_core_count(tmp_path, monkeypatch):
+def test_hop_section_is_the_same_at_every_core_and_panel_count(tmp_path, monkeypatch):
     gate = load_gate(monkeypatch)
     graph = gate.jmpgcf.graph
     # the planted graph's hops are cut into many blocks at 2 and 3 cores
     monkeypatch.setattr(graph, "PARALLEL_WORK", 1 << 16)
-    cores, pool = graph._cores, graph._pool
+    cores, pool, panel_rows = graph._cores, graph._pool, graph.PANEL_ROWS
+    pattern, panels = graph._panel_pattern, []
+
+    def counting(*args):
+        made = pattern(*args)
+        panels.append(len(made[0]))
+        return made
+
+    monkeypatch.setattr(graph, "_panel_pattern", counting)
     result = gate.hops(str(tmp_path), gate.gen.planted_lists)
-    assert graph._cores is cores and graph._pool is pool
-    assert list(result) == ["cores=1", "cores=2", "cores=3"]
+    # the planted graph's 5,000 nodes make one panel, five of 1,000, and one
+    assert panels == [1, 5, 1]
+    assert graph._cores is cores and graph._pool is pool and graph.PANEL_ROWS == panel_rows
+    cores = ["cores=1", "cores=2", "cores=3"]
+    assert list(result) == [*cores, "panel_rows=1000", "panel_rows=70839"]
     granularities = gate.POPULARITY.num_granularities
     assert sorted(result["cores=1"]) == sorted(
         f"A_{k}{side}" for k in range(granularities) for side in ("", "^T"))
-    assert result["cores=1"] == result["cores=2"] == result["cores=3"]
+    for section in (result, result["panel_rows=1000"], result["panel_rows=70839"]):
+        assert [section[count] for count in cores] == [result["cores=1"]] * 3
 
 
 def test_rankings_hash_one_list_per_evaluable_user(tmp_path, monkeypatch):

@@ -14,14 +14,19 @@ from jmpgcf import (
     GraphConfigError,
     InteractionDataset,
     PopularityConfig,
+    SelectedLayers,
     SparseMatrix,
+    TripleSampler,
     build_adjacency,
     build_normalized_adjacency,
+    init_parameters,
+    propagate,
     propagation_matrices,
     spmm,
     transpose,
 )
 from jmpgcf.graph import degrees
+from jmpgcf.training import _batch_terms, _matrix_rows
 
 from conftest import RecordingKernels, dense_normalized, make_random_dataset
 
@@ -696,3 +701,122 @@ class TestTransposeFromScalings:
                       * right[with_loops.indices])
             _assert_same_bits(build_normalized_adjacency(adj, k, cfg), adj.shape,
                               (with_loops.indptr, with_loops.indices, values))
+
+
+def _unpaneled_graph(seed):
+    """A random graph of 61 users and 48 items, 109 nodes, which no panel
+    size of the tests divides; every fifth user and the last three items
+    have no interaction."""
+    ds = make_random_dataset(np.random.default_rng(seed), 61, 45, max_degree=6)
+    train = [[] if u % 5 == 0 else items.tolist() for u, items in enumerate(ds.train)]
+    return InteractionDataset.from_lists(61, 48, train)
+
+
+NODES = 109
+
+
+class TestPanels:
+    """A matrix of more than ``PANEL_ROWS`` nodes is cut by columns into
+    panels, and every hop, row-order array and row block of it is the same
+    bit for bit as that of the one-panel matrix."""
+
+    @pytest.fixture(params=[7, 64])
+    def panel_rows(self, request, monkeypatch):
+        monkeypatch.setattr(graph, "PANEL_ROWS", request.param)
+        return request.param
+
+    @staticmethod
+    def operators(seed, cfg=PopularityConfig(0.24, 2)):
+        mats = propagation_matrices(_unpaneled_graph(seed), cfg)
+        return mats + [transpose(m) for m in mats]
+
+    def test_panels_hold_each_rows_entries_of_their_columns(self, panel_rows):
+        ops = self.operators(40)
+        offsets, indices = ops[0]._panels
+        assert len(offsets) == -(-NODES // panel_rows) > 1
+        for b, panel in enumerate(offsets):
+            lo, hi = b * panel_rows, (b + 1) * panel_rows
+            for i in range(NODES):
+                row = ops[0].col_indices[ops[0].row_offsets[i]:ops[0].row_offsets[i + 1]]
+                np.testing.assert_array_equal(indices[panel[i]:panel[i + 1]],
+                                              row[(row >= lo) & (row < hi)])
+        # one shared pattern; each matrix stores one value array, in panel order
+        stored = {id(a): a.nbytes for m in ops
+                  for a in (m.row_offsets, m.col_indices, *offsets, indices, m._values)}
+        assert all(m._panels is ops[0]._panels for m in ops)
+        assert len(stored) == 2 + len(offsets) + 1 + len(ops)
+        assert all(m._values.shape == (m.nnz,) for m in ops)
+
+    def test_row_order_arrays_equal_the_one_panel_matrix(self, panel_rows, monkeypatch):
+        paneled = self.operators(41)
+        monkeypatch.setattr(graph, "PANEL_ROWS", NODES)
+        single = self.operators(41)
+        assert len(single[0]._panels[0]) == 1 and single[0]._values is single[0].values
+        for got, want in zip(paneled, single):
+            assert not np.array_equal(got._values, want._values)  # another order
+            _assert_same_bits(got, want.shape, (want.row_offsets, want.col_indices, want.values))
+            scipy_form = got.to_scipy()
+            for name in ("indptr", "indices", "data"):
+                assert getattr(scipy_form, name).tobytes() == \
+                    getattr(want.to_scipy(), name).tobytes()
+        for m, t in zip(paneled[:3], paneled[3:]):
+            want = _scipy_transpose(m)
+            _assert_same_bits(t, want.shape, (want.indptr, want.indices, want.data))
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_hops_equal_scipy_products(self, panel_rows, cores, monkeypatch):
+        monkeypatch.setattr(graph, "_cores", lambda: cores)
+        monkeypatch.setattr(graph, "_pool", None)
+        # a product of more than 64 entries x columns is cut into blocks of rows
+        monkeypatch.setattr(graph, "PARALLEL_WORK", 64)
+        kernels = RecordingKernels()
+        rng = np.random.default_rng(42)
+        ops = self.operators(42)
+        panels = len(ops[0]._panels[0])
+        monkeypatch.setattr(graph, "_sparsetools", kernels)
+        try:
+            for m in ops:
+                x = rng.normal(size=(NODES, 5))
+                want = (m.to_scipy() @ x).tobytes()
+                out = np.full((NODES, 5), np.nan)
+                kernels.blocks.clear()
+                assert spmm(m, x, out) is out and out.tobytes() == want
+                assert spmm(m, x).tobytes() == want
+                # a call per panel and row block; one row block on one core
+                calls = len(kernels.blocks) // 2
+                assert calls % panels == 0
+                assert calls == panels if cores == 1 else calls > panels
+        finally:
+            if graph._pool is not None:
+                graph._pool.shutdown()
+
+    def test_rows_equal_scipy_rows(self, panel_rows):
+        rng = np.random.default_rng(43)
+        ops = self.operators(43)
+        for rows in (np.arange(NODES), np.sort(rng.choice(NODES, 30, replace=False)),
+                     np.array([0, 5, 61, NODES - 1])):  # isolated nodes
+            pattern = ops[0].row_pattern(rows)
+            for m in ops:
+                want = m.to_scipy()[rows]
+                for got in (m.rows(rows), m.rows(rows, pattern)):
+                    assert got.shape == want.shape
+                    for name in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                    assert got.data.tobytes() == want.data.tobytes()
+
+    def test_batch_rows_equal_scipy_rows(self, panel_rows):
+        ds = _unpaneled_graph(44)
+        cfg = PopularityConfig()
+        params = init_parameters(ds.num_users, ds.num_items, 4, cfg, seed=44)
+        out = propagate(params, propagation_matrices(ds, cfg), SelectedLayers(1, 2))
+        batch = TripleSampler(ds).sample(16, np.random.default_rng(44))
+        terms = _batch_terms(out, batch)
+        blocks = [_matrix_rows(out, terms, k) for k in range(cfg.num_granularities)]
+        for k, block in enumerate(blocks):
+            want = out.matrices[k].to_scipy()[terms.rows]
+            assert block.shape == want.shape
+            assert block.data.tobytes() == want.data.tobytes()
+            np.testing.assert_array_equal(block.indptr, want.indptr)
+            np.testing.assert_array_equal(block.indices, want.indices)
+            # the granularities share one extraction of the rows' pattern
+            assert np.shares_memory(block.indices, blocks[0].indices)

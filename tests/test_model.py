@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -590,6 +591,32 @@ class TestCheckpoint:
         path.write_bytes(b"NOTAMODEL 1 1 1 0 0.1 1 2 1 1\n" + b"\x00" * 16)
         with pytest.raises(CheckpointFormatError, match="header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("index, value, field", [
+        (1, "-1", "m"), (2, "-2", "n"), (1, "x", "m"), (3, "-1", "embed_dim"),
+        (3, "0", "embed_dim"), (6, "0", "l_odd"), (6, "-1", "l_odd"), (6, "2", "l_odd"),
+        (7, "0", "l_even"), (7, "-1", "l_even"), (7, "3", "l_even"), (8, "-7", "phase"),
+        (9, "-1", "epoch"), (9, "1.5", "epoch"),
+    ])
+    def test_bad_header_field_names_the_file_and_the_field(self, tmp_path, index, value,
+                                                            field):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_parameters(2, 3, 2, PopularityConfig(), seed=0),
+                        SelectedLayers(1, 2), 1, 1)
+        header, tables = path.read_bytes().split(b"\n", 1)
+        fields = header.split()
+        fields[index] = value.encode()
+        path.write_bytes(b" ".join(fields) + b"\n" + tables)
+        with pytest.raises(CheckpointFormatError,
+                           match=f"^{re.escape(str(path))}: bad header field \\({field} "):
+            load_checkpoint(path)
+
+    def test_phase_and_epoch_zero_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_parameters(2, 3, 2, PopularityConfig(), seed=0),
+                        SelectedLayers(1, 2), 0, 0)
+        ckpt = load_checkpoint(path)
+        assert (ckpt.phase, ckpt.epoch) == (0, 0)
 
     def test_truncated_table(self, tmp_path):
         cfg = PopularityConfig()

@@ -22,6 +22,7 @@ from jmpgcf import (
     PhaseSchedule,
     PopularityConfig,
     SelectedLayers,
+    SparseMatrix,
     TrainConfig,
     TrainingDivergedError,
     TripleSampler,
@@ -94,6 +95,14 @@ class TestTripleSampler:
             sampler.sample(16, rng)
         assert np.all(first.users == 1)
         assert sum("skipped" in rec.message for rec in caplog.records) == 1
+
+    def test_user_without_training_items_is_never_sampled(self):
+        ds = InteractionDataset.from_lists(4, 5, [[0, 2], [], [1], [3, 4]])
+        sampler = TripleSampler(ds)
+        np.testing.assert_array_equal(sampler.pool, [0, 2, 3])
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            assert 1 not in sampler.sample(64, rng).users
 
     def test_untrainable_dataset(self):
         ds = InteractionDataset.from_lists(1, 2, [[0, 1]])
@@ -214,10 +223,6 @@ class TestBackward:
         user = np.array([[2.0, -1.0]])
         items = np.array([[0.5, 0.5], [0.5, 0.5]])
         mat = np.vstack([user, items])
-        import scipy.sparse as sp
-
-        from jmpgcf import SparseMatrix
-
         eye = SparseMatrix.from_scipy(sp.identity(3, format="csr"))
         out = manual_output([[mat, mat, mat]], num_users=1, weights=(1.0,), matrices=[eye])
         batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
@@ -813,18 +818,18 @@ class TestBatchRows:
         sampler, rng = TripleSampler(ds), np.random.default_rng(34)
         first, second = sampler.sample(6, rng), sampler.sample(6, rng)
         extractions, products = [], []
-        getitem, product = sp.csr_matrix.__getitem__, training.spmm
+        rows, product = SparseMatrix.rows, training.spmm
 
-        def extracting(matrix, key):
+        def extracting(matrix, key, pattern=None):
             extractions.append(matrix.shape)
-            return getitem(matrix, key)
+            return rows(matrix, key, pattern)
 
         def hop(matrix, dense, out=None):
             if isinstance(matrix, sp.csr_matrix):  # rows of a matrix, not a full hop
                 products.append(matrix.shape)
             return product(matrix, dense, out)
 
-        monkeypatch.setattr(sp.csr_matrix, "__getitem__", extracting)
+        monkeypatch.setattr(SparseMatrix, "rows", extracting)
         monkeypatch.setattr(training, "spmm", hop)
 
         def loss(batch):

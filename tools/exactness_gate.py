@@ -34,7 +34,11 @@ the parent commit and the change.  The document holds:
   seeded normal X of 64 columns, into one reused buffer (first filled
   with NaN) as in training, with ``graph._cores`` patched to 1, 2 and 3
   (on a fresh pool each time), so that a hop split into any number of row
-  blocks is compared bit for bit.
+  blocks is compared bit for bit; and under ``panel_rows=R`` the same
+  with the graph built with ``graph.PANEL_ROWS`` patched to R, 1,000 and
+  70,839 (one panel), so that a hop cut into any number of column panels
+  is compared too.  A tree without panels is patched all the same and
+  hops as it always does.
 * ``cores``: on ``planted_lists(1)``, the step driver's losses and table
   SHA-256 in the first ``planted_steps`` configuration, and the records of
   a ``train()`` run over the planted schedule, with ``graph._cores``
@@ -63,6 +67,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = os.getcwd()
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -122,6 +127,8 @@ PLANTED_CONFIGS = list(itertools.product(
 SETUP_GRAPHS = {"gowalla": gen.gowalla_lists, "planted": gen.planted_lists}
 SETUP_POPULARITIES = [POPULARITY, PopularityConfig(max_granularity=0), PopularityConfig(0.24, 4)]
 CORES = (1, 2, 3)
+# nodes per column panel of a hop: many panels, and one for the Gowalla-size graph
+PANEL_ROWS = (1000, 70839)
 
 
 def _sha(arrays) -> str:
@@ -229,7 +236,16 @@ def _at_cores(count):
 
 def hops(directory, make=gen.gowalla_lists):
     """The SHA-256 of each full hop and pull-back hop of ``make``'s graph,
-    per patched core count."""
+    per patched core count, as built and with ``graph.PANEL_ROWS`` patched
+    to each of ``PANEL_ROWS`` (made if the tree has none)."""
+    result = _hops(directory, make)
+    for rows in PANEL_ROWS:
+        with mock.patch.object(jmpgcf.graph, "PANEL_ROWS", rows, create=True):
+            result[f"panel_rows={rows}"] = _hops(directory, make)
+    return result
+
+
+def _hops(directory, make):
     ds, matrices, transposed = _graph(make, directory)
     dense = np.random.default_rng(SEED).normal(size=(matrices[0].num_cols, EMBED_DIM))
     result = {}
